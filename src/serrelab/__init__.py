@@ -5,6 +5,7 @@ from .errors import (
     CycleDetected,
     Disagreement,
     GuardrailExceeded,
+    InputError,
     LatticeMismatch,
     MaxStepsExceeded,
     NotAComplex,

@@ -181,7 +181,7 @@ def cmd_typea(args):
     runs = []
     ok = True
     for o in orientations:
-        suite = run_typea_suite(ta.QuiverA(args.n, o), categorical=not args.fast)
+        suite = ta.run_typea_suite(ta.QuiverA(args.n, o), categorical=not args.fast)
         runs.append(suite)
         ok = ok and suite["ok"]
     report = {
@@ -195,156 +195,16 @@ def cmd_typea(args):
     return 0 if ok else 2
 
 
-def run_typea_suite(q: ta.QuiverA, categorical=True) -> dict:
-    """Counts, Serre-permutation statistics, mutation and rotation checks,
-    cluster bijection, and the categorical integration."""
-    from .lattice import IntervalRef
-    from .reps import interval_module
-    from .derived import StalkResult, serre
-    from .typea import _engine
-
-    eng = _engine(q)
-    out = {"orientation": q.orientation, "n": q.n, "checks": {}}
-    lat, _ = eng.tors_lattice()
-    out["tors_lattice"] = lattice_to_json_dict(lat)
-    ivs = ta.mutable_intervals(q)
-    triples = ta.cluster_triples(q)
-    expected = ta.fuss_catalan_count(q.n)
-    out["checks"]["counts"] = {
-        "torsion_classes": len(eng.tors_masks),
-        "wide_subcats": len(eng.wide_subcats()),
-        "mutable_intervals": len(ivs),
-        "cluster_triples": len(triples),
-        "expected_two_catalan": expected,
-        "ok": len(ivs) == len(triples) == expected,
-    }
-    try:
-        stats = ta.serre_orbit_stats(q)
-        out["checks"]["serre_periods"] = {"ok": True, **stats}
-    except SerrelabError as exc:
-        out["checks"]["serre_periods"] = {"ok": False, "error": str(exc)}
-    muts = ta.interval_mutations(q)
-    out["checks"]["interval_mutations"] = {
-        "count": len(muts),
-        "expected_three_to_n": q.n * len(ivs),
-        "ok": 3 * len(muts) == q.n * len(ivs),
-    }
-    try:
-        ta.rotation_check(q)
-        out["checks"]["rotation"] = {"ok": True, "triples": len(muts)}
-    except SerrelabError as exc:
-        out["checks"]["rotation"] = {"ok": False, "error": str(exc)}
-    images = {ta.interval_of(q, t).key for t in triples}
-    roundtrip = all(
-        ta.interval_of(q, ta.ClusterTriple(iv.t_free, iv.t_tors, iv.t_supp)).key == iv.key
-        for iv in ivs
-    )
-    out["checks"]["cluster_bijection"] = {
-        "ok": images == {iv.key for iv in ivs} and roundtrip,
-        "roundtrip": roundtrip,
-    }
-    out["mutable_intervals"] = [
-        {
-            "lo": eng.mask_label(iv.lo),
-            "hi": eng.mask_label(iv.hi),
-            "delta_ranks": list(iv.delta_ranks),
-            "k": iv.k,
-        }
-        for iv in ivs
-    ]
-    out["serre_permutation_cycles"] = _interval_cycles(eng, ivs)
-    if categorical:
-        bad = []
-        for iv in ivs:
-            M = interval_module(lat, IntervalRef(eng.mask_label(iv.lo), eng.mask_label(iv.hi)))
-            res = serre(M)
-            s = eng.serre_perm(iv)
-            want = IntervalRef(eng.mask_label(s.lo), eng.mask_label(s.hi))
-            good = (
-                isinstance(res, StalkResult)
-                and res.interval == want
-                and res.shift == iv.k
-            )
-            if not good:
-                bad.append(eng.mask_label(iv.lo) + "<=" + eng.mask_label(iv.hi))
-        out["checks"]["categorical_serre"] = {"ok": not bad, "failures": bad, "total": len(ivs)}
-    out["ok"] = all(c.get("ok", False) for c in out["checks"].values())
-    return out
-
-
-def _interval_cycles(eng, ivs):
-    succ = {iv.key: eng.serre_perm(iv).key for iv in ivs}
-    seen = set()
-    cycles = []
-    for iv in ivs:
-        if iv.key in seen:
-            continue
-        cyc = []
-        k = iv.key
-        while k not in seen:
-            seen.add(k)
-            cyc.append(f"{eng.mask_label(k[0])}<={eng.mask_label(k[1])}")
-            k = succ[k]
-        cycles.append(cyc)
-    return cycles
-
-
 def cmd_geom(args):
-    n = args.n
-    trees = geom_mod.enumerate_trees(n)
-    quads = geom_mod.enumerate_quads(n)
-    expected = geom_mod.fuss_catalan_geom(n)
-    counts_ok = len(trees) == len(quads) == expected
-    equivariant = all(
-        geom_mod.stokes(geom_mod.rotate_quad(q)) == geom_mod.planar_dual(geom_mod.stokes(q))
-        for q in quads
-    )
-    injective = len({geom_mod.stokes(q) for q in quads}) == len(quads)
-    checks = {
-        "counts": {"trees": len(trees), "quads": len(quads), "expected": expected, "ok": counts_ok},
-        "stokes_bijection": {"ok": injective},
-        "equivariance": {"ok": equivariant},
-    }
-    if n <= 4:
-        rot_cycles = _rotation_cycle_lengths(quads)
-        q = ta.linear_quiver(n)
-        serre_cycles = ta.serre_orbit_stats(q)["cycle_lengths"]
-        checks["cycle_multiset_vs_typea"] = {
-            "rotation": rot_cycles,
-            "serre": serre_cycles,
-            "ok": rot_cycles == serre_cycles,
-        }
-    ok = all(c["ok"] for c in checks.values())
+    suite = geom_mod.run_geom_suite(args.n)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "geom",
-        "input": {"kind": "generator", "detail": f"geom n={n}", "fingerprint": ""},
-        "checks": checks,
-        "ok": ok,
+        "input": {"kind": "generator", "detail": f"geom n={args.n}", "fingerprint": ""},
+        **suite,
     }
-    if n <= 3:  # full object listings stay readable at this size
-        report["trees"] = [t.sorted_edges() for t in trees]
-        report["quadrangulations"] = [q.sorted_diagonals() for q in quads]
     _emit(report, args.json)
-    return 0 if ok else 2
-
-
-def _rotation_cycle_lengths(quads):
-    seen = set()
-    lengths = []
-    for q in quads:
-        if q in seen:
-            continue
-        k = 0
-        cur = q
-        while True:
-            cur = geom_mod.rotate_quad(cur)
-            k += 1
-            seen.add(cur)
-            if cur == q:
-                break
-        lengths.append(k)
-    return sorted(lengths)
+    return 0 if suite["ok"] else 2
 
 
 def cmd_crosscheck(args):

@@ -15,14 +15,14 @@ from .derived import GeneralComplexResult, serre
 from .errors import Disagreement, MaxStepsExceeded, SerrelabError
 from .fields import QQ
 from .lattice import IntervalRef, Lattice
+from .perm import cycle_decomposition
 from .reps import find_interval_iso, injective_module
 
 
 @dataclass
 class CartanMatrix:
-    matrix: list
-    inverse: list  # the Moebius-function matrix of the poset
-    orientation: str  # which comparability pattern satisfied the ground truth
+    matrix: list  # Omega[i][j] = [j <= i], the transposed zeta matrix
+    inverse: list  # the transposed Moebius-function matrix of the poset
 
 
 @dataclass
@@ -40,36 +40,20 @@ def _inj_vector(lat: Lattice, i: int):
 
 
 def cartan_matrix(lat: Lattice) -> CartanMatrix:
-    """0/1 comparability matrix, oriented so that the construction-time
-    ground truth C [P_i] = -[I_i] holds; fails loudly if no orientation
-    works or the two orientations disagree while both passing."""
+    """Omega = zeta^T for zeta[i][j] = [i <= j].  Then C = -Omega^T Omega^-1
+    sends [P_i] = zeta^T e_i to -zeta e_i = -[I_i], the construction-time
+    ground truth; the untransposed zeta fails it on the bottom element's
+    column as soon as n > 1."""
     n = lat.n
-    zeta = [[1 if lat.leq_i(i, j) else 0 for j in range(n)] for i in range(n)]
-    zeta_t = [[zeta[j][i] for j in range(n)] for i in range(n)]
-    passing = []
-    for name, omega in (("leq", zeta), ("geq", zeta_t)):
-        inv = linalg.int_inverse(omega)
-        omega_t = [[omega[j][i] for j in range(n)] for i in range(n)]
-        C = [[-x for x in row] for row in linalg.int_mat_mul(omega_t, inv)]
-        ok = all(
-            linalg.int_mat_vec(C, _proj_vector(lat, i)) == [-x for x in _inj_vector(lat, i)]
-            for i in range(n)
-        )
-        if ok:
-            passing.append((name, omega, inv, C))
-    if not passing:
-        raise SerrelabError("no Cartan orientation satisfies C[P_i] = -[I_i]")
-    if len(passing) == 2 and passing[0][3] != passing[1][3]:
-        raise SerrelabError("both Cartan orientations pass with different Coxeter matrices")
-    name, omega, inv, _ = passing[0]
-    return CartanMatrix(matrix=omega, inverse=inv, orientation=name)
+    omega = [[1 if lat.leq_i(j, i) else 0 for j in range(n)] for i in range(n)]
+    return CartanMatrix(matrix=omega, inverse=linalg.int_inverse(omega))
 
 
 def coxeter_matrix(lat: Lattice) -> CoxeterMatrix:
     cart = cartan_matrix(lat)
     n = lat.n
-    omega_t = [[cart.matrix[j][i] for j in range(n)] for i in range(n)]
-    C = [[-x for x in row] for row in linalg.int_mat_mul(omega_t, cart.inverse)]
+    zeta = [[cart.matrix[j][i] for j in range(n)] for i in range(n)]
+    C = [[-x for x in row] for row in linalg.int_mat_mul(zeta, cart.inverse)]
     for i in range(n):  # construction-time invariant
         if linalg.int_mat_vec(C, _proj_vector(lat, i)) != [-x for x in _inj_vector(lat, i)]:
             raise SerrelabError("Coxeter matrix failed its defining identity")
@@ -84,6 +68,8 @@ class Trajectory:
     sign: int | None  # +1 / -1 at termination
     target: object | None  # pi(element)
     failed: str | None  # 'mixed-sign' when a vector is not weakly signed
+    # pi(element) under the strict reading, which accepts +[P_j] only
+    strict_target: object | None = None
 
 
 @dataclass
@@ -134,35 +120,51 @@ def _weakly_signed(v):
     return all(x >= 0 for x in v) or all(x <= 0 for x in v)
 
 
-def _run_trajectories(lat: Lattice, C, max_steps, allow_negative=True):
+def _run_trajectories(lat: Lattice, C, max_steps):
+    """Iterate C on each [I_i] until it hits +-[P_j] (the signed reading);
+    after a -[P_j] hit go on, within the same step budget, to the first
+    +[P_j] (the strict reading)."""
     ptable = {}
     for j in range(lat.n):
         pv = tuple(_proj_vector(lat, j))
         ptable[pv] = (j, 1)
-        if allow_negative:
-            ptable[tuple(-x for x in pv)] = (j, -1)
+        ptable[tuple(-x for x in pv)] = (j, -1)
     out = {}
-    for i in range(lat.n):
+    for i, label in enumerate(lat.labels):
         v = _inj_vector(lat, i)
         vectors = [tuple(v)]
         traj = None
         for k in range(max_steps + 1):
-            if not any(v):
-                raise SerrelabError("trajectory vector vanished")
+            if not any(v):  # after a -[P_j] hit this only fails the strict reading
+                if traj is None:
+                    raise SerrelabError("trajectory vector vanished")
+                break
             if not _weakly_signed(v):
-                traj = Trajectory(lat.labels[i], vectors, None, None, None, "mixed-sign")
+                if traj is None:
+                    traj = Trajectory(label, vectors, None, None, None, "mixed-sign")
                 break
             hit = ptable.get(tuple(v))
             if hit is not None:
                 j, sign = hit
-                traj = Trajectory(lat.labels[i], vectors, k, sign, lat.labels[j], None)
-                break
+                if traj is None:
+                    traj = Trajectory(label, vectors, k, sign, lat.labels[j], None)
+                if sign == 1:
+                    traj.strict_target = lat.labels[j]
+                    break
             v = linalg.int_mat_vec(C, v)
-            vectors.append(tuple(v))
+            if traj is None:
+                vectors.append(tuple(v))
         if traj is None:
-            raise MaxStepsExceeded(lat.labels[i], max_steps)
-        out[lat.labels[i]] = traj
+            raise MaxStepsExceeded(label, max_steps)
+        out[label] = traj
     return out
+
+
+def _as_permutation(lat: Lattice, targets):
+    """targets (element -> target or None) if it is a permutation, else None."""
+    if None in targets.values() or len(set(targets.values())) != lat.n:
+        return None
+    return targets
 
 
 def combinatorial_serre_check(lat: Lattice, max_steps=None) -> SerreFormalReport:
@@ -171,51 +173,20 @@ def combinatorial_serre_check(lat: Lattice, max_steps=None) -> SerreFormalReport
     if max_steps is None:
         max_steps = 4 * (lat.n + 10)
     cox = coxeter_matrix(lat)
-    C = cox.matrix
-    trajs = _run_trajectories(lat, C, max_steps)
-    ok = all(t.failed is None for t in trajs.values())
-    perm = None
-    cycles = None
-    lcm = None
-    if ok:
-        perm = {e: t.target for e, t in trajs.items()}
-        if len(set(perm.values())) != lat.n:
-            ok = False
-    if ok:
-        cycles = []
-        seen = set()
-        for e in lat.labels:
-            if e in seen:
-                continue
-            cyc = [e]
-            seen.add(e)
-            x = perm[e]
-            while x != e:
-                cyc.append(x)
-                seen.add(x)
-                x = perm[x]
-            cycles.append(cyc)
-        lcm = 1
-        for c in cycles:
-            lcm = math.lcm(lcm, len(c))
-    # would the strict (+[P_j] only) reading change the verdict?
-    try:
-        strict = _run_trajectories(lat, C, max_steps, allow_negative=False)
-        strict_ok = all(t.failed is None for t in strict.values())
-        if strict_ok:
-            strict_perm = {e: t.target for e, t in strict.items()}
-            strict_ok = len(set(strict_perm.values())) == lat.n
-    except (MaxStepsExceeded, SerrelabError):
-        strict_ok = False
+    trajs = _run_trajectories(lat, cox.matrix, max_steps)
+    perm = _as_permutation(lat, {e: t.target for e, t in trajs.items()})
+    strict = _as_permutation(lat, {e: t.strict_target for e, t in trajs.items()})
+    cycles = None if perm is None else cycle_decomposition(perm.__getitem__, lat.labels)
     return SerreFormalReport(
         lattice=lat,
         coxeter=cox,
         trajectories=trajs,
-        is_serre_formal=ok,
-        permutation=perm if ok else None,
+        is_serre_formal=perm is not None,
+        permutation=perm,
         cycles=cycles,
-        lcm_period=lcm,
-        strict_sign_differs=(strict_ok != ok),
+        lcm_period=None if cycles is None else math.lcm(*map(len, cycles)),
+        # would the strict (+[P_j] only) reading change the verdict?
+        strict_sign_differs=(strict is None) != (perm is None),
     )
 
 

@@ -218,9 +218,7 @@ def cohomology(cx: RepComplex) -> dict:
             if d in cx.diffs:
                 kb.append(linalg.kernel_basis(cx.diffs[d].components[v], term.dims[v], fieldk))
             else:
-                kb.append(
-                    [[fieldk.one if i == j else fieldk.zero for i in range(term.dims[v])] for j in range(term.dims[v])]
-                )
+                kb.append(linalg.identity(term.dims[v], fieldk))
         ib = []
         for v in range(n):
             if d - 1 in cx.diffs:
@@ -269,9 +267,7 @@ def _projective_cover(M: LatticeRep):
             if rad_cols
             else []
         )
-        std = [
-            [fieldk.one if i == j else fieldk.zero for i in range(M.dims[a])] for j in range(M.dims[a])
-        ]
+        std = linalg.identity(M.dims[a], fieldk)
         for k in linalg.extend_basis(rad_basis, std, M.dims[a], fieldk):
             gens.append((a, std[k]))
     labels = [a for a, _ in gens]

@@ -5,11 +5,15 @@ class SerrelabError(Exception):
     """Base class for all package errors."""
 
 
-class CycleDetected(SerrelabError):
+class InputError(SerrelabError, ValueError):
+    """Malformed or oversized input (the CLI exits 1, not 2)."""
+
+
+class CycleDetected(InputError):
     """The cover relation contains a directed cycle."""
 
 
-class RedundantCover(SerrelabError):
+class RedundantCover(InputError):
     """A cover pair is implied by a longer path.
 
     Carries the offending (lo, hi) pair.
@@ -20,7 +24,7 @@ class RedundantCover(SerrelabError):
         self.pair = (lo, hi)
 
 
-class NotALattice(SerrelabError):
+class NotALattice(InputError):
     """Some pair has no unique meet or join; names the first offending pair."""
 
     def __init__(self, a, b, kind):
@@ -29,7 +33,7 @@ class NotALattice(SerrelabError):
         self.kind = kind
 
 
-class GuardrailExceeded(SerrelabError):
+class GuardrailExceeded(InputError):
     """Input is larger than the configured desk-scale guardrail."""
 
 

@@ -14,14 +14,8 @@ class RationalField:
     """The field of exact rationals, elements are fractions.Fraction."""
 
     name = "rational"
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def of(self, x) -> Fraction:
         return Fraction(x)
@@ -40,7 +34,7 @@ QQ = RationalField()
 
 
 class FpElement:
-    """Element of F_p; p is prime (not verified beyond p >= 2)."""
+    """Element of F_p; PrimeField checks that p is prime."""
 
     __slots__ = ("v", "p")
 
@@ -105,22 +99,47 @@ class FpElement:
         return f"{self.v}@{self.p}"
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError where it is not exact."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"p={n} is too large to certify as a prime")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """F_p with a fixed prime p (default 32003, a standard computer-algebra prime)."""
 
     def __init__(self, p: int = 32003):
-        if p < 2:
-            raise ValueError("p must be at least 2")
+        if not is_prime(p):
+            raise ValueError(f"p={p} is not a prime")
         self.p = p
         self.name = f"fp:{p}"
-
-    @property
-    def zero(self):
-        return FpElement(0, self.p)
-
-    @property
-    def one(self):
-        return FpElement(1, self.p)
+        self.zero = FpElement(0, p)
+        self.one = FpElement(1, p)
 
     def of(self, x) -> FpElement:
         if isinstance(x, FpElement):

@@ -13,7 +13,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from . import typea
 from .errors import GuardrailExceeded, SerrelabError
+from .perm import cycle_decomposition
 
 GEOM_GUARDRAIL = 8
 
@@ -33,14 +35,14 @@ class NoncrossingTree:
 
 @dataclass(frozen=True)
 class Quadrangulation:
-    p: int  # полygon size 2(n+2)
+    p: int  # polygon size 2(n+2)
     diagonals: frozenset
 
     def sorted_diagonals(self):
         return sorted(self.diagonals)
 
 
-def _crosses(p, e1, e2) -> bool:
+def _crosses(e1, e2) -> bool:
     """Strict interior crossing of chords on a convex polygon; shared
     endpoints never cross."""
     a, b = min(e1), max(e1)
@@ -53,7 +55,7 @@ def _crosses(p, e1, e2) -> bool:
 
 
 def chords_noncrossing(p, edges) -> bool:
-    return not any(_crosses(p, e, f) for e, f in itertools.combinations(edges, 2))
+    return not any(_crosses(e, f) for e, f in itertools.combinations(edges, 2))
 
 
 def _is_tree(p, edges) -> bool:
@@ -102,7 +104,7 @@ def enumerate_trees(n: int):
             return
         for k in range(start, len(chords)):
             e = chords[k]
-            if all(not _crosses(p, e, f) for f in chosen):
+            if all(not _crosses(e, f) for f in chosen):
                 chosen.append(e)
                 bt(k + 1, chosen)
                 chosen.pop()
@@ -148,7 +150,7 @@ def enumerate_quads(n: int):
             return
         for k in range(start, len(cands)):
             e = cands[k]
-            if all(not _crosses(p, e, f) for f in chosen):
+            if all(not _crosses(e, f) for f in chosen):
                 chosen.append(e)
                 bt(k + 1, chosen)
                 chosen.pop()
@@ -188,13 +190,13 @@ def polygon_regions(p, chords):
     return split(list(range(p)), chords)
 
 
-def _arc_side(p, edge, arc_mid):
-    """True when the arc midpoint lies strictly inside the chord's span."""
+def _arc_side(edge, arc):
+    """True when boundary arc (arc, arc+1) lies inside the chord's span."""
     a, b = edge
-    return a < arc_mid < b
+    return a <= arc < b
 
 
-def _edge_side(p, e, ref):
+def _edge_side(e, ref):
     """Side of chord `e` (as seen from chord `ref`): True = inside span of ref.
 
     For a shared endpoint the other endpoint decides; the chords never cross.
@@ -209,12 +211,10 @@ def _edge_side(p, e, ref):
 def tree_region_arcs(t: NoncrossingTree):
     """Partition of the boundary arcs (i, i+1) into the tree's regions; arc i
     means the arc from vertex i to i+1 mod p."""
-    p = t.p
     edges = sorted(t.edges)
     sig = {}
-    for arc in range(p):
-        mid = arc + 0.5
-        sig.setdefault(tuple(_arc_side(p, e, mid) for e in edges), []).append(arc)
+    for arc in range(t.p):
+        sig.setdefault(tuple(_arc_side(e, arc) for e in edges), []).append(arc)
     return list(sig.values())
 
 
@@ -223,30 +223,21 @@ def planar_dual(t: NoncrossingTree) -> NoncrossingTree:
     vertex on the boundary arc (i, i+1) lands on vertex i+1."""
     p = t.p
     edges = sorted(t.edges)
-    arcs_by_sig = {}
-    for arc in range(p):
-        mid = arc + 0.5
-        key = tuple(_arc_side(p, e, mid) for e in edges)
-        arcs_by_sig.setdefault(key, []).append(arc)
-    if len(arcs_by_sig) != p:
+    if len(tree_region_arcs(t)) != p:  # p arcs in p regions: one arc each
         raise SerrelabError("tree regions do not match boundary arcs one to one")
-    for arcs in arcs_by_sig.values():
-        if len(arcs) != 1:
-            raise SerrelabError("a region holds more than one boundary arc")
     dual_edges = []
     for e in edges:
         adj = []
         for side in (True, False):
             hit = None
             for arc in range(p):
-                mid = arc + 0.5
-                if _arc_side(p, e, mid) != side:
+                if _arc_side(e, arc) != side:
                     continue
                 shielded = False
                 for f in edges:
                     if f == e:
                         continue
-                    if _arc_side(p, f, mid) != _edge_side(p, e, f):
+                    if _arc_side(f, arc) != _edge_side(e, f):
                         shielded = True
                         break
                 if not shielded:
@@ -292,3 +283,32 @@ def stokes(q: Quadrangulation) -> NoncrossingTree:
         edges.append((marked[0] // 2, marked[1] // 2))
     n = q.p // 2 - 2
     return make_tree(n, edges)
+
+
+def run_geom_suite(n: int) -> dict:
+    """Counts, Stokes bijection and rotation equivariance; for n <= 4 the
+    rotation cycle multiset against the type-A Serre permutation, and for
+    n <= 3 the full object listings."""
+    trees = enumerate_trees(n)
+    quads = enumerate_quads(n)
+    expected = fuss_catalan_geom(n)
+    equivariant = all(stokes(rotate_quad(q)) == planar_dual(stokes(q)) for q in quads)
+    checks = {
+        "counts": {"trees": len(trees), "quads": len(quads), "expected": expected,
+                   "ok": len(trees) == len(quads) == expected},
+        "stokes_bijection": {"ok": len({stokes(q) for q in quads}) == len(quads)},
+        "equivariance": {"ok": equivariant},
+    }
+    if n <= 4:
+        rot_cycles = sorted(len(c) for c in cycle_decomposition(rotate_quad, quads))
+        serre_cycles = typea.serre_orbit_stats(typea.linear_quiver(n))["cycle_lengths"]
+        checks["cycle_multiset_vs_typea"] = {
+            "rotation": rot_cycles,
+            "serre": serre_cycles,
+            "ok": rot_cycles == serre_cycles,
+        }
+    out = {"checks": checks, "ok": all(c["ok"] for c in checks.values())}
+    if n <= 3:  # full object listings stay readable at this size
+        out["trees"] = [t.sorted_edges() for t in trees]
+        out["quadrangulations"] = [q.sorted_diagonals() for q in quads]
+    return out

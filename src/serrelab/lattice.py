@@ -136,30 +136,11 @@ class Lattice:
         join = [[0] * n for _ in range(n)]
         for a in range(n):
             for b in range(a, n):
-                low = down[a] & down[b]
-                m = None
-                x = low
-                while x:
-                    c = (x & -x).bit_length() - 1
-                    if down[c] == low:
-                        m = c
-                        break
-                    x &= x - 1
-                if m is None:
-                    raise NotALattice(self.labels[a], self.labels[b], "meet")
-                meet[a][b] = meet[b][a] = m
-                high = up[a] & up[b]
-                j = None
-                x = high
-                while x:
-                    c = (x & -x).bit_length() - 1
-                    if up[c] == high:
-                        j = c
-                        break
-                    x &= x - 1
-                if j is None:
-                    raise NotALattice(self.labels[a], self.labels[b], "join")
-                join[a][b] = join[b][a] = j
+                for tab, masks, kind in ((meet, down, "meet"), (join, up, "join")):
+                    m = _extremum(masks, masks[a] & masks[b])
+                    if m is None:
+                        raise NotALattice(self.labels[a], self.labels[b], kind)
+                    tab[a][b] = tab[b][a] = m
         return meet, join
 
     # -- queries (label level unless suffixed _i) -----------------------------
@@ -214,6 +195,18 @@ class Lattice:
 
     def __repr__(self):
         return f"Lattice({self.n} elements, bottom={self.bottom_label!r}, top={self.top_label!r})"
+
+
+def _extremum(masks, common):
+    """The c in the bitmask `common` whose own mask equals it (the meet of a
+    pair when masks are down-sets, the join when up-sets), or None."""
+    x = common
+    while x:
+        c = (x & -x).bit_length() - 1
+        if masks[c] == common:
+            return c
+        x &= x - 1
+    return None
 
 
 @dataclass(frozen=True)
@@ -353,25 +346,12 @@ def min_complement_antichain(lat: Lattice, ref: IntervalRef) -> Antichain:
     return Antichain(frozenset(members), ref.lo, "over")
 
 
-def max_complement_antichain(lat: Lattice, ref: IntervalRef) -> Antichain:
-    """Dual construction: maximal elements of down(hi) outside [lo, hi]."""
-    lo, hi = lat.index[ref.lo], lat.index[ref.hi]
-    if not lat.leq_i(lo, hi):
-        raise ValueError(f"not an interval: {ref.lo!r} !<= {ref.hi!r}")
-    outside = lat.down_mask[hi] & ~lat.poset.interval_mask(lo, hi)
-    members = []
-    for c in lat.poset.mask_members(outside):
-        if lat.up_mask[c] & outside == 1 << c:
-            members.append(lat.labels[c])
-    return Antichain(frozenset(members), ref.hi, "under")
-
-
 ANTICHAIN_GUARDRAIL = 16
 
 
-def _subset_joins(lat: Lattice, members, base_idx):
-    """gamma over all subsets: tuple index -> joined element index."""
-    idx = sorted(lat.index[m] for m in members)
+def _subset_joins(join_tab, idx, base_idx):
+    """gamma over all subsets of the sorted indices idx: tuple -> joined
+    element index (the base for the empty subset)."""
     out = {}
     for r in range(len(idx) + 1):
         for comb in itertools.combinations(idx, r):
@@ -380,74 +360,47 @@ def _subset_joins(lat: Lattice, members, base_idx):
             else:
                 j = comb[0]
                 for c in comb[1:]:
-                    j = lat.join_tab[j][c]
+                    j = join_tab[j][c]
                 out[comb] = j
     return out
 
 
-def _subset_meets(lat: Lattice, members, base_idx):
-    idx = sorted(lat.index[m] for m in members)
-    out = {}
-    for r in range(len(idx) + 1):
-        for comb in itertools.combinations(idx, r):
-            if not comb:
-                out[comb] = base_idx
-            else:
-                j = comb[0]
-                for c in comb[1:]:
-                    j = lat.meet_tab[j][c]
-                out[comb] = j
-    return out
+def _is_boolean(lat: Lattice, ac: Antichain, meet_tab, join_tab) -> bool:
+    """Brute-force test: subsets-to-joins map is injective and preserves
+    meets and joins (the empty subset goes to the base)."""
+    ac.validate(lat)
+    if len(ac.members) > ANTICHAIN_GUARDRAIL:
+        raise GuardrailExceeded(f"antichain of size {len(ac.members)}")
+    idx = sorted(lat.index[m] for m in ac.members)
+    gamma = _subset_joins(join_tab, idx, lat.index[ac.base])
+    if len(set(gamma.values())) != len(gamma):
+        return False
+    keys = list(gamma)
+    for s in keys:
+        ss = set(s)
+        for t in keys:
+            tt = set(t)
+            cap = tuple(sorted(ss & tt))
+            cup = tuple(sorted(ss | tt))
+            if gamma[cap] != meet_tab[gamma[s]][gamma[t]]:
+                return False
+            if gamma[cup] != join_tab[gamma[s]][gamma[t]]:
+                return False
+    return True
 
 
 def is_boolean_antichain(lat: Lattice, ac: Antichain) -> bool:
-    """Brute-force test: subsets-to-joins map is injective and preserves
-    meets and joins (the empty subset goes to the base)."""
     if ac.mode != "over":
         raise ValueError("is_boolean_antichain expects mode='over'")
-    ac.validate(lat)
-    if len(ac.members) > ANTICHAIN_GUARDRAIL:
-        raise GuardrailExceeded(f"antichain of size {len(ac.members)}")
-    gamma = _subset_joins(lat, ac.members, lat.index[ac.base])
-    if len(set(gamma.values())) != len(gamma):
-        return False
-    keys = list(gamma)
-    for s in keys:
-        ss = set(s)
-        for t in keys:
-            tt = set(t)
-            cap = tuple(sorted(ss & tt))
-            cup = tuple(sorted(ss | tt))
-            if gamma[cap] != lat.meet_tab[gamma[s]][gamma[t]]:
-                return False
-            if gamma[cup] != lat.join_tab[gamma[s]][gamma[t]]:
-                return False
-    return True
+    return _is_boolean(lat, ac, lat.meet_tab, lat.join_tab)
 
 
 def is_dual_boolean_antichain(lat: Lattice, ac: Antichain) -> bool:
-    """Dual test for antichains under a base: subsets-to-meets embedding."""
+    """The same test in the order dual, for antichains under a base: subsets
+    go to meets, unions to meets and intersections to joins."""
     if ac.mode != "under":
         raise ValueError("is_dual_boolean_antichain expects mode='under'")
-    ac.validate(lat)
-    if len(ac.members) > ANTICHAIN_GUARDRAIL:
-        raise GuardrailExceeded(f"antichain of size {len(ac.members)}")
-    gamma = _subset_meets(lat, ac.members, lat.index[ac.base])
-    if len(set(gamma.values())) != len(gamma):
-        return False
-    keys = list(gamma)
-    for s in keys:
-        ss = set(s)
-        for t in keys:
-            tt = set(t)
-            cap = tuple(sorted(ss & tt))
-            cup = tuple(sorted(ss | tt))
-            # P(C)^op: unions go to meets, intersections to joins
-            if gamma[cup] != lat.meet_tab[gamma[s]][gamma[t]]:
-                return False
-            if gamma[cap] != lat.join_tab[gamma[s]][gamma[t]]:
-                return False
-    return True
+    return _is_boolean(lat, ac, lat.join_tab, lat.meet_tab)
 
 
 def boolean_partner(lat: Lattice, ac: Antichain) -> Antichain:

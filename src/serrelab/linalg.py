@@ -191,8 +191,8 @@ def int_mat_vec(A, v):
 def int_inverse(A):
     """Exact inverse of an integer matrix with det +-1; raises otherwise."""
     n = len(A)
-    M = [[QQ.of(x) for x in row] for row in A]
-    aug = [M[i] + identity(n)[i] for i in range(n)]
+    eye = identity(n)
+    aug = [[QQ.of(x) for x in row] + eye[i] for i, row in enumerate(A)]
     R, pivots = rref(aug, 2 * n)
     if pivots != list(range(n)):
         raise ValueError("matrix not invertible")

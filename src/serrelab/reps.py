@@ -368,7 +368,7 @@ def cokernel(f: RepMorphism):
     for v in range(lat.n):
         cols = linalg.column_space_basis(f.components[v], f.source.dims[v], field)
         im_cols.append(cols)
-        std = [[field.one if i == j else field.zero for i in range(N.dims[v])] for j in range(N.dims[v])]
+        std = linalg.identity(N.dims[v], field)
         rep_idx.append(linalg.extend_basis(cols, std, N.dims[v], field))
     dims = [len(r) for r in rep_idx]
     # projection at v: coordinates in [im | chosen reps], keep the reps part

@@ -14,13 +14,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
+from .derived import StalkResult, serre
 from .errors import GuardrailExceeded, PeriodViolation, RotationViolation, SerrelabError
 from .fields import QQ
-from .lattice import Lattice, build_lattice, poset_isomorphism
+from .lattice import IntervalRef, Lattice, build_lattice, lattice_to_json_dict, poset_isomorphism
+from .perm import cycle_decomposition
+from .reps import interval_module
 
 QUIVER_GUARDRAIL = 5
 
@@ -67,6 +69,36 @@ def linear_quiver(n):
 # -- the engine -----------------------------------------------------------------
 
 
+def _members(mask):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _union(rows, mask):
+    """OR of rows[i] over the members i of mask."""
+    out = 0
+    for i in _members(mask):
+        out |= rows[i]
+    return out
+
+
+def _cliques(compat):
+    """Masks of all sets of pairwise compatible indices (j in compat[i]),
+    in depth-first order."""
+    out = []
+
+    def bt(start, mask, allowed):
+        out.append(mask)
+        for i in _members(allowed & ~((1 << start) - 1)):
+            bt(i + 1, mask | 1 << i, allowed & compat[i])
+
+    bt(0, 0, (1 << len(compat)) - 1)
+    return out
+
+
 class _Engine:
     def __init__(self, q: QuiverA):
         if q.n > QUIVER_GUARDRAIL:
@@ -102,22 +134,21 @@ class _Engine:
             return 0, None
         pos = {v: k for k, v in enumerate(common)}
         rows = []
-        zero, one = Fraction(0), Fraction(1)
         for (s, t) in self.arrows:
             a_alive = A.lo <= s <= A.hi and A.lo <= t <= A.hi
             b_alive = B.lo <= s <= B.hi and B.lo <= t <= B.hi
             # f_t * a_{st} = b_{st} * f_s
-            row = [zero] * len(common)
+            row = [QQ.zero] * len(common)
             if a_alive and t in pos:
-                row[pos[t]] += one
+                row[pos[t]] += QQ.one
             if b_alive and s in pos:
-                row[pos[s]] -= one
+                row[pos[s]] -= QQ.one
             if any(row):
                 rows.append(row)
         if rows:
             basis = linalg.kernel_basis(rows, len(common), QQ)
         else:  # no constraints: the full space
-            basis = [[one if i == j else zero for i in range(len(common))] for j in range(len(common))]
+            basis = linalg.identity(len(common))
         if len(basis) == 0:
             return 0, None
         if len(basis) > 1:
@@ -135,6 +166,8 @@ class _Engine:
         N = self.N
         self.h = [[0] * N for _ in range(N)]
         self.e = [[0] * N for _ in range(N)]
+        # hom_out[i]: the j with Hom(i, j) != 0; hom_in[j]: the i; ext_* alike
+        self.hom_out, self.hom_in, self.ext_out, self.ext_in = ([0] * N for _ in range(4))
         self.witness = {}
         for i, A in enumerate(self.indecs):
             for j, B in enumerate(self.indecs):
@@ -142,19 +175,17 @@ class _Engine:
                 self.h[i][j] = d
                 if w is not None:
                     self.witness[(i, j)] = w
+                    self.hom_out[i] |= 1 << j
+                    self.hom_in[j] |= 1 << i
                 ext = d - self._euler(self.dimvec(A), self.dimvec(B))
                 if ext < 0:
                     raise SerrelabError("negative Ext dimension")
                 self.e[i][j] = ext
+                if ext:
+                    self.ext_out[i] |= 1 << j
+                    self.ext_in[j] |= 1 << i
 
     # ---- structural masks -----------------------------------------------------
-
-    def _span_mask(self, lo, hi):
-        out = 0
-        for i, m in enumerate(self.indecs):
-            if lo <= m.lo and m.hi <= hi:
-                out |= 1 << i
-        return out
 
     def _structure_masks(self):
         N = self.N
@@ -175,34 +206,20 @@ class _Engine:
                     self.sub_mask[j] |= 1 << i
                     if i != j:
                         self.injector_mask[j] |= 1 << i
-        # projectives / injectives: reachability along / against the arrows
-        self.proj_vertices = {}
-        self.inj_vertices = {}
+        # the projective at v spans the vertices reachable from v along the arrows
         fwd = {v: [] for v in range(1, self.n + 1)}
-        back = {v: [] for v in range(1, self.n + 1)}
         for (s, t) in self.arrows:
             fwd[s].append(t)
-            back[t].append(s)
-        self.proj_of_vertex = {}
-        self.inj_of_vertex = {}
         self.proj_mask = 0
-        self.inj_mask = 0
         for v in range(1, self.n + 1):
-            for adj, store, collect in ((fwd, self.proj_of_vertex, "p"), (back, self.inj_of_vertex, "i")):
-                seen = {v}
-                stack = [v]
-                while stack:
-                    x = stack.pop()
-                    for y in adj[x]:
-                        if y not in seen:
-                            seen.add(y)
-                            stack.append(y)
-                m = IndecA(min(seen), max(seen))
-                store[v] = m
-                if collect == "p":
-                    self.proj_mask |= 1 << self.idx[m]
-                else:
-                    self.inj_mask |= 1 << self.idx[m]
+            seen = {v}
+            stack = [v]
+            while stack:
+                for y in fwd[stack.pop()]:
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            self.proj_mask |= 1 << self.idx[IndecA(min(seen), max(seen))]
 
     def _components_mask(self, vertex_set):
         """Decompose a 0/1 vertex support into maximal runs -> indec mask."""
@@ -218,161 +235,96 @@ class _Engine:
         return out
 
     def _closure_data(self):
-        N = self.N
         self.kerdec = {}
         self.cokerdec = {}
         for (i, j), w in self.witness.items():
             A, B = self.indecs[i], self.indecs[j]
-            zero_at = {v for v in w if not w[v]}
             supp_a = set(range(A.lo, A.hi + 1))
             supp_b = set(range(B.lo, B.hi + 1))
             alive = {v for v in supp_a & supp_b if w[v]}
             self.kerdec[(i, j)] = self._components_mask(supp_a - alive)
             self.cokerdec[(i, j)] = self._components_mask(supp_b - alive)
-        # middles: 0 -> sub -> E -> quot -> 0
-        self.mid = {}
+        # mid_pairs[s]: (q, E) per indecomposable middle of 0 -> S -> E -> Q -> 0;
+        # wide_pairs[s] adds the kernel and cokernel summands of the basis hom
+        self.mid_pairs = [[] for _ in range(self.N)]
+        self.wide_pairs = [[] for _ in range(self.N)]
         for si, S in enumerate(self.indecs):
             for qi, Qm in enumerate(self.indecs):
-                lo = min(S.lo, Qm.lo)
-                hi = max(S.hi, Qm.hi)
-                if S.hi + 1 != Qm.lo and Qm.hi + 1 != S.lo:
-                    cand = 0
-                else:
-                    E = IndecA(lo, hi)
-                    ei = self.idx[E]
-                    cand = 0
+                mid = 0
+                if S.hi + 1 == Qm.lo or Qm.hi + 1 == S.lo:
+                    ei = self.idx[IndecA(min(S.lo, Qm.lo), max(S.hi, Qm.hi))]
                     w = self.witness.get((si, ei))
                     if w is not None and all(w[v] for v in range(S.lo, S.hi + 1)):
-                        cand = 1 << ei
-                self.mid[(si, qi)] = cand
+                        mid = 1 << ei
+                if mid:
+                    self.mid_pairs[si].append((qi, mid))
+                wide = mid | self.kerdec.get((si, qi), 0) | self.cokerdec.get((si, qi), 0)
+                if wide:
+                    self.wide_pairs[si].append((qi, wide))
 
     # ---- closures ---------------------------------------------------------------
 
-    def torsion_closed(self, mask):
+    def _close(self, mask, unary, pairs):
+        """Least superset of mask holding unary[i] (unless unary is None) for
+        every member i, and r for every member pair (i, j) with (j, r) in
+        pairs[i]."""
         m = mask
         while True:
             x = m
             bits = m
             while bits:
-                i = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
-                x |= self.quot_mask[i]
-            mm = m
-            b1 = m
-            while b1:
-                i = (b1 & -b1).bit_length() - 1
-                b1 &= b1 - 1
-                b2 = m
-                while b2:
-                    j = (b2 & -b2).bit_length() - 1
-                    b2 &= b2 - 1
-                    x |= self.mid[(i, j)]
+                low = bits & -bits
+                bits ^= low
+                i = low.bit_length() - 1
+                if unary is not None:
+                    x |= unary[i]
+                for j, r in pairs[i]:
+                    if m >> j & 1:
+                        x |= r
             if x == m:
                 return m
             m = x
+
+    def torsion_closed(self, mask):
+        return self._close(mask, self.quot_mask, self.mid_pairs)
 
     def torsionfree_closed(self, mask):
-        m = mask
-        while True:
-            x = m
-            bits = m
-            while bits:
-                i = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
-                x |= self.sub_mask[i]
-            b1 = m
-            while b1:
-                i = (b1 & -b1).bit_length() - 1
-                b1 &= b1 - 1
-                b2 = m
-                while b2:
-                    j = (b2 & -b2).bit_length() - 1
-                    b2 &= b2 - 1
-                    x |= self.mid[(i, j)]
-            if x == m:
-                return m
-            m = x
+        return self._close(mask, self.sub_mask, self.mid_pairs)
+
+    def filt_closure(self, mask):
+        """Extension closure: fixpoint of adding indecomposable middles."""
+        return self._close(mask, None, self.mid_pairs)
 
     def wide_closure(self, mask):
-        if mask in self._wide_cache:
-            return self._wide_cache[mask]
-        m = mask
-        while True:
-            x = m
-            b1 = m
-            while b1:
-                i = (b1 & -b1).bit_length() - 1
-                b1 &= b1 - 1
-                b2 = m
-                while b2:
-                    j = (b2 & -b2).bit_length() - 1
-                    b2 &= b2 - 1
-                    x |= self.mid[(i, j)]
-                    if (i, j) in self.witness:
-                        x |= self.kerdec[(i, j)] | self.cokerdec[(i, j)]
-            if x == m:
-                break
-            m = x
-        self._wide_cache[mask] = m
-        return m
+        if mask not in self._wide_cache:
+            self._wide_cache[mask] = self._close(mask, None, self.wide_pairs)
+        return self._wide_cache[mask]
 
     def perp_from(self, mask):
         """mask^{perp_0}: objects receiving no hom from mask (torsion-free side)."""
-        out = self.full_mask
-        bits = mask
-        while bits:
-            i = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            bad = 0
-            for j in range(self.N):
-                if self.h[i][j]:
-                    bad |= 1 << j
-            out &= ~bad
-        return out
+        return self.full_mask & ~_union(self.hom_out, mask)
 
     def perp_into(self, mask):
         """^{perp_0}mask: objects with no hom into mask (a torsion class)."""
-        out = self.full_mask
-        bits = mask
-        while bits:
-            j = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            bad = 0
-            for i in range(self.N):
-                if self.h[i][j]:
-                    bad |= 1 << i
-            out &= ~bad
-        return out
+        return self.full_mask & ~_union(self.hom_in, mask)
 
     # ---- torsion classes ---------------------------------------------------------
 
     def _enumerate_torsion(self):
-        N = self.N
+        """Masks closed under quotients (a cheap early-exit filter), then
+        under extensions."""
         tors = []
-        for mask in range(1 << N):
-            ok = True
+        for mask in range(1 << self.N):
             bits = mask
-            while bits and ok:
-                i = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
-                if self.quot_mask[i] & ~mask:
-                    ok = False
-            if not ok:
-                continue
-            b1 = mask
-            while b1 and ok:
-                i = (b1 & -b1).bit_length() - 1
-                b1 &= b1 - 1
-                b2 = mask
-                while b2 and ok:
-                    j = (b2 & -b2).bit_length() - 1
-                    b2 &= b2 - 1
-                    if self.mid[(i, j)] & ~mask:
-                        ok = False
-                b1 &= -1
-            if ok:
-                tors.append(mask)
-        tors.sort(key=lambda m: (bin(m).count("1"), m))
+            while bits:
+                low = bits & -bits
+                if self.quot_mask[low.bit_length() - 1] & ~mask:
+                    break
+                bits ^= low
+            else:
+                if self.torsion_closed(mask) == mask:
+                    tors.append(mask)
+        tors.sort(key=lambda m: (m.bit_count(), m))
         self.tors_masks = tors
         self.tors_set = set(tors)
 
@@ -401,24 +353,6 @@ class _Engine:
                         upper[ma].append((mb, cand))
         self._covers_cache = (lower, upper)
         return self._covers_cache
-
-    def filt_closure(self, mask):
-        """Extension closure: fixpoint of adding indecomposable middles."""
-        m = mask
-        while True:
-            x = m
-            b1 = m
-            while b1:
-                i = (b1 & -b1).bit_length() - 1
-                b1 &= b1 - 1
-                b2 = m
-                while b2:
-                    j = (b2 & -b2).bit_length() - 1
-                    b2 &= b2 - 1
-                    x |= self.mid[(i, j)]
-            if x == m:
-                return m
-            m = x
 
     def a_tors(self, mask):
         """a(T) for a torsion class: extension closure of the lower-cover
@@ -457,60 +391,25 @@ class _Engine:
     # ---- wide subcategories and the Ingalls-Thomas maps ----------------------------
 
     def simples_of(self, wide_mask):
-        out = 0
-        bits = wide_mask
-        while bits:
-            x = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            if not (wide_mask & self.injector_mask[x]):
-                out |= 1 << x
-        return out
+        return sum(1 << x for x in _members(wide_mask) if not wide_mask & self.injector_mask[x])
 
     def rank_of(self, wide_mask):
-        return bin(self.simples_of(wide_mask)).count("1")
+        return self.simples_of(wide_mask).bit_count()
 
     def wide_subcats(self):
         """Wide subcategories as extension closures of semibricks (sets of
         pairwise hom-orthogonal indecomposables)."""
-
-        def orthogonal(i, j):
-            return self.h[i][j] == 0 and self.h[j][i] == 0
-
-        out = set()
-
-        def bt(start, chosen):
-            mask = 0
-            for i in chosen:
-                mask |= 1 << i
-            out.add(self.filt_closure(mask))
-            for i in range(start, self.N):
-                if all(orthogonal(i, j) for j in chosen):
-                    chosen.append(i)
-                    bt(i + 1, chosen)
-                    chosen.pop()
-
-        bt(0, [])
-        return sorted(out, key=lambda m: (bin(m).count("1"), m))
+        compat = [self.full_mask & ~(self.hom_out[i] | self.hom_in[i]) for i in range(self.N)]
+        out = {self.filt_closure(m) for m in _cliques(compat)}
+        return sorted(out, key=lambda m: (m.bit_count(), m))
 
     def ext_injectives_in(self, mask):
-        out = 0
-        bits = mask
-        while bits:
-            x = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            if all(not (mask >> y & 1) or self.e[y][x] == 0 for y in range(self.N)):
-                out |= 1 << x
-        return out
+        """Members of mask with no Ext^1 from any member."""
+        return sum(1 << x for x in _members(mask) if not self.ext_in[x] & mask)
 
     def ext_projectives_in(self, mask):
-        out = 0
-        bits = mask
-        while bits:
-            x = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            if all(not (mask >> y & 1) or self.e[x][y] == 0 for y in range(self.N)):
-                out |= 1 << x
-        return out
+        """Members of mask with no Ext^1 into any member."""
+        return sum(1 << x for x in _members(mask) if not self.ext_out[x] & mask)
 
     # ---- mutable intervals ----------------------------------------------------------
 
@@ -538,15 +437,7 @@ class _Engine:
             raise SerrelabError("delta-sequence ranks do not sum to the rank of the algebra")
         t_free = self.ext_injectives_in(f_hi & a_flo)
         t_tors = self.ext_projectives_in(lo & self.a_tors(hi))
-        t_supp = 0
-        bits = self.proj_mask
-        while bits:
-            p = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            if all(
-                not ((lo | f_hi) >> x & 1) or self.h[p][x] == 0 for x in range(self.N)
-            ):
-                t_supp |= 1 << p
+        t_supp = self.proj_mask & self.perp_into(lo | f_hi)
         w_free = self.wide_closure(t_free)
         w_tors = self.wide_closure(t_tors)
         # the smallest wide subcategory over a partial tilting module has the
@@ -654,65 +545,30 @@ class _Engine:
 
     # ---- 2-cluster triples ---------------------------------------------------------
 
-    def _rigid_subsets(self):
-        compat = [0] * self.N
-        for i in range(self.N):
-            for j in range(self.N):
-                if i != j and self.e[i][j] == 0 and self.e[j][i] == 0:
-                    compat[i] |= 1 << j
-        out = []
-
-        def bt(start, mask, allowed):
-            out.append(mask)
-            bits = allowed & ~((1 << start) - 1)
-            while bits:
-                i = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
-                bt(i + 1, mask | 1 << i, allowed & compat[i])
-        bt(0, 0, self.full_mask)
-        return out
+    def _orthogonal_pairs(self, max_size):
+        """(t_tors, t_free, size, elig): rigid t_tors and t_free with at most
+        max_size summands together and no Hom or Ext^1 from t_tors to t_free;
+        elig holds the projectives with no hom into either."""
+        compat = [self.full_mask & ~(self.ext_out[i] | self.ext_in[i] | 1 << i) for i in range(self.N)]
+        rigid = _cliques(compat)
+        for t_tors in rigid:
+            bad = _union(self.hom_out, t_tors) | _union(self.ext_out, t_tors)
+            for t_free in rigid:
+                size = t_tors.bit_count() + t_free.bit_count()
+                if size <= max_size and not t_free & bad:
+                    yield t_tors, t_free, size, self.proj_mask & self.perp_into(t_tors | t_free)
 
     def cluster_triples(self):
-        if self._triples is not None:
-            return self._triples
-        rigid = self._rigid_subsets()
-        triples = []
-        for t_tors in rigid:
-            for t_free in rigid:
-                if bin(t_tors).count("1") + bin(t_free).count("1") > self.n:
-                    continue
-                ok = True
-                bits = t_tors
-                while bits and ok:
-                    a = (bits & -bits).bit_length() - 1
-                    bits &= bits - 1
-                    fb = t_free
-                    while fb and ok:
-                        b = (fb & -fb).bit_length() - 1
-                        fb &= fb - 1
-                        if self.h[a][b] or self.e[a][b]:
-                            ok = False
-                if not ok:
-                    continue
-                need = self.n - bin(t_tors).count("1") - bin(t_free).count("1")
-                elig = 0
-                bits = self.proj_mask
-                while bits:
-                    p = (bits & -bits).bit_length() - 1
-                    bits &= bits - 1
-                    if all(
-                        not ((t_tors | t_free) >> x & 1) or self.h[p][x] == 0
-                        for x in range(self.N)
-                    ):
-                        elig |= 1 << p
-                have = bin(elig).count("1")
-                if have < need:
-                    continue
-                if have > need:
+        if self._triples is None:
+            triples = []
+            for t_tors, t_free, size, elig in self._orthogonal_pairs(self.n):
+                have = elig.bit_count()
+                if have > self.n - size:
                     raise SerrelabError("support completion is not unique")
-                triples.append(ClusterTriple(t_free=t_free, t_tors=t_tors, t_supp=elig))
-        self._triples = triples
-        return triples
+                if have == self.n - size:
+                    triples.append(ClusterTriple(t_free=t_free, t_tors=t_tors, t_supp=elig))
+            self._triples = triples
+        return self._triples
 
     def interval_of(self, t: "ClusterTriple"):
         lo = self.torsion_closed(t.t_tors)
@@ -725,42 +581,10 @@ class _Engine:
     def almost_triples(self):
         """2-rigid triples with n-1 summands, with supp allowed to be any
         eligible subset of the right size."""
-        rigid = self._rigid_subsets()
         out = set()
-        for t_tors in rigid:
-            for t_free in rigid:
-                base = bin(t_tors).count("1") + bin(t_free).count("1")
-                if base > self.n - 1:
-                    continue
-                ok = True
-                bits = t_tors
-                while bits and ok:
-                    a = (bits & -bits).bit_length() - 1
-                    bits &= bits - 1
-                    fb = t_free
-                    while fb and ok:
-                        b = (fb & -fb).bit_length() - 1
-                        fb &= fb - 1
-                        if self.h[a][b] or self.e[a][b]:
-                            ok = False
-                if not ok:
-                    continue
-                need = self.n - 1 - base
-                elig = []
-                bits = self.proj_mask
-                while bits:
-                    p = (bits & -bits).bit_length() - 1
-                    bits &= bits - 1
-                    if all(
-                        not ((t_tors | t_free) >> x & 1) or self.h[p][x] == 0
-                        for x in range(self.N)
-                    ):
-                        elig.append(p)
-                for comb in itertools.combinations(elig, need):
-                    supp = 0
-                    for p in comb:
-                        supp |= 1 << p
-                    out.add((t_free, t_tors, supp))
+        for t_tors, t_free, size, elig in self._orthogonal_pairs(self.n - 1):
+            for comb in itertools.combinations(_members(elig), self.n - 1 - size):
+                out.add((t_free, t_tors, sum(1 << p for p in comb)))
         return sorted(out)
 
     def completions(self, almost):
@@ -981,19 +805,7 @@ def serre_orbit_stats(q: QuiverA):
                 ranksum2 += cur2.k
             if cur2.key != key or ranksum2 != N:
                 raise PeriodViolation("A_1 special (N, h+1) periodicity fails")
-    cycles = []
-    seen = set()
-    for key in ivs:
-        if key in seen:
-            continue
-        cyc = [key]
-        seen.add(key)
-        x = succ[key]
-        while x != key:
-            cyc.append(x)
-            seen.add(x)
-            x = succ[x]
-        cycles.append(cyc)
+    cycles = cycle_decomposition(succ.__getitem__, ivs)
     return {
         "period_bound": period,
         "cycle_lengths": sorted(len(c) for c in cycles),
@@ -1034,6 +846,82 @@ def edge_label(q: QuiverA, lo_members, hi_members) -> IndecA:
     if bin(cand).count("1") != 1:
         raise SerrelabError("edge label is not unique")
     return eng.indecs[cand.bit_length() - 1]
+
+
+def run_typea_suite(q: QuiverA, categorical=True) -> dict:
+    """Counts, Serre-permutation statistics, mutation and rotation checks,
+    cluster bijection, and the categorical integration."""
+    eng = _engine(q)
+    out = {"orientation": q.orientation, "n": q.n, "checks": {}}
+    lat, _ = eng.tors_lattice()
+    out["tors_lattice"] = lattice_to_json_dict(lat)
+    ivs = mutable_intervals(q)
+    triples = cluster_triples(q)
+    expected = fuss_catalan_count(q.n)
+    out["checks"]["counts"] = {
+        "torsion_classes": len(eng.tors_masks),
+        "wide_subcats": len(eng.wide_subcats()),
+        "mutable_intervals": len(ivs),
+        "cluster_triples": len(triples),
+        "expected_two_catalan": expected,
+        "ok": len(ivs) == len(triples) == expected,
+    }
+    try:
+        stats = serre_orbit_stats(q)
+        out["checks"]["serre_periods"] = {"ok": True, **stats}
+    except SerrelabError as exc:
+        out["checks"]["serre_periods"] = {"ok": False, "error": str(exc)}
+    muts = interval_mutations(q)
+    out["checks"]["interval_mutations"] = {
+        "count": len(muts),
+        "expected_three_to_n": q.n * len(ivs),
+        "ok": 3 * len(muts) == q.n * len(ivs),
+    }
+    try:
+        rotation_check(q)
+        out["checks"]["rotation"] = {"ok": True, "triples": len(muts)}
+    except SerrelabError as exc:
+        out["checks"]["rotation"] = {"ok": False, "error": str(exc)}
+    images = {interval_of(q, t).key for t in triples}
+    roundtrip = all(
+        interval_of(q, ClusterTriple(iv.t_free, iv.t_tors, iv.t_supp)).key == iv.key
+        for iv in ivs
+    )
+    out["checks"]["cluster_bijection"] = {
+        "ok": images == {iv.key for iv in ivs} and roundtrip,
+        "roundtrip": roundtrip,
+    }
+    out["mutable_intervals"] = [
+        {
+            "lo": eng.mask_label(iv.lo),
+            "hi": eng.mask_label(iv.hi),
+            "delta_ranks": list(iv.delta_ranks),
+            "k": iv.k,
+        }
+        for iv in ivs
+    ]
+    succ = {iv.key: eng.serre_perm(iv).key for iv in ivs}
+    out["serre_permutation_cycles"] = [
+        [f"{eng.mask_label(lo)}<={eng.mask_label(hi)}" for lo, hi in cyc]
+        for cyc in cycle_decomposition(succ.__getitem__, [iv.key for iv in ivs])
+    ]
+    if categorical:
+        bad = []
+        for iv in ivs:
+            M = interval_module(lat, IntervalRef(eng.mask_label(iv.lo), eng.mask_label(iv.hi)))
+            res = serre(M)
+            s = eng.serre_perm(iv)
+            want = IntervalRef(eng.mask_label(s.lo), eng.mask_label(s.hi))
+            good = (
+                isinstance(res, StalkResult)
+                and res.interval == want
+                and res.shift == iv.k
+            )
+            if not good:
+                bad.append(eng.mask_label(iv.lo) + "<=" + eng.mask_label(iv.hi))
+        out["checks"]["categorical_serre"] = {"ok": not bad, "failures": bad, "total": len(ivs)}
+    out["ok"] = all(c.get("ok", False) for c in out["checks"].values())
+    return out
 
 
 # -- lattice generators --------------------------------------------------------------

@@ -50,10 +50,9 @@ def test_moebius_inverse(pentagon, appendix9):
                     mu[a][c] for c in range(n) if lat.leq_i(a, c) and lat.leq_i(c, b) and c != b
                 )
         cart = cartan_matrix(lat)
-        if cart.orientation == "leq":
-            assert cart.inverse == mu
-        else:
-            assert cart.inverse == [[mu[j][i] for j in range(n)] for i in range(n)]
+        # fixed convention: Omega = zeta^T, so its inverse is mu^T
+        assert cart.matrix == [[1 if lat.leq_i(j, i) else 0 for j in range(n)] for i in range(n)]
+        assert cart.inverse == [[mu[j][i] for j in range(n)] for i in range(n)]
 
 
 def test_coxeter_identity(pentagon, appendix9, kite):
