@@ -54,7 +54,7 @@ def _crosses(e1, e2) -> bool:
     return c_in != d_in
 
 
-def chords_noncrossing(p, edges) -> bool:
+def chords_noncrossing(edges) -> bool:
     return not any(_crosses(e, f) for e, f in itertools.combinations(edges, 2))
 
 
@@ -80,7 +80,7 @@ def _is_tree(p, edges) -> bool:
 def make_tree(n: int, edges) -> NoncrossingTree:
     p = n + 2
     es = _norm_edges(edges)
-    if not chords_noncrossing(p, es):
+    if not chords_noncrossing(es):
         raise ValueError("edges cross")
     if not _is_tree(p, es):
         raise ValueError("edges do not form a spanning tree")
@@ -121,7 +121,7 @@ def make_quad(n: int, diagonals) -> Quadrangulation:
             raise ValueError("boundary edges are not quadrangulation diagonals")
         if (a + b) % 2 == 0:
             raise ValueError("diagonals must connect vertices of opposite parity")
-    if not chords_noncrossing(p, ds):
+    if not chords_noncrossing(ds):
         raise ValueError("diagonals cross")
     if len(ds) != n:
         raise ValueError(f"need exactly {n} diagonals")

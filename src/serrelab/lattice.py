@@ -131,16 +131,21 @@ class Lattice:
             self.top = self.join_tab[self.top][i]
 
     def _tables(self):
+        """The meet of a and b is the element whose down-set is down(a) & down(b),
+        if there is one; the join likewise with up-sets."""
         n, down, up = self.poset.n, self.poset.down_mask, self.poset.up_mask
+        by_down = {m: c for c, m in enumerate(down)}
+        by_up = {m: c for c, m in enumerate(up)}
         meet = [[0] * n for _ in range(n)]
         join = [[0] * n for _ in range(n)]
         for a in range(n):
             for b in range(a, n):
-                for tab, masks, kind in ((meet, down, "meet"), (join, up, "join")):
-                    m = _extremum(masks, masks[a] & masks[b])
-                    if m is None:
-                        raise NotALattice(self.labels[a], self.labels[b], kind)
-                    tab[a][b] = tab[b][a] = m
+                m = by_down.get(down[a] & down[b])
+                j = by_up.get(up[a] & up[b])
+                if m is None or j is None:
+                    raise NotALattice(self.labels[a], self.labels[b], "meet" if m is None else "join")
+                meet[a][b] = meet[b][a] = m
+                join[a][b] = join[b][a] = j
         return meet, join
 
     # -- queries (label level unless suffixed _i) -----------------------------
@@ -195,18 +200,6 @@ class Lattice:
 
     def __repr__(self):
         return f"Lattice({self.n} elements, bottom={self.bottom_label!r}, top={self.top_label!r})"
-
-
-def _extremum(masks, common):
-    """The c in the bitmask `common` whose own mask equals it (the meet of a
-    pair when masks are down-sets, the join when up-sets), or None."""
-    x = common
-    while x:
-        c = (x & -x).bit_length() - 1
-        if masks[c] == common:
-            return c
-        x &= x - 1
-    return None
 
 
 @dataclass(frozen=True)

@@ -328,6 +328,12 @@ class _Engine:
         self.tors_masks = tors
         self.tors_set = set(tors)
 
+    def members(self, mask):
+        return frozenset(self.indecs[i] for i in _members(mask))
+
+    def mask_of(self, members):
+        return sum(1 << self.idx[x] for x in set(members))
+
     def mask_label(self, mask):
         return "".join("1" if mask >> i & 1 else "0" for i in range(self.N))
 
@@ -636,7 +642,7 @@ class MutableInterval:
         return (self.lo, self.hi)
 
     def members(self, mask):
-        return frozenset(self.engine.indecs[i] for i in range(self.engine.N) if mask >> i & 1)
+        return self.engine.members(mask)
 
     def __repr__(self):
         e = self.engine
@@ -687,19 +693,17 @@ def ext1_dim_q(q: QuiverA, M, N) -> int:
 
 def quotients_of(q: QuiverA, m: IndecA):
     eng = _engine(q)
-    mask = eng.quot_mask[eng.idx[m]]
-    return frozenset(eng.indecs[i] for i in range(eng.N) if mask >> i & 1)
+    return eng.members(eng.quot_mask[eng.idx[m]])
 
 
 def subs_of(q: QuiverA, m: IndecA):
     eng = _engine(q)
-    mask = eng.sub_mask[eng.idx[m]]
-    return frozenset(eng.indecs[i] for i in range(eng.N) if mask >> i & 1)
+    return eng.members(eng.sub_mask[eng.idx[m]])
 
 
 def torsion_classes(q: QuiverA):
     eng = _engine(q)
-    return [frozenset(eng.indecs[i] for i in range(eng.N) if m >> i & 1) for m in eng.tors_masks]
+    return [eng.members(m) for m in eng.tors_masks]
 
 
 def tors_lattice(q: QuiverA) -> Lattice:
@@ -708,49 +712,36 @@ def tors_lattice(q: QuiverA) -> Lattice:
 
 def wide_subcats(q: QuiverA):
     eng = _engine(q)
-    return [
-        frozenset(eng.indecs[i] for i in range(eng.N) if m >> i & 1) for m in eng.wide_subcats()
-    ]
-
-
-def _mask_of(eng, members):
-    m = 0
-    for x in members:
-        m |= 1 << eng.idx[x]
-    return m
+    return [eng.members(m) for m in eng.wide_subcats()]
 
 
 def a_of(q: QuiverA, members):
     """a(T) of a torsion class, the associated wide subcategory."""
     eng = _engine(q)
-    mask = _mask_of(eng, members)
+    mask = eng.mask_of(members)
     if mask not in eng.tors_set:
         raise ValueError("a_of expects a torsion class")
-    out = eng.a_tors(mask)
-    return frozenset(eng.indecs[i] for i in range(eng.N) if out >> i & 1)
+    return eng.members(eng.a_tors(mask))
 
 
 def a_of_torsionfree(q: QuiverA, members):
     """a(F) of a torsion-free class, the cogen-side dual."""
     eng = _engine(q)
-    fmask = _mask_of(eng, members)
+    fmask = eng.mask_of(members)
     tmask = eng.perp_into(fmask)
     if tmask not in eng.tors_set or eng.perp_from(tmask) != fmask:
         raise ValueError("a_of_torsionfree expects a torsion-free class")
-    out = eng.a_free(tmask)
-    return frozenset(eng.indecs[i] for i in range(eng.N) if out >> i & 1)
+    return eng.members(eng.a_free(tmask))
 
 
 def gen(q: QuiverA, members):
     eng = _engine(q)
-    mask = eng.torsion_closed(_mask_of(eng, members))
-    return frozenset(eng.indecs[i] for i in range(eng.N) if mask >> i & 1)
+    return eng.members(eng.torsion_closed(eng.mask_of(members)))
 
 
 def cogen(q: QuiverA, members):
     eng = _engine(q)
-    mask = eng.torsionfree_closed(_mask_of(eng, members))
-    return frozenset(eng.indecs[i] for i in range(eng.N) if mask >> i & 1)
+    return eng.members(eng.torsionfree_closed(eng.mask_of(members)))
 
 
 def mutable_intervals(q: QuiverA):
@@ -840,8 +831,8 @@ def completions(q: QuiverA, almost):
 def edge_label(q: QuiverA, lo_members, hi_members) -> IndecA:
     """The unique indecomposable in T^{perp_0} cap T' for a cover T <. T'."""
     eng = _engine(q)
-    lo = _mask_of(eng, lo_members)
-    hi = _mask_of(eng, hi_members)
+    lo = eng.mask_of(lo_members)
+    hi = eng.mask_of(hi_members)
     cand = eng.perp_from(lo) & hi
     if bin(cand).count("1") != 1:
         raise SerrelabError("edge label is not unique")

@@ -1,9 +1,12 @@
+import ast
 import json
 import os
 import subprocess
 import sys
 
 from conftest import fixture_path
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
 def run_cli(*args):
@@ -35,6 +38,20 @@ def test_check_exit_codes(tmp_path):
     assert run_cli("check", str(tmp_path / "missing.json")).returncode == 1
     assert run_cli("check", "--gen", "nonsense", "3").returncode == 1
     assert run_cli("check").returncode == 1  # neither file nor generator
+    malformed = {
+        "bowtie": [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]],  # not a lattice
+        "cycle": [["a", "b"], ["b", "c"], ["c", "a"]],
+        "redundant": [["a", "b"], ["b", "c"], ["a", "c"]],
+    }
+    for name, covers in malformed.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"elements": ["a", "b", "c", "d"], "covers": covers}))
+        proc = run_cli("check", str(path))
+        assert proc.returncode == 1, name
+        assert proc.stderr.startswith("error: "), name
+    # exceeded guardrails are malformed input too
+    assert run_cli("geom", "--n", "9").returncode == 1
+    assert run_cli("typea", "--n", "6", "--orientation", "LLLLL").returncode == 1
 
 
 def test_reports_are_byte_identical():
@@ -134,3 +151,26 @@ def test_field_flag():
     proc = run_cli("check", fixture_path("pentagon.json"), "--derived", "--field", "fp:32003")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_field_flag_rejects_non_primes():
+    for spec in ("fp:4", "fp:561", "fp:1", "fp:x"):
+        proc = run_cli("check", fixture_path("pentagon.json"), "--field", spec)
+        assert proc.returncode == 1, spec
+        assert proc.stderr.startswith("error: "), spec
+
+
+def test_field_flag_accepts_benchmark_primes():
+    # every prime the benchmark harness may pick (perfbench/run.py PRIMES)
+    from serrelab.fields import PrimeField, parse_field
+
+    with open(os.path.join(ROOT, "perfbench", "run.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    primes = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PRIMES"]
+    )
+    assert primes
+    for p in primes:
+        assert parse_field(f"fp:{p}") == PrimeField(p)

@@ -7,7 +7,7 @@ from serrelab.coxeter import (
     coxeter_matrix,
     cross_check,
 )
-from serrelab.errors import MaxStepsExceeded
+from serrelab.errors import MaxStepsExceeded, SerrelabError
 from serrelab.lattice import boolean_lattice, chain, chain_product
 from serrelab.typea import gen_type_i
 
@@ -214,3 +214,90 @@ def test_trajectories_unisigned(appendix9):
         for v in t.vectors:
             assert all(x >= 0 for x in v) or all(x <= 0 for x in v)
             assert any(v)
+
+
+# -- differential test of the fused Coxeter pass --------------------------------
+
+
+def _oracle_reading(lat, C, max_steps, signs):
+    """One reading as its own loop: element -> (vectors, steps, sign, target,
+    failed).  signs (1, -1) accept +-[P_j], (1,) only +[P_j]."""
+    n = lat.n
+    proj = {tuple(1 if lat.leq_i(j, v) else 0 for v in range(n)): j for j in range(n)}
+    out = {}
+    for i, label in enumerate(lat.labels):
+        v = [1 if lat.leq_i(u, i) else 0 for u in range(n)]
+        vectors = [tuple(v)]
+        for k in range(max_steps + 1):
+            if not any(v):
+                raise SerrelabError("vanished")
+            if not (all(x >= 0 for x in v) or all(x <= 0 for x in v)):
+                out[label] = (vectors, None, None, None, "mixed-sign")
+                break
+            hits = [(s, proj[tuple(s * x for x in v)]) for s in signs if tuple(s * x for x in v) in proj]
+            if hits:
+                s, j = hits[0]
+                out[label] = (vectors, k, s, lat.labels[j], None)
+                break
+            v = linalg.int_mat_vec(C, v)
+            vectors.append(tuple(v))
+        else:
+            raise MaxStepsExceeded(label, max_steps)
+    return out
+
+
+def _oracle_permutation(lat, reading):
+    perm = {e: r[3] for e, r in reading.items()}
+    if None in perm.values() or len(set(perm.values())) != lat.n:
+        return None
+    return perm
+
+
+def _differential_lattices():
+    import glob
+    import os
+
+    from conftest import FIXTURES
+    from serrelab.lattice import load_lattice
+    from serrelab.typea import QuiverA, all_orientations, gen_tamari, tors_lattice
+
+    lats = [load_lattice(p) for p in sorted(glob.glob(os.path.join(FIXTURES, "*.json")))]
+    lats += [gen_tamari(n) for n in range(1, 6)]
+    lats += [gen_type_i(m) for m in range(2, 7)]
+    lats += [tors_lattice(QuiverA(3, o)) for o in all_orientations(3)]
+    return lats + _all_b3_sublattices()
+
+
+def test_fused_trajectory_pass_matches_two_loop_oracle():
+    lattices = _differential_lattices()
+    differs = 0
+    for lat in lattices:
+        n = lat.n
+        zeta = [[1 if lat.leq_i(i, j) else 0 for j in range(n)] for i in range(n)]
+        zeta_t_inv = linalg.int_inverse([[zeta[j][i] for j in range(n)] for i in range(n)])
+        C = [[-x for x in row] for row in linalg.int_mat_mul(zeta, zeta_t_inv)]
+        for max_steps in (4 * (n + 10), 3):
+            try:
+                signed = _oracle_reading(lat, C, max_steps, (1, -1))
+            except MaxStepsExceeded:
+                with pytest.raises(MaxStepsExceeded):
+                    combinatorial_serre_check(lat, max_steps)
+                continue
+            try:
+                strict = _oracle_reading(lat, C, max_steps, (1,))
+                strict_perm = _oracle_permutation(lat, strict)
+            except (MaxStepsExceeded, SerrelabError):
+                strict = strict_perm = None
+            rep = combinatorial_serre_check(lat, max_steps)
+            assert rep.coxeter.matrix == C
+            got = {e: (t.vectors, t.steps, t.sign, t.target, t.failed) for e, t in rep.trajectories.items()}
+            assert got == signed, lat.labels
+            assert rep.permutation == _oracle_permutation(lat, signed)
+            assert rep.strict_sign_differs == ((strict_perm is None) != (rep.permutation is None))
+            if strict is not None:
+                assert {e: t.strict_target for e, t in rep.trajectories.items()} == {
+                    e: r[3] for e, r in strict.items()
+                }
+            differs += rep.strict_sign_differs
+    assert len(lattices) == 7 + 5 + 5 + 4 + 73
+    assert differs  # the strict reading changes some verdicts in this sweep

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,3 +79,24 @@ def test_prime_field_arithmetic():
     assert (a / b).v == (3 * pow(5, 5, 7)) % 7
     assert -a == fp.of(4)
     assert bool(fp.zero) is False
+
+
+def test_is_prime_matches_trial_division():
+    from serrelab.fields import is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(3000) if is_prime(n)] == [n for n in range(3000) if trial(n)]
+    # Carmichael numbers and strong pseudoprimes to small bases are composite
+    for n in (561, 1105, 1729, 2047, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+
+
+def test_prime_field_rejects_composites_and_uncertified_sizes():
+    for p in (-3, 0, 1, 4, 9, 561, 32001):
+        with pytest.raises(ValueError):
+            PrimeField(p)
+    with pytest.raises(ValueError):
+        PrimeField(2**127 - 1)  # prime, but beyond the exact Miller-Rabin range
