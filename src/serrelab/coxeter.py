@@ -68,7 +68,8 @@ class Trajectory:
     sign: int | None  # +1 / -1 at termination
     target: object | None  # pi(element)
     failed: str | None  # 'mixed-sign' when a vector is not weakly signed
-    # pi(element) under the strict reading, which accepts +[P_j] only
+    # pi(element) under the strict reading, which accepts +[P_j] only; None
+    # once that reading has failed here or on an earlier element
     strict_target: object | None = None
 
 
@@ -123,13 +124,15 @@ def _weakly_signed(v):
 def _run_trajectories(lat: Lattice, C, max_steps):
     """Iterate C on each [I_i] until it hits +-[P_j] (the signed reading);
     after a -[P_j] hit go on, within the same step budget, to the first
-    +[P_j] (the strict reading)."""
+    +[P_j] (the strict reading).  Once the strict reading has failed on one
+    element it is not continued on the later ones."""
     ptable = {}
     for j in range(lat.n):
         pv = tuple(_proj_vector(lat, j))
         ptable[pv] = (j, 1)
         ptable[tuple(-x for x in pv)] = (j, -1)
     out = {}
+    strict_alive = True
     for i, label in enumerate(lat.labels):
         v = _inj_vector(lat, i)
         vectors = [tuple(v)]
@@ -151,11 +154,14 @@ def _run_trajectories(lat: Lattice, C, max_steps):
                 if sign == 1:
                     traj.strict_target = lat.labels[j]
                     break
+                if not strict_alive:
+                    break
             v = linalg.int_mat_vec(C, v)
             if traj is None:
                 vectors.append(tuple(v))
         if traj is None:
             raise MaxStepsExceeded(label, max_steps)
+        strict_alive = strict_alive and traj.strict_target is not None
         out[label] = traj
     return out
 

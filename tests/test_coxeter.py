@@ -284,20 +284,17 @@ def test_fused_trajectory_pass_matches_two_loop_oracle():
                     combinatorial_serre_check(lat, max_steps)
                 continue
             try:
-                strict = _oracle_reading(lat, C, max_steps, (1,))
-                strict_perm = _oracle_permutation(lat, strict)
+                strict_perm = _oracle_permutation(lat, _oracle_reading(lat, C, max_steps, (1,)))
             except (MaxStepsExceeded, SerrelabError):
-                strict = strict_perm = None
+                strict_perm = None
             rep = combinatorial_serre_check(lat, max_steps)
             assert rep.coxeter.matrix == C
             got = {e: (t.vectors, t.steps, t.sign, t.target, t.failed) for e, t in rep.trajectories.items()}
             assert got == signed, lat.labels
             assert rep.permutation == _oracle_permutation(lat, signed)
             assert rep.strict_sign_differs == ((strict_perm is None) != (rep.permutation is None))
-            if strict is not None:
-                assert {e: t.strict_target for e, t in rep.trajectories.items()} == {
-                    e: r[3] for e, r in strict.items()
-                }
+            if strict_perm is not None:
+                assert {e: t.strict_target for e, t in rep.trajectories.items()} == strict_perm
             differs += rep.strict_sign_differs
     assert len(lattices) == 7 + 5 + 5 + 4 + 73
     assert differs  # the strict reading changes some verdicts in this sweep
