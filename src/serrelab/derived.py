@@ -25,6 +25,7 @@ from .reps import (
     injective_module,
     is_isomorphic,
     kernel,
+    subquotient,
 )
 
 
@@ -36,9 +37,6 @@ class StalkResult:
     interval: IntervalRef | None
     shift: int
     rep: LatticeRep
-
-    def dimension_vector(self):
-        return self.rep.dimension_vector()
 
 
 @dataclass
@@ -125,9 +123,6 @@ class ScalarComplex:
                 if not linalg.is_zero(prod):
                     raise NotAComplex(f"d o d != 0 between degrees {d} and {d + 2}")
 
-    def degree_span(self):
-        return min(self.degrees), max(self.degrees)
-
     def realize(self, kind=None) -> "RepComplex":
         """Explicit complex of representations (P_a or I_a summands)."""
         kind = kind or self.kind
@@ -135,36 +130,35 @@ class ScalarComplex:
         terms = {}
         coords = {}
         for d, labels in self.degrees.items():
-            rep, pos = _indec_sum(lat, labels, kind, field)
-            terms[d] = rep
-            coords[d] = (labels, pos)
+            terms[d], coords[d] = _indec_sum(lat, labels, kind, field)
         diffs = {}
         for d, mat in self.diffs.items():
             if d not in terms or d + 1 not in terms:
                 if not linalg.is_zero(mat):
                     raise ValueError("differential out of an empty term")
                 continue
-            src_labels, src_pos = coords[d]
-            tgt_labels, tgt_pos = coords[d + 1]
-            comps = []
-            for v in range(lat.n):
-                comp = linalg.zeros(terms[d + 1].dims[v], terms[d].dims[v], field)
-                for i, t in enumerate(tgt_labels):
-                    for j, s in enumerate(src_labels):
-                        sc = mat[i][j]
-                        if not sc:
-                            continue
-                        # canonical map P_s -> P_t is the identity on up(s);
-                        # canonical map I_s -> I_t is the identity on down(t)
-                        if kind == "proj":
-                            alive = lat.leq_i(s, v)
-                        else:
-                            alive = lat.leq_i(v, t)
-                        if alive and src_pos[j][v] is not None and tgt_pos[i][v] is not None:
-                            comp[tgt_pos[i][v]][src_pos[j][v]] = sc
-                comps.append(comp)
+            comps = _block_components(mat, coords[d], coords[d + 1], terms[d], terms[d + 1])
             diffs[d] = RepMorphism(terms[d], terms[d + 1], comps)
         return RepComplex(terms, diffs)
+
+
+def _block_components(mat, src_pos, tgt_pos, source: LatticeRep, target: LatticeRep):
+    """Components of the map between sums of indecomposables whose block
+    (i, j) is the scalar mat[i][j] times the canonical map.  Both the
+    canonical map P_s -> P_t (the identity on up(s)) and I_s -> I_t (the
+    identity on down(t)) are the identity exactly where both summands are
+    present, which the positions of _indec_sum record."""
+    comps = []
+    for v in range(source.lattice.n):
+        comp = linalg.zeros(target.dims[v], source.dims[v], source.field)
+        for i, tp in enumerate(tgt_pos):
+            if tp[v] is None:
+                continue
+            for j, sp in enumerate(src_pos):
+                if mat[i][j] and sp[v] is not None:
+                    comp[tp[v]][sp[v]] = mat[i][j]
+        comps.append(comp)
+    return comps
 
 
 def _indec_sum(lat: Lattice, labels, kind, field):
@@ -211,37 +205,17 @@ def cohomology(cx: RepComplex) -> dict:
     out = {}
     for d in cx.degrees():
         term = cx.terms[d]
-        lat, fieldk = term.lattice, term.field
-        n = lat.n
-        kb = []
-        for v in range(n):
-            if d in cx.diffs:
-                kb.append(linalg.kernel_basis(cx.diffs[d].components[v], term.dims[v], fieldk))
-            else:
-                kb.append(linalg.identity(term.dims[v], fieldk))
-        ib = []
-        for v in range(n):
-            if d - 1 in cx.diffs:
-                f = cx.diffs[d - 1]
-                ib.append(linalg.column_space_basis(f.components[v], f.source.dims[v], fieldk))
-            else:
-                ib.append([])
-        reps_idx = [linalg.extend_basis(ib[v], kb[v], term.dims[v], fieldk) for v in range(n)]
-        dims = [len(r) for r in reps_idx]
-        rep_vecs = [[kb[v][k] for k in reps_idx[v]] for v in range(n)]
-        maps = {}
-        for (a, b) in lat.covers:
-            m = linalg.zeros(dims[b], dims[a], fieldk)
-            basis_b = ib[b] + rep_vecs[b]
-            for j, vec in enumerate(rep_vecs[a]):
-                img = linalg.mat_vec(term.maps[(a, b)], vec, fieldk)
-                coords = linalg.coordinates(basis_b, img, term.dims[b], fieldk)
-                if coords is None:
-                    raise SerrelabError("cohomology class not closed under cover maps")
-                for i in range(dims[b]):
-                    m[i][j] = coords[len(ib[b]) + i]
-            maps[(a, b)] = m
-        out[d] = LatticeRep(lat, dims, maps, fieldk, validate=False)
+        n, field = term.lattice.n, term.field
+        if d in cx.diffs:
+            cycles = [linalg.kernel_basis(cx.diffs[d].components[v], term.dims[v], field) for v in range(n)]
+        else:
+            cycles = [linalg.identity(term.dims[v], field) for v in range(n)]
+        if d - 1 in cx.diffs:
+            f = cx.diffs[d - 1]
+            bounds = [linalg.column_space_basis(f.components[v], f.source.dims[v], field) for v in range(n)]
+        else:
+            bounds = [[] for _ in range(n)]
+        out[d] = subquotient(term, cycles, bounds)[0]
     return out
 
 
@@ -256,7 +230,7 @@ def _projective_cover(M: LatticeRep):
         if M.dims[a] == 0:
             continue
         rad_cols = []
-        for b in lat.poset.lower_covers[a]:
+        for b in lat.lower_covers[a]:
             mat = M.maps[(b, a)]
             for j in range(M.dims[b]):
                 rad_cols.append([mat[i][j] for i in range(M.dims[a])])
@@ -303,15 +277,9 @@ def _scalar_blocks(d: RepMorphism, src_labels, src_pos, tgt_labels, tgt_pos):
                 if sc and not lat.leq_i(t, s):
                     raise SerrelabError("scalar block without a canonical map")
                 mat[i][j] = sc
-    # reconstruction check at every element
-    for v in range(lat.n):
-        recon = linalg.zeros(d.target.dims[v], d.source.dims[v], fieldk)
-        for i, t in enumerate(tgt_labels):
-            for j, s in enumerate(src_labels):
-                if mat[i][j] and lat.leq_i(s, v) and src_pos[j][v] is not None and tgt_pos[i][v] is not None:
-                    recon[tgt_pos[i][v]][src_pos[j][v]] = mat[i][j]
-        if not linalg.mat_eq(recon, d.components[v]):
-            raise SerrelabError("map between projective sums is not block-scalar")
+    recon = _block_components(mat, src_pos, tgt_pos, d.source, d.target)
+    if not all(map(linalg.mat_eq, recon, d.components)):
+        raise SerrelabError("map between projective sums is not block-scalar")
     return mat
 
 
@@ -378,6 +346,17 @@ def _koszul(lattice: Lattice, members_idx, base_idx, bound_op, field):
     return labels, diffs
 
 
+def _check_resolves(cx: ScalarComplex, target: LatticeRep, what: str):
+    """The realized complex is exact away from degree 0, where its cohomology
+    is isomorphic to target."""
+    for d, h in cohomology(cx.realize()).items():
+        if d == 0:
+            if not is_isomorphic(h, target):
+                raise SerrelabError(f"{what} does not resolve the module")
+        elif not h.is_zero():
+            raise SerrelabError(f"{what} not exact in degree {d}")
+
+
 def antichain_resolution(lattice: Lattice, ac: Antichain, field=QQ, validate=True) -> ScalarComplex:
     """Closed-form Koszul resolution of the antichain module: degree -i holds
     one P_{join of S} per i-subset S, signs by the Koszul rule."""
@@ -390,14 +369,7 @@ def antichain_resolution(lattice: Lattice, ac: Antichain, field=QQ, validate=Tru
     sc_diffs = {-i: diffs[i] for i in diffs}
     cx = ScalarComplex(lattice, "proj", degrees, sc_diffs, field)
     if validate:
-        H = cohomology(cx.realize())
-        target = antichain_module(lattice, ac, field)
-        for d, h in H.items():
-            if d == 0:
-                if not is_isomorphic(h, target):
-                    raise SerrelabError("antichain resolution does not resolve the module")
-            elif not h.is_zero():
-                raise SerrelabError(f"antichain resolution not exact in degree {d}")
+        _check_resolves(cx, antichain_module(lattice, ac, field), "antichain resolution")
     return cx
 
 
@@ -416,14 +388,7 @@ def antichain_coresolution(lattice: Lattice, ac: Antichain, field=QQ, validate=T
         sc_diffs[i - 1] = linalg.transpose(mat, len(degrees[i]))
     cx = ScalarComplex(lattice, "inj", degrees, sc_diffs, field)
     if validate:
-        H = cohomology(cx.realize())
-        target = dual_antichain_module(lattice, ac, field)
-        for d, h in H.items():
-            if d == 0:
-                if not is_isomorphic(h, target):
-                    raise SerrelabError("antichain coresolution does not resolve the module")
-            elif not h.is_zero():
-                raise SerrelabError(f"antichain coresolution not exact in degree {d}")
+        _check_resolves(cx, dual_antichain_module(lattice, ac, field), "antichain coresolution")
     return cx
 
 

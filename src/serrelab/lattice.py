@@ -111,18 +111,11 @@ class Poset:
         return f"Poset({self.n} elements, {len(self.covers)} covers)"
 
 
-class Lattice:
+class Lattice(Poset):
     """Finite lattice: a poset with total meet/join tables and bounds."""
 
-    def __init__(self, poset: Poset):
-        self.poset = poset
-        self.labels = poset.labels
-        self.index = poset.index
-        self.n = poset.n
-        self.covers = poset.covers
-        self.topo = poset.topo
-        self.up_mask = poset.up_mask
-        self.down_mask = poset.down_mask
+    def __init__(self, elements, covers):
+        super().__init__(elements, covers)
         self.meet_tab, self.join_tab = self._tables()
         self.bottom = self.meet_tab[0][self.n - 1] if self.n > 1 else 0
         self.top = self.join_tab[0][self.n - 1] if self.n > 1 else 0
@@ -133,7 +126,7 @@ class Lattice:
     def _tables(self):
         """The meet of a and b is the element whose down-set is down(a) & down(b),
         if there is one; the join likewise with up-sets."""
-        n, down, up = self.poset.n, self.poset.down_mask, self.poset.up_mask
+        n, down, up = self.n, self.down_mask, self.up_mask
         by_down = {m: c for c, m in enumerate(down)}
         by_up = {m: c for c, m in enumerate(up)}
         meet = [[0] * n for _ in range(n)]
@@ -148,10 +141,7 @@ class Lattice:
                 join[a][b] = join[b][a] = j
         return meet, join
 
-    # -- queries (label level unless suffixed _i) -----------------------------
-
-    def leq(self, a, b) -> bool:
-        return self.poset.leq(a, b)
+    # -- label-level queries ---------------------------------------------------
 
     def meet(self, a, b):
         return self.labels[self.meet_tab[self.index[a]][self.index[b]]]
@@ -186,17 +176,11 @@ class Lattice:
     def top_label(self):
         return self.labels[self.top]
 
-    def leq_i(self, a, b):
-        return self.poset.leq_i(a, b)
-
     def interval_members(self, ref: "IntervalRef"):
         lo, hi = self.index[ref.lo], self.index[ref.hi]
-        if not self.poset.leq_i(lo, hi):
+        if not self.leq_i(lo, hi):
             raise ValueError(f"not an interval: {ref.lo!r} is not below {ref.hi!r}")
-        return [self.labels[i] for i in self.poset.mask_members(self.poset.interval_mask(lo, hi))]
-
-    def __len__(self):
-        return self.n
+        return [self.labels[i] for i in self.mask_members(self.interval_mask(lo, hi))]
 
     def __repr__(self):
         return f"Lattice({self.n} elements, bottom={self.bottom_label!r}, top={self.top_label!r})"
@@ -237,7 +221,7 @@ class Antichain:
 
 def build_lattice(elements, covers) -> Lattice:
     """Validated lattice from labels and cover pairs (deterministic order)."""
-    return Lattice(Poset(elements, covers))
+    return Lattice(elements, covers)
 
 
 # -- JSON interchange --------------------------------------------------------
@@ -331,9 +315,9 @@ def min_complement_antichain(lat: Lattice, ref: IntervalRef) -> Antichain:
     lo, hi = lat.index[ref.lo], lat.index[ref.hi]
     if not lat.leq_i(lo, hi):
         raise ValueError(f"not an interval: {ref.lo!r} !<= {ref.hi!r}")
-    outside = lat.up_mask[lo] & ~lat.poset.interval_mask(lo, hi)
+    outside = lat.up_mask[lo] & ~lat.interval_mask(lo, hi)
     members = []
-    for c in lat.poset.mask_members(outside):
+    for c in lat.mask_members(outside):
         if lat.down_mask[c] & outside == 1 << c:
             members.append(lat.labels[c])
     return Antichain(frozenset(members), ref.lo, "over")
@@ -415,7 +399,7 @@ def boolean_partner(lat: Lattice, ac: Antichain) -> Antichain:
 def all_antichains_over(lat: Lattice, base, include_empty=True):
     """All antichains strictly above `base` (exhaustive; desk scale only)."""
     b = lat.index[base]
-    above = [i for i in lat.poset.mask_members(lat.up_mask[b]) if i != b]
+    above = [i for i in lat.mask_members(lat.up_mask[b]) if i != b]
     out = []
     for r in range(0 if include_empty else 1, len(above) + 1):
         for comb in itertools.combinations(above, r):
@@ -442,7 +426,7 @@ class Classification:
 
 
 def _join_irreducibles(lat: Lattice):
-    return [i for i in range(lat.n) if len(lat.poset.lower_covers[i]) == 1]
+    return [i for i in range(lat.n) if len(lat.lower_covers[i]) == 1]
 
 
 def _is_distributive(lat: Lattice) -> bool:
@@ -477,33 +461,31 @@ def _is_semidistributive(lat: Lattice) -> bool:
     return True
 
 
-def _multiplicative_partitions(n, min_factor=2):
-    if n == 1:
-        yield ()
-        return
-    f = min_factor
-    while f * f <= n:
-        if n % f == 0:
-            for rest in _multiplicative_partitions(n // f, f):
-                yield (f,) + rest
-        f += 1
-    yield (n,)
+def _chain_factors(lat: Lattice):
+    """Sizes of the chain factors of a distributive lattice, or None when it is
+    not a product of chains.  By Birkhoff's theorem a distributive lattice is
+    the lattice of down-sets of its join-irreducibles J, so it is a product of
+    chains iff J splits into chains with no comparabilities between them; a
+    chain of length k in J gives a factor of size k + 1."""
+    ji = _join_irreducibles(lat)
+    ji_mask = sum(1 << j for j in ji)
+    members = {}  # elements of J comparable to j -> how many j share that set
+    for j in ji:
+        comparable = (lat.up_mask[j] | lat.down_mask[j]) & ji_mask
+        members[comparable] = members.get(comparable, 0) + 1
+    sizes = {m: bin(m).count("1") for m in members}
+    if any(sizes[m] != k for m, k in members.items()):
+        return None
+    return tuple(sorted(k + 1 for k in sizes.values()))
 
 
 def classify(lat: Lattice) -> Classification:
-    """Structural classification; divisor test is a direct search for a
-    chain-product isomorphism."""
+    """Structural classification; the divisor test is Birkhoff's criterion on
+    the join-irreducibles."""
     distr = _is_distributive(lat)
     semi = _is_semidistributive(lat)
-    chain_sizes = None
-    if lat.n == 1:
-        chain_sizes = ()
-    elif distr:  # non-distributive lattices are never chain products
-        for part in sorted(_multiplicative_partitions(lat.n)):
-            cand = chain_product(part)
-            if poset_isomorphism(lat, cand) is not None:
-                chain_sizes = tuple(part)
-                break
+    # non-distributive lattices are never chain products
+    chain_sizes = _chain_factors(lat) if distr else None
     divisor = chain_sizes is not None
     boolean = divisor and all(s == 2 for s in chain_sizes)
     return Classification(distr, semi, divisor, boolean, chain_sizes or ())
@@ -517,16 +499,16 @@ def _refine_colors(lat: Lattice):
         (
             bin(lat.down_mask[i]).count("1"),
             bin(lat.up_mask[i]).count("1"),
-            len(lat.poset.lower_covers[i]),
-            len(lat.poset.upper_covers[i]),
+            len(lat.lower_covers[i]),
+            len(lat.upper_covers[i]),
         )
         for i in range(lat.n)
     ]
     for _ in range(lat.n):
         new = []
         for i in range(lat.n):
-            up = tuple(sorted(colors[j] for j in lat.poset.upper_covers[i]))
-            dn = tuple(sorted(colors[j] for j in lat.poset.lower_covers[i]))
+            up = tuple(sorted(colors[j] for j in lat.upper_covers[i]))
+            dn = tuple(sorted(colors[j] for j in lat.lower_covers[i]))
             new.append((colors[i], up, dn))
         canon = {c: k for k, c in enumerate(sorted(set(new)))}
         new_ids = [canon[c] for c in new]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .errors import GuardrailExceeded, LatticeMismatch
+from .errors import GuardrailExceeded, LatticeMismatch, SerrelabError
 from .fields import QQ
 from .lattice import Antichain, IntervalRef, Lattice
 
@@ -44,30 +44,33 @@ class LatticeRep:
     # -- structural helpers ----------------------------------------------------
 
     def canonical_map(self, a: int, b: int):
-        """Composite along a fixed canonical cover path from a up to b."""
+        """Composite along a fixed canonical cover path from a up to b: each
+        step goes to the least upper cover still below b.  The path is walked
+        iteratively and the cache filled from b back down to a."""
         if not self.lattice.leq_i(a, b):
             raise ValueError("canonical_map needs a <= b")
-        key = (a, b)
-        if key in self._path_cache:
-            return self._path_cache[key]
-        if a == b:
-            m = linalg.identity(self.dims[a], self.field)
-        else:
-            step = min(m for m in self.lattice.poset.upper_covers[a] if self.lattice.leq_i(m, b))
-            m = linalg.mat_mul(self.canonical_map(step, b), self.maps[(a, step)], self.field)
-        self._path_cache[key] = m
-        return m
+        cache = self._path_cache
+        path = [a]
+        while (path[-1], b) not in cache:
+            x = path[-1]
+            if x == b:
+                cache[(b, b)] = linalg.identity(self.dims[b], self.field)
+            else:
+                path.append(min(m for m in self.lattice.upper_covers[x] if self.lattice.leq_i(m, b)))
+        for x, step in zip(path[-2::-1], path[:0:-1]):
+            cache[(x, b)] = linalg.mat_mul(cache[(step, b)], self.maps[(x, step)], self.field)
+        return cache[(a, b)]
 
     def validate_commutes(self):
         """All cover-path composites agree: for each a <= b every first
         cover step must reproduce the canonical composite."""
         lat = self.lattice
         for a in range(lat.n):
-            for b in lat.poset.mask_members(lat.up_mask[a]):
+            for b in lat.mask_members(lat.up_mask[a]):
                 if a == b:
                     continue
                 ref = self.canonical_map(a, b)
-                for m in lat.poset.upper_covers[a]:
+                for m in lat.upper_covers[a]:
                     if not lat.leq_i(m, b):
                         continue
                     via = linalg.mat_mul(self.canonical_map(m, b), self.maps[(a, m)], self.field)
@@ -157,11 +160,6 @@ def zero_morphism(source: LatticeRep, target: LatticeRep) -> RepMorphism:
     return RepMorphism(source, target, comps)
 
 
-def identity_morphism(rep: LatticeRep) -> RepMorphism:
-    comps = [linalg.identity(d, rep.field) for d in rep.dims]
-    return RepMorphism(rep, rep, comps)
-
-
 # -- standard modules ---------------------------------------------------------
 
 
@@ -179,7 +177,7 @@ def interval_module(lattice: Lattice, ref: IntervalRef, field=QQ) -> LatticeRep:
     lo, hi = lattice.index[ref.lo], lattice.index[ref.hi]
     if not lattice.leq_i(lo, hi):
         raise ValueError(f"not an interval: {ref.lo!r} !<= {ref.hi!r}")
-    return _indicator_rep(lattice, lattice.poset.interval_mask(lo, hi), field)
+    return _indicator_rep(lattice, lattice.interval_mask(lo, hi), field)
 
 
 def simple_module(lattice: Lattice, a, field=QQ) -> LatticeRep:
@@ -308,96 +306,78 @@ def direct_sum(reps, field=None) -> tuple:
     return LatticeRep(lat, dims, maps, field, validate=False), offsets
 
 
-def _induced_in_basis(basis_cols, vec, dim, field):
-    coords = linalg.coordinates(basis_cols, vec, dim, field)
-    if coords is None:
-        raise ValueError("vector not in subspace; induced map ill-defined")
-    return coords
+def subquotient(N: LatticeRep, sub, quo):
+    """(S, basis) with S_v = span(sub[v]) / span(quo[v]) carrying the cover
+    maps of N induced; span(quo[v]) must lie in span(sub[v]).
+
+    basis[v] lists the vectors of sub[v] that extend quo[v] to a basis of
+    span(sub[v]), in order; sub[v] itself when quo[v] is empty, so sub[v]
+    must then be independent.  Raises SerrelabError when a cover map of N
+    does not carry the subquotient into itself.
+    """
+    lat, field = N.lattice, N.field
+    basis = [
+        [sub[v][k] for k in linalg.extend_basis(quo[v], sub[v], N.dims[v], field)] if quo[v] else sub[v]
+        for v in range(lat.n)
+    ]
+    dims = [len(bv) for bv in basis]
+    maps = {}
+    for (a, b) in lat.covers:
+        span_b, skip = quo[b] + basis[b], len(quo[b])
+        cols = []
+        for vec in basis[a]:
+            img = linalg.mat_vec(N.maps[(a, b)], vec, field)
+            coords = linalg.coordinates(span_b, img, N.dims[b], field)
+            if coords is None:
+                raise SerrelabError("subquotient not closed under cover maps; induced map ill-defined")
+            cols.append(coords[skip:])
+        maps[(a, b)] = linalg.transpose(cols, dims[b])
+    return LatticeRep(lat, dims, maps, field, validate=False), basis
+
+
+def _inclusion(S: LatticeRep, N: LatticeRep, basis) -> RepMorphism:
+    """S -> N sending the i-th basis vector of S_v to basis[v][i]."""
+    return RepMorphism(S, N, [linalg.transpose(basis[v], N.dims[v]) for v in range(N.lattice.n)])
 
 
 def kernel(f: RepMorphism):
     """(K, incl) with K the pointwise kernel carrying induced cover maps."""
-    M, field, lat = f.source, f.source.field, f.source.lattice
-    kbasis = []
-    for v in range(lat.n):
-        if M.dims[v] == 0:
-            kbasis.append([])
-        else:
-            kbasis.append(linalg.kernel_basis(f.components[v], M.dims[v], field))
-    dims = [len(b) for b in kbasis]
-    maps = {}
-    for (a, b) in lat.covers:
-        cols = []
-        for vec in kbasis[a]:
-            img = linalg.mat_vec(M.maps[(a, b)], vec, field)
-            cols.append(_induced_in_basis(kbasis[b], img, M.dims[b], field))
-        maps[(a, b)] = [[cols[j][i] for j in range(dims[a])] for i in range(dims[b])]
-    K = LatticeRep(lat, dims, maps, field, validate=False)
-    incl = RepMorphism(
-        K, M, [[[kbasis[v][j][i] for j in range(dims[v])] for i in range(M.dims[v])] for v in range(lat.n)]
-    )
-    return K, incl
+    M, field = f.source, f.source.field
+    kbasis = [
+        linalg.kernel_basis(f.components[v], M.dims[v], field) if M.dims[v] else []
+        for v in range(M.lattice.n)
+    ]
+    K, kbasis = subquotient(M, kbasis, [[] for _ in kbasis])
+    return K, _inclusion(K, M, kbasis)
+
+
+def _image_basis(f: RepMorphism):
+    return [
+        linalg.column_space_basis(f.components[v], f.source.dims[v], f.source.field)
+        for v in range(f.source.lattice.n)
+    ]
 
 
 def image(f: RepMorphism):
     """(Im, incl) with Im the pointwise image inside the target."""
-    N, field, lat = f.target, f.source.field, f.source.lattice
-    ibasis = []
-    for v in range(lat.n):
-        ibasis.append(linalg.column_space_basis(f.components[v], f.source.dims[v], field))
-    dims = [len(b) for b in ibasis]
-    maps = {}
-    for (a, b) in lat.covers:
-        cols = []
-        for vec in ibasis[a]:
-            img = linalg.mat_vec(N.maps[(a, b)], vec, field)
-            cols.append(_induced_in_basis(ibasis[b], img, N.dims[b], field))
-        maps[(a, b)] = [[cols[j][i] for j in range(dims[a])] for i in range(dims[b])]
-    Im = LatticeRep(lat, dims, maps, field, validate=False)
-    incl = RepMorphism(
-        Im, N, [[[ibasis[v][j][i] for j in range(dims[v])] for i in range(N.dims[v])] for v in range(lat.n)]
-    )
-    return Im, incl
+    ibasis = _image_basis(f)
+    Im, ibasis = subquotient(f.target, ibasis, [[] for _ in ibasis])
+    return Im, _inclusion(Im, f.target, ibasis)
 
 
 def cokernel(f: RepMorphism):
     """(C, proj) with C = target/im(f) and proj the quotient morphism."""
-    N, field, lat = f.target, f.source.field, f.source.lattice
-    im_cols = []
-    rep_idx = []
-    for v in range(lat.n):
-        cols = linalg.column_space_basis(f.components[v], f.source.dims[v], field)
-        im_cols.append(cols)
-        std = linalg.identity(N.dims[v], field)
-        rep_idx.append(linalg.extend_basis(cols, std, N.dims[v], field))
-    dims = [len(r) for r in rep_idx]
+    N, field = f.target, f.source.field
+    im = _image_basis(f)
+    std = [linalg.identity(d, field) for d in N.dims]
+    C, reps = subquotient(N, std, im)
     # projection at v: coordinates in [im | chosen reps], keep the reps part
     proj_comps = []
-    for v in range(lat.n):
-        reps_v = [
-            [field.one if i == k else field.zero for i in range(N.dims[v])] for k in rep_idx[v]
-        ]
-        basis = im_cols[v] + reps_v
-        comp = []
-        for i in range(N.dims[v]):
-            e = [field.one if t == i else field.zero for t in range(N.dims[v])]
-            coords = linalg.coordinates(basis, e, N.dims[v], field)
-            comp.append(coords[len(im_cols[v]):])
-        # comp currently rows=N.dims, want rows=dims[v], cols=N.dims[v]
-        proj_comps.append([[comp[i][r] for i in range(N.dims[v])] for r in range(dims[v])])
-    maps = {}
-    for (a, b) in lat.covers:
-        m = linalg.zeros(dims[b], dims[a], field)
-        for j, k in enumerate(rep_idx[a]):
-            vec = [field.one if t == k else field.zero for t in range(N.dims[a])]
-            img = linalg.mat_vec(N.maps[(a, b)], vec, field)
-            col = linalg.mat_vec(proj_comps[b], img, field)
-            for i in range(dims[b]):
-                m[i][j] = col[i]
-        maps[(a, b)] = m
-    C = LatticeRep(lat, dims, maps, field, validate=False)
-    proj = RepMorphism(N, C, proj_comps)
-    return C, proj
+    for v in range(N.lattice.n):
+        span, skip = im[v] + reps[v], len(im[v])
+        cols = [linalg.coordinates(span, e, N.dims[v], field)[skip:] for e in std[v]]
+        proj_comps.append(linalg.transpose(cols, C.dims[v]))
+    return C, RepMorphism(N, C, proj_comps)
 
 
 # -- isomorphism detection -------------------------------------------------------
@@ -476,7 +456,7 @@ def find_interval_iso(M: LatticeRep):
     if len(minimals) != 1 or len(maximals) != 1:
         return None
     lo, hi = minimals[0], maximals[0]
-    if lat.poset.interval_mask(lo, hi) != mask:
+    if lat.interval_mask(lo, hi) != mask:
         return None
     for (a, b) in lat.covers:
         if mask >> a & 1 and mask >> b & 1 and not M.maps[(a, b)][0][0]:

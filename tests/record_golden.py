@@ -36,6 +36,8 @@ CASES = {
     "check-kite": "check fixtures/kite.json",
     "geom-4": "geom --n 4",
     "typea-1": "typea --n 1",
+    "orbit-kite": "orbit fixtures/kite.json",
+    "orbit-pentagon-fp3": "orbit fixtures/pentagon.json --field fp:3",
 }
 
 

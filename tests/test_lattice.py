@@ -123,7 +123,7 @@ def test_min_complement_reconstructs_interval(pentagon, appendix9):
 def test_boolean_antichain_basics(pentagon):
     b2 = boolean_lattice(2)
     atoms = frozenset(
-        b2.labels[i] for i in range(b2.n) if len(b2.poset.lower_covers[i]) == 1
+        b2.labels[i] for i in range(b2.n) if len(b2.lower_covers[i]) == 1
     )
     assert is_boolean_antichain(b2, Antichain(atoms, b2.bottom_label, "over"))
     # singleton antichains are always boolean
@@ -257,3 +257,61 @@ def test_random_sublattice_of_boolean(seed):
     for a, b in itertools.product(elems, repeat=2):
         assert lat.meet(str(a), str(b)) == str(a & b)
         assert lat.join(str(a), str(b)) == str(a | b)
+
+
+def _multiplicative_partitions(n, min_factor=2):
+    if n == 1:
+        yield ()
+        return
+    f = min_factor
+    while f * f <= n:
+        if n % f == 0:
+            for rest in _multiplicative_partitions(n // f, f):
+                yield (f,) + rest
+        f += 1
+    yield (n,)
+
+
+def _divisor_search(lat):
+    """Chain sizes by a direct search for a chain-product isomorphism, or None."""
+    if lat.n == 1:
+        return ()
+    if not classify(lat).is_distributive:
+        return None
+    for part in sorted(_multiplicative_partitions(lat.n)):
+        if poset_isomorphism(lat, chain_product(part)) is not None:
+            return part
+    return None
+
+
+def test_birkhoff_divisor_test_matches_isomorphism_search(pentagon, kite):
+    import glob
+    import os
+
+    from conftest import FIXTURES
+    from serrelab.lattice import load_lattice
+    from serrelab.typea import QuiverA, all_orientations, gen_tamari, gen_type_i, tors_lattice
+
+    lats = [load_lattice(p) for p in sorted(glob.glob(os.path.join(FIXTURES, "*.json")))]
+    lats += [chain_product(s) for s in [(1,), (4,), (2, 2), (2, 3), (3, 3), (3, 4), (2, 2, 2),
+                                        (2, 2, 3), (2, 3, 4)]]
+    lats += [gen_tamari(n) for n in range(1, 6)]
+    lats += [gen_type_i(m) for m in range(2, 6)]
+    lats += [tors_lattice(QuiverA(3, o)) for o in all_orientations(3)]
+    lats += [product(kite, chain(2)), product(kite, kite), product(pentagon, chain(2)), order_dual(kite)]
+    assert len(lats) == 33
+    divisors = 0
+    for lat in lats:
+        c = classify(lat)
+        want = _divisor_search(lat)
+        assert (c.chain_sizes if c.is_divisor_lattice else None) == want, lat.labels
+        assert c.is_boolean == (want is not None and all(s == 2 for s in want))
+        divisors += want is not None
+    assert divisors >= 12
+
+
+def test_birkhoff_divisor_step_on_chainprod_10_10_10():
+    from serrelab.lattice import _chain_factors
+
+    assert _chain_factors(chain_product([10, 10, 10])) == (10, 10, 10)
+    assert _chain_factors(chain_product([2, 5, 3])) == (2, 3, 5)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serrelab.errors import LatticeMismatch
+from serrelab.errors import LatticeMismatch, SerrelabError
 from serrelab.fields import PrimeField
 from serrelab.lattice import Antichain, IntervalRef, boolean_lattice, chain
 from serrelab.reps import (
@@ -24,6 +24,7 @@ from serrelab.reps import (
     kernel,
     projective_module,
     simple_module,
+    subquotient,
     zero_rep,
 )
 
@@ -103,7 +104,16 @@ def test_hom_mismatch_raises(pentagon):
         hom_dim(simple_module(pentagon, "0"), simple_module(other, "0"))
 
 
-def test_kernel_cokernel_image(pentagon):
+def _interval_homs(lat):
+    """A nonzero map M_I -> M_J for every pair of intervals with one."""
+    for I in all_intervals(lat):
+        for J in all_intervals(lat):
+            if lat.leq(J.lo, I.lo) and lat.leq(I.lo, J.hi) and lat.leq(J.hi, I.hi):
+                (f,) = hom_basis(interval_module(lat, I), interval_module(lat, J))
+                yield f
+
+
+def test_kernel_cokernel_image(pentagon, appendix9):
     c2 = chain(2)
     P0 = projective_module(c2, "0")
     S0 = simple_module(c2, "0")
@@ -123,18 +133,46 @@ def test_kernel_cokernel_image(pentagon):
 
     CK, _ = cokernel(zero_morphism(z, P0))
     assert CK.dims == P0.dims
+    # rank-nullity pointwise, and 0 -> K -> M -> N -> C -> 0 composes to zero
+    for lat in (pentagon, appendix9):
+        for f in _interval_homs(lat):
+            K, k_incl = kernel(f)
+            Im, i_incl = image(f)
+            C, proj = cokernel(f)
+            for v in range(lat.n):
+                assert K.dims[v] + Im.dims[v] == f.source.dims[v]
+                assert Im.dims[v] + C.dims[v] == f.target.dims[v]
+            for g in (k_incl, i_incl, proj):
+                g.validate()
+            assert f.compose(k_incl).is_zero()
+            assert proj.compose(i_incl).is_zero()
 
 
-def test_kernel_cokernel_induced_maps_commute(pentagon):
-    M = interval_module(pentagon, IntervalRef("0", "c"))
-    N = interval_module(pentagon, IntervalRef("0", "1"))
-    for f in hom_basis(M, N):
-        K, _ = kernel(f)
-        K.validate_commutes()
-        C, _ = cokernel(f)
-        C.validate_commutes()
-        Im, _ = image(f)
-        Im.validate_commutes()
+def test_kernel_cokernel_induced_maps_commute(pentagon, appendix9):
+    checked = 0
+    for lat in (pentagon, appendix9):
+        for f in _interval_homs(lat):
+            for sub, _ in (kernel(f), cokernel(f), image(f)):
+                sub.validate_commutes()
+            checked += 1
+    assert checked > 50
+
+
+def test_subquotient_whole_module_and_ill_defined_map():
+    c2 = chain(2)
+    P0 = projective_module(c2, "0")
+    whole, basis = subquotient(P0, [[[Fraction(1)]], [[Fraction(1)]]], [[], []])
+    assert whole.dims == P0.dims and whole.maps == P0.maps
+    assert basis == [[[Fraction(1)]], [[Fraction(1)]]]
+    # the cover map 0 -> 1 of P_0 leaves span(sub) at element 1
+    with pytest.raises(SerrelabError):
+        subquotient(P0, [[[Fraction(1)]], []], [[], []])
+
+
+def test_canonical_map_on_a_long_chain():
+    lat = chain(1500)
+    M = interval_module(lat, IntervalRef("0", "1499"))
+    assert M.canonical_map(0, 1499) == [[Fraction(1)]]
 
 
 def test_find_interval_iso(pentagon):
