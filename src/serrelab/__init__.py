@@ -66,6 +66,7 @@ from .derived import (
     nakayama,
     projective_resolution,
     serre,
+    serre_by_resolution,
     serre_orbit,
 )
 from .coxeter import (

@@ -3,7 +3,8 @@ machine-readable reports.
 
 The JSON report goes to stdout (byte-identical across runs on identical
 input); human-oriented progress and timing go to stderr.  Exit codes:
-0 success, 1 malformed input, 2 verification failure.
+0 success, 1 malformed input, 2 verification failure or an exhausted
+resource (recursion depth or memory).
 """
 
 from __future__ import annotations
@@ -292,6 +293,9 @@ def main(argv=None):
         return 1
     except SerrelabError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        print(f"resource limit: {exc!r}", file=sys.stderr)
         return 2
     finally:
         print(f"elapsed: {time.monotonic() - t0:.3f}s", file=sys.stderr)

@@ -1,6 +1,8 @@
 """Minimal projective resolutions, antichain (co)resolutions, the Nakayama
 functor on complexes of projectives, cohomology, and the derived Serre
-functor with orbit bookkeeping.
+functor with orbit bookkeeping.  The Serre functor of an interval module with
+a boolean complement antichain has a closed form; the generic path through
+the minimal resolution is kept as its oracle.
 
 Degree convention: projective resolutions live in degrees <= 0 with the
 resolved module in degree 0; a Serre image concentrated in degree -k is
@@ -15,7 +17,15 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import MaxStepsExceeded, NotAComplex, SerrelabError
 from .fields import QQ
-from .lattice import Antichain, IntervalRef, Lattice
+from .lattice import (
+    ANTICHAIN_GUARDRAIL,
+    Antichain,
+    IntervalRef,
+    Lattice,
+    boolean_partner,
+    is_boolean_antichain,
+    min_complement_antichain,
+)
 from .reps import (
     LatticeRep,
     RepMorphism,
@@ -32,7 +42,9 @@ from .reps import (
 @dataclass
 class StalkResult:
     """A Serre image concentrated in one degree: rep[shift]; interval is set
-    when the rep is an interval module."""
+    when the rep is an interval module.  rep is one representative of the
+    isomorphism class of the image; the closed form and the oracle may return
+    different bases of the same class."""
 
     interval: IntervalRef | None
     shift: int
@@ -403,6 +415,27 @@ def nakayama(cx: ScalarComplex) -> RepComplex:
 
 
 def serre(M: LatticeRep):
+    """The derived Serre functor: a StalkResult when the image is concentrated
+    in one degree, else the full cohomology.
+
+    An interval module M_I is the antichain module of C, the minimal elements
+    of up(lo) outside I.  Its Koszul resolution is exact, and when C is
+    boolean its Nakayama image is the injective Koszul coresolution of the
+    dual antichain module of boolean_partner(C), shifted by |C|; that closed
+    form is returned without any linear algebra.  Every other input goes to
+    serre_by_resolution, the oracle.
+    """
+    I = find_interval_iso(M)
+    if I is not None:
+        lat = M.lattice
+        C = min_complement_antichain(lat, I)
+        if len(C.members) <= ANTICHAIN_GUARDRAIL and is_boolean_antichain(lat, C):
+            h = dual_antichain_module(lat, boolean_partner(lat, C), M.field)
+            return StalkResult(interval=find_interval_iso(h), shift=len(C.members), rep=h)
+    return serre_by_resolution(M)
+
+
+def serre_by_resolution(M: LatticeRep):
     """Cohomology of nakayama(projective_resolution(M)); a StalkResult when
     concentrated in one degree, else the full cohomology."""
     if M.is_zero():

@@ -17,7 +17,7 @@ from . import typea
 from .errors import GuardrailExceeded, SerrelabError
 from .perm import cycle_decomposition
 
-GEOM_GUARDRAIL = 8
+GEOM_GUARDRAIL = 7
 
 
 def _norm_edges(edges):

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from serrelab import coxeter, derived, typea
 from serrelab.lattice import build_lattice, load_lattice
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -31,3 +32,20 @@ def kite():
         ["e", "a", "ab", "ac", "abc"],
         [("e", "a"), ("a", "ab"), ("a", "ac"), ("ab", "abc"), ("ac", "abc")],
     )
+
+
+@pytest.fixture
+def serre_oracle(monkeypatch):
+    """Route every Serre call of the derived, coxeter and typea layers through
+    serre_by_resolution, the oracle, instead of the closed form; returns the
+    oracle for direct calls and fails the test if the oracle never ran."""
+    calls = []
+
+    def oracle(M):
+        calls.append(M)
+        return derived.serre_by_resolution(M)
+
+    for module in (derived, coxeter, typea):
+        monkeypatch.setattr(module, "serre", oracle)
+    yield oracle
+    assert calls, "the oracle never ran"

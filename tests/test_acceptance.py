@@ -8,7 +8,7 @@ import itertools
 import time
 
 from serrelab.coxeter import combinatorial_serre_check, cross_check
-from serrelab.derived import StalkResult, serre, serre_orbit
+from serrelab.derived import StalkResult, serre_by_resolution, serre_orbit
 from serrelab.geom import enumerate_quads, enumerate_trees, planar_dual, rotate_quad, stokes
 from serrelab.lattice import (
     IntervalRef,
@@ -72,7 +72,7 @@ def test_acceptance_01_appendix_fixture():
     _ok(1, f"appendix permutation (1 9)(5 7) and I(1) orbit, {elapsed:.2f}s")
 
 
-def test_acceptance_02_fcy_a2_a3():
+def test_acceptance_02_fcy_a2_a3(serre_oracle):
     t0 = time.monotonic()
     for n, power, shift in ((2, 8, 6), (3, 10, 12)):
         for o in all_orientations(n):
@@ -113,7 +113,7 @@ def test_acceptance_05_counting():
     _ok(5, "12 and 55 by four independent enumerations")
 
 
-def test_acceptance_06_categorical_serre_integration():
+def test_acceptance_06_categorical_serre_integration(serre_oracle):
     t0 = time.monotonic()
     for o in all_orientations(3):
         q = QuiverA(3, o)
@@ -123,7 +123,7 @@ def test_acceptance_06_categorical_serre_integration():
         assert len(ivs) == 55
         for iv in ivs:
             M = interval_module(lat, IntervalRef(eng.mask_label(iv.lo), eng.mask_label(iv.hi)))
-            res = serre(M)
+            res = serre_oracle(M)
             s = eng.serre_perm(iv)
             want = IntervalRef(eng.mask_label(s.lo), eng.mask_label(s.hi))
             assert isinstance(res, StalkResult), iv
@@ -171,7 +171,7 @@ def test_acceptance_08_boolean_antichain_suite():
             for ac in all_antichains_over(lat, base):
                 if not is_boolean_antichain(lat, ac):
                     continue
-                res = serre(antichain_module(lat, ac))
+                res = serre_by_resolution(antichain_module(lat, ac))
                 assert isinstance(res, StalkResult)
                 assert res.shift == len(ac.members)
                 partner = boolean_partner(lat, ac)
@@ -193,7 +193,7 @@ def test_acceptance_09_distributive_classification():
     _ok(9, "chain products pass, 5-element distributive non-divisor fails")
 
 
-def test_acceptance_10_coxeter_derived_agreement():
+def test_acceptance_10_coxeter_derived_agreement(serre_oracle):
     lattices = [
         load_lattice(fixture_path("appendix9.json")),
         load_lattice(fixture_path("pentagon.json")),

@@ -4,6 +4,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from serrelab import cli
+
 from conftest import fixture_path
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -50,8 +54,23 @@ def test_check_exit_codes(tmp_path):
         assert proc.returncode == 1, name
         assert proc.stderr.startswith("error: "), name
     # exceeded guardrails are malformed input too
+    assert run_cli("geom", "--n", "8").returncode == 1
     assert run_cli("geom", "--n", "9").returncode == 1
     assert run_cli("typea", "--n", "6", "--orientation", "LLLLL").returncode == 1
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_resource_exhaustion_is_one_line_not_a_traceback(exc, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise exc("exhausted")
+
+    monkeypatch.setattr(cli, "combinatorial_serre_check", exhausted)
+    assert cli.main(["check", fixture_path("pentagon.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0] == f"resource limit: {exc.__name__}('exhausted')"
+    assert [l for l in lines if not l.startswith("elapsed: ")] == lines[:1]
 
 
 def test_reports_are_byte_identical():
