@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import linalg
-from .derived import GeneralComplexResult, serre
+from .derived import GeneralComplexResult, default_max_steps, serre
 from .errors import Disagreement, MaxStepsExceeded, SerrelabError
 from .fields import QQ
 from .lattice import IntervalRef, Lattice
@@ -32,30 +31,71 @@ class CoxeterMatrix:
 
 
 def _proj_vector(lat: Lattice, i: int):
-    return [1 if lat.leq_i(i, v) else 0 for v in range(lat.n)]
+    up = lat.up_mask[i]
+    return [up >> v & 1 for v in range(lat.n)]
 
 
 def _inj_vector(lat: Lattice, i: int):
-    return [1 if lat.leq_i(v, i) else 0 for v in range(lat.n)]
+    down = lat.down_mask[i]
+    return [down >> v & 1 for v in range(lat.n)]
+
+
+def _moebius(lat: Lattice):
+    """mu[a][b] by Rota's recursion mu(a, b) = -sum_{a <= c < b} mu(a, c),
+    filled in along the linear extension and summed over the set bits of the
+    interval mask where mu(a, .) is nonzero."""
+    mu = []
+    for a in range(lat.n):
+        up, row, nonzero = lat.up_mask[a], [0] * lat.n, 1 << a
+        row[a] = 1
+        for b in lat.topo:
+            if b == a or not up >> b & 1:
+                continue
+            below, m = lat.interval_mask(a, b) & nonzero, 0
+            while below:
+                low = below & -below
+                m -= row[low.bit_length() - 1]
+                below ^= low
+            if m:
+                row[b] = m
+                nonzero |= 1 << b
+        mu.append(row)
+    return mu
 
 
 def cartan_matrix(lat: Lattice) -> CartanMatrix:
-    """Omega = zeta^T for zeta[i][j] = [i <= j].  Then C = -Omega^T Omega^-1
-    sends [P_i] = zeta^T e_i to -zeta e_i = -[I_i], the construction-time
-    ground truth; the untransposed zeta fails it on the bottom element's
-    column as soon as n > 1."""
-    n = lat.n
-    omega = [[1 if lat.leq_i(j, i) else 0 for j in range(n)] for i in range(n)]
-    return CartanMatrix(matrix=omega, inverse=linalg.int_inverse(omega))
+    """Omega = zeta^T for zeta[i][j] = [i <= j], so Omega^-1 = mu^T.  Then
+    C = -Omega^T Omega^-1 sends [P_i] = zeta^T e_i to -zeta e_i = -[I_i], the
+    construction-time ground truth; the untransposed zeta fails it on the
+    bottom element's column as soon as n > 1."""
+    return CartanMatrix(matrix=[_inj_vector(lat, i) for i in range(lat.n)],
+                        inverse=[list(col) for col in zip(*_moebius(lat))])
+
+
+def _sparse_rows(C):
+    return [[(j, x) for j, x in enumerate(row) if x] for row in C]
+
+
+def _apply(rows, v):
+    return [sum(x * v[j] for j, x in row) for row in rows]
 
 
 def coxeter_matrix(lat: Lattice) -> CoxeterMatrix:
+    """C[i][j] = -sum_{k >= i} mu(j, k), scattered from the nonzero entries of
+    mu.  The [P_i] form a basis, so C[P_i] = -[I_i] for every i fixes C; that
+    identity is checked on every build."""
     cart = cartan_matrix(lat)
     n = lat.n
-    zeta = [[cart.matrix[j][i] for j in range(n)] for i in range(n)]
-    C = [[-x for x in row] for row in linalg.int_mat_mul(zeta, cart.inverse)]
-    for i in range(n):  # construction-time invariant
-        if linalg.int_mat_vec(C, _proj_vector(lat, i)) != [-x for x in _inj_vector(lat, i)]:
+    C = [[0] * n for _ in range(n)]
+    down = [lat.mask_members(m) for m in lat.down_mask]
+    for k, row in enumerate(cart.inverse):
+        for j, m in enumerate(row):  # m = mu(j, k)
+            if m:
+                for i in down[k]:
+                    C[i][j] -= m
+    rows = _sparse_rows(C)
+    for i in range(n):
+        if _apply(rows, _proj_vector(lat, i)) != [-x for x in _inj_vector(lat, i)]:
             raise SerrelabError("Coxeter matrix failed its defining identity")
     return CoxeterMatrix(matrix=C, cartan=cart)
 
@@ -126,6 +166,7 @@ def _run_trajectories(lat: Lattice, C, max_steps):
     after a -[P_j] hit go on, within the same step budget, to the first
     +[P_j] (the strict reading).  Once the strict reading has failed on one
     element it is not continued on the later ones."""
+    rows = _sparse_rows(C)
     ptable = {}
     for j in range(lat.n):
         pv = tuple(_proj_vector(lat, j))
@@ -156,7 +197,7 @@ def _run_trajectories(lat: Lattice, C, max_steps):
                     break
                 if not strict_alive:
                     break
-            v = linalg.int_mat_vec(C, v)
+            v = _apply(rows, v)
             if traj is None:
                 vectors.append(tuple(v))
         if traj is None:
@@ -177,7 +218,7 @@ def combinatorial_serre_check(lat: Lattice, max_steps=None) -> SerreFormalReport
     """Iterate the Coxeter matrix on each injective dimension vector until it
     hits +-[P_j], requiring weak positivity or negativity throughout."""
     if max_steps is None:
-        max_steps = 4 * (lat.n + 10)
+        max_steps = default_max_steps(lat)
     cox = coxeter_matrix(lat)
     trajs = _run_trajectories(lat, cox.matrix, max_steps)
     perm = _as_permutation(lat, {e: t.target for e, t in trajs.items()})

@@ -292,11 +292,13 @@ def run_geom_suite(n: int) -> dict:
     trees = enumerate_trees(n)
     quads = enumerate_quads(n)
     expected = fuss_catalan_geom(n)
-    equivariant = all(stokes(rotate_quad(q)) == planar_dual(stokes(q)) for q in quads)
+    tree_of = {q: stokes(q) for q in quads}
+    # a rotation missing from the enumeration fails the check instead of raising
+    equivariant = all(tree_of.get(rotate_quad(q)) == planar_dual(t) for q, t in tree_of.items())
     checks = {
         "counts": {"trees": len(trees), "quads": len(quads), "expected": expected,
                    "ok": len(trees) == len(quads) == expected},
-        "stokes_bijection": {"ok": len({stokes(q) for q in quads}) == len(quads)},
+        "stokes_bijection": {"ok": len(set(tree_of.values())) == len(quads)},
         "equivariance": {"ok": equivariant},
     }
     if n <= 4:

@@ -326,44 +326,26 @@ def min_complement_antichain(lat: Lattice, ref: IntervalRef) -> Antichain:
 ANTICHAIN_GUARDRAIL = 16
 
 
-def _subset_joins(join_tab, idx, base_idx):
-    """gamma over all subsets of the sorted indices idx: tuple -> joined
-    element index (the base for the empty subset)."""
-    out = {}
-    for r in range(len(idx) + 1):
-        for comb in itertools.combinations(idx, r):
-            if not comb:
-                out[comb] = base_idx
-            else:
-                j = comb[0]
-                for c in comb[1:]:
-                    j = join_tab[j][c]
-                out[comb] = j
-    return out
-
-
 def _is_boolean(lat: Lattice, ac: Antichain, meet_tab, join_tab) -> bool:
-    """Brute-force test: subsets-to-joins map is injective and preserves
-    meets and joins (the empty subset goes to the base)."""
+    """gamma sends a subset S of the antichain C to its join (the base for the
+    empty subset); it preserves joins by construction.  C is boolean iff gamma
+    preserves meets, that is iff every gamma(S) is the meet of the coatom
+    joins gamma(C - {c}) over c not in S.  Injectivity follows: gamma(S) =
+    gamma(T) with c in S - T gives c = c meet gamma(T) = gamma({}) = base,
+    although every member lies strictly above the base."""
     ac.validate(lat)
     if len(ac.members) > ANTICHAIN_GUARDRAIL:
         raise GuardrailExceeded(f"antichain of size {len(ac.members)}")
     idx = sorted(lat.index[m] for m in ac.members)
-    gamma = _subset_joins(join_tab, idx, lat.index[ac.base])
-    if len(set(gamma.values())) != len(gamma):
-        return False
-    keys = list(gamma)
-    for s in keys:
-        ss = set(s)
-        for t in keys:
-            tt = set(t)
-            cap = tuple(sorted(ss & tt))
-            cup = tuple(sorted(ss | tt))
-            if gamma[cap] != meet_tab[gamma[s]][gamma[t]]:
-                return False
-            if gamma[cup] != join_tab[gamma[s]][gamma[t]]:
-                return False
-    return True
+    full = (1 << len(idx)) - 1
+    gamma = [lat.index[ac.base]] * (full + 1)  # subsets as bitmasks over idx
+    for s in range(1, full + 1):
+        gamma[s] = join_tab[gamma[s & (s - 1)]][idx[(s & -s).bit_length() - 1]]
+    meets = gamma[:]  # meets[s]: meet of gamma(C - {c}) over c not in s
+    for s in range(full - 1, -1, -1):
+        c = ~s & (s + 1)  # lowest member not in s
+        meets[s] = meet_tab[meets[s | c]][gamma[full ^ c]]
+    return meets == gamma
 
 
 def is_boolean_antichain(lat: Lattice, ac: Antichain) -> bool:

@@ -173,36 +173,3 @@ def mat_eq(A, B):
 def is_zero(A):
     return all(not x for row in A for x in row)
 
-
-def int_mat_mul(A, B):
-    """Plain integer matrix product (Coxeter-side fast path)."""
-    m, k = len(A), len(B)
-    n = len(B[0]) if B else 0
-    return [
-        [sum(A[i][t] * B[t][j] for t in range(k)) for j in range(n)]
-        for i in range(m)
-    ]
-
-
-def int_mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
-def int_inverse(A):
-    """Exact inverse of an integer matrix with det +-1; raises otherwise."""
-    n = len(A)
-    eye = identity(n)
-    aug = [[QQ.of(x) for x in row] + eye[i] for i, row in enumerate(A)]
-    R, pivots = rref(aug, 2 * n)
-    if pivots != list(range(n)):
-        raise ValueError("matrix not invertible")
-    inv = [row[n:] for row in R]
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("inverse is not integral")
-            irow.append(int(x))
-        out.append(irow)
-    return out

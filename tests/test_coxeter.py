@@ -17,7 +17,7 @@ def test_cartan_two_chain():
     cart = cartan_matrix(lat)
     flat = sorted(x for row in cart.matrix for x in row)
     assert flat == [0, 1, 1, 1]  # zeta pattern of a chain, up to orientation
-    assert linalg.int_mat_mul(cart.matrix, cart.inverse) == [[1, 0], [0, 1]]
+    assert linalg.mat_mul(cart.matrix, cart.inverse) == linalg.identity(2)
 
 
 def test_cartan_counts_comparable_pairs():
@@ -29,26 +29,42 @@ def test_cartan_counts_comparable_pairs():
 def test_cartan_unimodular(pentagon, appendix9):
     for lat in (pentagon, appendix9, boolean_lattice(3)):
         cart = cartan_matrix(lat)
-        n = lat.n
-        ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        assert linalg.int_mat_mul(cart.matrix, cart.inverse) == ident
+        assert linalg.mat_mul(cart.matrix, cart.inverse) == linalg.identity(lat.n)
 
 
-def test_moebius_inverse(pentagon, appendix9):
-    # independent oracle: the Cartan inverse is the Moebius-function matrix,
-    # computed here by the defining recursion
-    for lat in (pentagon, appendix9, boolean_lattice(3)):
+def _dense_moebius(lat):
+    """mu[a][b] by the defining recursion, dense: the independent oracle of
+    the Cartan inverse and of the Coxeter matrix."""
+    n = lat.n
+    mu = [[0] * n for _ in range(n)]
+    for a in range(n):
+        mu[a][a] = 1
+        # fill upward along the linear extension
+        for b in lat.topo:
+            if b == a or not lat.leq_i(a, b):
+                continue
+            mu[a][b] = -sum(
+                mu[a][c] for c in range(n) if lat.leq_i(a, c) and lat.leq_i(c, b) and c != b
+            )
+    return mu
+
+
+def _m3():
+    from serrelab.lattice import build_lattice
+
+    return build_lattice(
+        ["0", "x", "y", "z", "1"],
+        [("0", "x"), ("0", "y"), ("0", "z"), ("x", "1"), ("y", "1"), ("z", "1")],
+    )
+
+
+def test_moebius_inverse():
+    # the Cartan inverse is the Moebius-function matrix
+    m3 = _m3()
+    assert _dense_moebius(m3)[m3.bottom][m3.top] == 2
+    for lat in _differential_lattices() + [m3]:
         n = lat.n
-        mu = [[0] * n for _ in range(n)]
-        for a in range(n):
-            mu[a][a] = 1
-            # fill upward along the linear extension
-            for b in lat.topo:
-                if b == a or not lat.leq_i(a, b):
-                    continue
-                mu[a][b] = -sum(
-                    mu[a][c] for c in range(n) if lat.leq_i(a, c) and lat.leq_i(c, b) and c != b
-                )
+        mu = _dense_moebius(lat)
         cart = cartan_matrix(lat)
         # fixed convention: Omega = zeta^T, so its inverse is mu^T
         assert cart.matrix == [[1 if lat.leq_i(j, i) else 0 for j in range(n)] for i in range(n)]
@@ -61,7 +77,7 @@ def test_coxeter_identity(pentagon, appendix9, kite):
         for i in range(lat.n):
             pv = [1 if lat.leq_i(i, v) else 0 for v in range(lat.n)]
             iv = [1 if lat.leq_i(v, i) else 0 for v in range(lat.n)]
-            assert linalg.int_mat_vec(C, pv) == [-x for x in iv]
+            assert linalg.mat_vec(C, pv) == [-x for x in iv]
 
 
 def test_coxeter_one_element():
@@ -88,7 +104,7 @@ def test_coxeter_action_on_appendix_injective(appendix9):
     # one Coxeter step on [I(1)] lands on minus the class of the module N
     C = coxeter_matrix(appendix9).matrix
     i1 = [1 if appendix9.leq_i(v, appendix9.index["1"]) else 0 for v in range(9)]
-    step = linalg.int_mat_vec(C, i1)
+    step = linalg.mat_vec(C, i1)
     assert [abs(x) for x in step] == [0, 0, 0, 1, 1, 0, 1, 0, 0]
 
 
@@ -199,13 +215,7 @@ def test_cross_check_sweep_b3_sublattices():
 
 
 def test_diamond_m3_not_serre_formal():
-    from serrelab.lattice import build_lattice
-
-    m3 = build_lattice(
-        ["0", "x", "y", "z", "1"],
-        [("0", "x"), ("0", "y"), ("0", "z"), ("x", "1"), ("y", "1"), ("z", "1")],
-    )
-    assert not combinatorial_serre_check(m3).is_serre_formal
+    assert not combinatorial_serre_check(_m3()).is_serre_formal
 
 
 def test_trajectories_unisigned(appendix9):
@@ -239,7 +249,7 @@ def _oracle_reading(lat, C, max_steps, signs):
                 s, j = hits[0]
                 out[label] = (vectors, k, s, lat.labels[j], None)
                 break
-            v = linalg.int_mat_vec(C, v)
+            v = [sum(c * x for c, x in zip(row, v)) for row in C]
             vectors.append(tuple(v))
         else:
             raise MaxStepsExceeded(label, max_steps)
@@ -273,9 +283,9 @@ def test_fused_trajectory_pass_matches_two_loop_oracle():
     differs = 0
     for lat in lattices:
         n = lat.n
-        zeta = [[1 if lat.leq_i(i, j) else 0 for j in range(n)] for i in range(n)]
-        zeta_t_inv = linalg.int_inverse([[zeta[j][i] for j in range(n)] for i in range(n)])
-        C = [[-x for x in row] for row in linalg.int_mat_mul(zeta, zeta_t_inv)]
+        mu = _dense_moebius(lat)
+        # C = -zeta mu^T
+        C = [[-sum(mu[j][k] for k in range(n) if lat.leq_i(i, k)) for j in range(n)] for i in range(n)]
         for max_steps in (4 * (n + 10), 3):
             try:
                 signed = _oracle_reading(lat, C, max_steps, (1, -1))

@@ -347,7 +347,7 @@ def test_euler_characteristic_vs_coxeter(pentagon, appendix9):
             for d, h in H.items():
                 sign = 1 if d % 2 == 0 else -1
                 euler = [x + sign * y for x, y in zip(euler, h.dimension_vector())]
-            assert [-x for x in euler] == linalg.int_mat_vec(C, M.dimension_vector())
+            assert [-x for x in euler] == linalg.mat_vec(C, M.dimension_vector())
 
 
 def _explicit_realization(cx, kind):

@@ -126,3 +126,14 @@ def test_rotation_order():
         for _ in range(p):
             cur = rotate_quad(cur)
         assert cur == q
+
+
+def test_missing_rotation_fails_equivariance(monkeypatch):
+    from serrelab import cli, geom
+
+    quads = enumerate_quads(3)
+    monkeypatch.setattr(geom, "enumerate_quads", lambda n: quads[1:])
+    suite = geom.run_geom_suite(3)
+    assert suite["checks"]["equivariance"]["ok"] is False
+    # a verification failure (exit 2), not malformed input (exit 1)
+    assert cli.main(["geom", "--n", "3"]) == 2

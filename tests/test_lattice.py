@@ -315,3 +315,51 @@ def test_birkhoff_divisor_step_on_chainprod_10_10_10():
 
     assert _chain_factors(chain_product([10, 10, 10])) == (10, 10, 10)
     assert _chain_factors(chain_product([2, 5, 3])) == (2, 3, 5)
+
+
+# -- differential test of the boolean-antichain test ---------------------------
+
+
+def _brute_force_boolean(lat, ac, meet_tab, join_tab):
+    """The definition: the subsets-to-joins map is injective and sends
+    intersections to meets and unions to joins (the empty subset goes to the
+    base); all 4^|C| pairs of subsets."""
+    idx = sorted(lat.index[m] for m in ac.members)
+    gamma = {}
+    for r in range(len(idx) + 1):
+        for comb in itertools.combinations(idx, r):
+            j = lat.index[ac.base]
+            for c in comb:
+                j = join_tab[j][c]
+            gamma[frozenset(comb)] = j
+    if len(set(gamma.values())) != len(gamma):
+        return False
+    return all(
+        gamma[s & t] == meet_tab[gamma[s]][gamma[t]] and gamma[s | t] == join_tab[gamma[s]][gamma[t]]
+        for s in gamma
+        for t in gamma
+    )
+
+
+def test_boolean_antichain_test_matches_brute_force():
+    from test_coxeter import _differential_lattices
+
+    # Tamari(5) has too many antichains for the brute force
+    lattices = [lat for lat in _differential_lattices() if lat.n < 42]
+    checked = boolean = 0
+    for lat in lattices + [order_dual(lat) for lat in lattices[:7]]:
+        dual = order_dual(lat)
+        for base in lat.labels:
+            for ac in all_antichains_over(lat, base):
+                expect = _brute_force_boolean(lat, ac, lat.meet_tab, lat.join_tab)
+                assert is_boolean_antichain(lat, ac) == expect, (lat.labels, ac)
+                checked += 1
+                boolean += expect
+            for ac in all_antichains_over(dual, base):
+                under = Antichain(ac.members, base, "under")
+                expect = _brute_force_boolean(lat, under, lat.join_tab, lat.meet_tab)
+                assert is_dual_boolean_antichain(lat, under) == expect, (lat.labels, under)
+                checked += 1
+                boolean += expect
+    assert checked == 2 * 2093
+    assert 0 < boolean < checked

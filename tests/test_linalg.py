@@ -42,12 +42,6 @@ def test_extend_basis_and_coordinates():
     assert coords == [F(3), F(5)]
 
 
-def test_int_inverse_unimodular():
-    A = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
-    inv = linalg.int_inverse(A)
-    assert linalg.int_mat_mul(A, inv) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-
-
 mats = st.integers(-4, 4).map(F)
 
 
