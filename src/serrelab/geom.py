@@ -9,22 +9,21 @@ flips the marking.  Boundary edges of the (n+2)-gon count as tree edges.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 from . import typea
-from .errors import GuardrailExceeded, SerrelabError
+from .errors import GuardrailExceeded, InputError, SerrelabError
 from .perm import cycle_decomposition
 
 GEOM_GUARDRAIL = 7
 
 
 def _norm_edges(edges):
-    return frozenset((min(a, b), max(a, b)) for a, b in edges)
+    return frozenset((a, b) if a < b else (b, a) for a, b in edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoncrossingTree:
     p: int  # polygon size n+2
     edges: frozenset
@@ -33,7 +32,7 @@ class NoncrossingTree:
         return sorted(self.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quadrangulation:
     p: int  # polygon size 2(n+2)
     diagonals: frozenset
@@ -42,20 +41,20 @@ class Quadrangulation:
         return sorted(self.diagonals)
 
 
-def _crosses(e1, e2) -> bool:
-    """Strict interior crossing of chords on a convex polygon; shared
-    endpoints never cross."""
-    a, b = min(e1), max(e1)
-    c, d = e2
-    if len({a, b, c, d}) < 4:
-        return False
-    c_in = a < c < b
-    d_in = a < d < b
-    return c_in != d_in
-
-
 def chords_noncrossing(edges) -> bool:
-    return not any(_crosses(e, f) for e, f in itertools.combinations(edges, 2))
+    """No two chords cross strictly inside the polygon; shared endpoints never
+    cross.  One pass over the chords as intervals, by left end and then by
+    decreasing right end: a stack holds the right ends of the chords that
+    contain the current left end, innermost on top."""
+    ends = []
+    for a, b in sorted((a, -b) if a < b else (b, -a) for a, b in edges):
+        b = -b
+        while ends and ends[-1] <= a:
+            ends.pop()
+        if ends and ends[-1] < b:
+            return False
+        ends.append(b)
+    return True
 
 
 def _is_tree(p, edges) -> bool:
@@ -87,29 +86,38 @@ def make_tree(n: int, edges) -> NoncrossingTree:
     return NoncrossingTree(p, es)
 
 
-def enumerate_trees(n: int):
-    """All noncrossing spanning trees of the (n+2)-gon (boundary edges allowed)."""
+def _check_n(n):
+    if n < 1:
+        raise InputError(f"geom needs n >= 1, got n={n}")
     if n > GEOM_GUARDRAIL:
         raise GuardrailExceeded(f"n={n} > {GEOM_GUARDRAIL}")
+
+
+def enumerate_trees(n: int):
+    """All noncrossing spanning trees of the (n+2)-gon (boundary edges allowed),
+    in lexicographic order of their sorted edge lists.
+
+    Root-edge decomposition over runs i..j of consecutive vertices: with k the
+    largest neighbour of i, a tree on i..j is a tree on k..j plus the edge
+    (i, k) over a tree on i..m and a tree on m+1..k, for one split i <= m < k.
+    Each tree arises once, and no crossing test runs."""
+    _check_n(n)
     p = n + 2
-    chords = [(a, b) for a in range(p) for b in range(a + 1, p)]
-    out = []
-
-    def bt(start, chosen):
-        if len(chosen) == p - 1:
-            if _is_tree(p, chosen):
-                out.append(NoncrossingTree(p, frozenset(chosen)))
-            return
-        if len(chosen) + (len(chords) - start) < p - 1:
-            return
-        for k in range(start, len(chords)):
-            e = chords[k]
-            if all(not _crosses(e, f) for f in chosen):
-                chosen.append(e)
-                bt(k + 1, chosen)
-                chosen.pop()
-
-    bt(0, [])
+    trees = {(i, i): [()] for i in range(p)}
+    for span in range(1, p):
+        for i in range(p - span):
+            j = i + span
+            found = trees[i, j] = []
+            for k in range(i + 1, j + 1):
+                root = ((i, k),)
+                for m in range(i, k):
+                    for left in trees[i, m]:
+                        for below in trees[m + 1, k]:
+                            head = left + below + root
+                            found.extend(head + right for right in trees[k, j])
+    out = [NoncrossingTree(p, frozenset(es)) for es in trees[0, p - 1]]
+    trees.clear()
+    out.sort(key=NoncrossingTree.sorted_edges)
     return out
 
 
@@ -130,32 +138,30 @@ def make_quad(n: int, diagonals) -> Quadrangulation:
 
 def enumerate_quads(n: int):
     """All quadrangulations of the 2(n+2)-gon: maximal noncrossing families of
-    parity-mixed non-boundary diagonals."""
-    if n > GEOM_GUARDRAIL:
-        raise GuardrailExceeded(f"n={n} > {GEOM_GUARDRAIL}")
+    parity-mixed non-boundary diagonals, in lexicographic order of their sorted
+    diagonal lists.
+
+    Root-edge decomposition over runs i..j of an even number of consecutive
+    vertices: the quadrilateral (i, a, b, j) on the edge (i, j) leaves three
+    smaller even runs i..a, a..b and b..j, quadrangulated independently; a run
+    of two vertices is a polygon side and contributes no diagonal."""
+    _check_n(n)
     p = 2 * (n + 2)
-    cands = [
-        (a, b)
-        for a in range(p)
-        for b in range(a + 1, p)
-        if (a + b) % 2 == 1 and (b - a) % p not in (1, p - 1)
-    ]
-    out = []
-
-    def bt(start, chosen):
-        if len(chosen) == n:
-            out.append(Quadrangulation(p, frozenset(chosen)))
-            return
-        if len(chosen) + (len(cands) - start) < n:
-            return
-        for k in range(start, len(cands)):
-            e = cands[k]
-            if all(not _crosses(e, f) for f in chosen):
-                chosen.append(e)
-                bt(k + 1, chosen)
-                chosen.pop()
-
-    bt(0, [])
+    quads = {(i, i + 1): [()] for i in range(p - 1)}
+    for span in range(3, p, 2):
+        for i in range(p - span):
+            j = i + span
+            found = quads[i, j] = []
+            for a in range(i + 1, j, 2):
+                for b in range(a + 1, j, 2):
+                    sides = tuple(e for e in ((i, a), (a, b), (b, j)) if e[1] - e[0] > 1)
+                    for left in quads[i, a]:
+                        for middle in quads[a, b]:
+                            head = left + middle + sides
+                            found.extend(head + right for right in quads[b, j])
+    out = [Quadrangulation(p, frozenset(ds)) for ds in quads[0, p - 1]]
+    quads.clear()
+    out.sort(key=Quadrangulation.sorted_diagonals)
     return out
 
 
@@ -190,63 +196,37 @@ def polygon_regions(p, chords):
     return split(list(range(p)), chords)
 
 
-def _arc_side(edge, arc):
-    """True when boundary arc (arc, arc+1) lies inside the chord's span."""
-    a, b = edge
-    return a <= arc < b
-
-
-def _edge_side(e, ref):
-    """Side of chord `e` (as seen from chord `ref`): True = inside span of ref.
-
-    For a shared endpoint the other endpoint decides; the chords never cross.
-    """
-    a, b = ref
-    pts = [x for x in e if x != a and x != b]
-    if not pts:
-        raise SerrelabError("duplicate chord")
-    return all(a < x < b for x in pts)
-
-
-def tree_region_arcs(t: NoncrossingTree):
-    """Partition of the boundary arcs (i, i+1) into the tree's regions; arc i
-    means the arc from vertex i to i+1 mod p."""
-    edges = sorted(t.edges)
-    sig = {}
-    for arc in range(t.p):
-        sig.setdefault(tuple(_arc_side(e, arc) for e in edges), []).append(arc)
-    return list(sig.values())
-
-
 def planar_dual(t: NoncrossingTree) -> NoncrossingTree:
     """Region-adjacency dual, re-anchored by the half-step rotation: the new
-    vertex on the boundary arc (i, i+1) lands on vertex i+1."""
+    vertex on the boundary arc (i, i+1) lands on vertex i+1.
+
+    One boundary walk gives each arc i its region signature, the bitmask of
+    the tree edges (a, b) with a <= i < b: passing vertex i toggles exactly the
+    edges at i.  The two regions beside an edge differ in its bit alone."""
     p = t.p
     edges = sorted(t.edges)
-    if len(tree_region_arcs(t)) != p:  # p arcs in p regions: one arc each
+    toggle = [0] * p
+    for k, (a, b) in enumerate(edges):
+        toggle[a] ^= 1 << k
+        toggle[b] ^= 1 << k
+    sig = []
+    s = 0
+    for v in range(p):
+        s ^= toggle[v]
+        sig.append(s)
+    arc_of = {s: arc for arc, s in enumerate(sig)}
+    if len(arc_of) != p:  # p arcs in p regions: one arc each
         raise SerrelabError("tree regions do not match boundary arcs one to one")
     dual_edges = []
-    for e in edges:
-        adj = []
-        for side in (True, False):
-            hit = None
-            for arc in range(p):
-                if _arc_side(e, arc) != side:
-                    continue
-                shielded = False
-                for f in edges:
-                    if f == e:
-                        continue
-                    if _arc_side(f, arc) != _edge_side(e, f):
-                        shielded = True
-                        break
-                if not shielded:
-                    hit = arc
-                    break
-            if hit is None:
-                raise SerrelabError("no region adjacent to a tree edge")
-            adj.append((hit + 1) % p)
-        dual_edges.append(tuple(adj))
+    for k, (a, b) in enumerate(edges):
+        bit = 1 << k
+        for inside in range(a, b):
+            outside = arc_of.get(sig[inside] ^ bit)
+            if outside is not None:
+                dual_edges.append(((inside + 1) % p, (outside + 1) % p))
+                break
+        else:
+            raise SerrelabError("no region adjacent to a tree edge")
     return make_tree(p - 2, dual_edges)
 
 
@@ -289,6 +269,7 @@ def run_geom_suite(n: int) -> dict:
     """Counts, Stokes bijection and rotation equivariance; for n <= 4 the
     rotation cycle multiset against the type-A Serre permutation, and for
     n <= 3 the full object listings."""
+    _check_n(n)
     trees = enumerate_trees(n)
     quads = enumerate_quads(n)
     expected = fuss_catalan_geom(n)

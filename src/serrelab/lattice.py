@@ -525,20 +525,27 @@ def poset_isomorphism(l1: Lattice, l2: Lattice):
                 return False
         return True
 
-    def bt(pos):
-        if pos == l1.n:
-            return True
+    # depth-first over the positions of `order`; nxt[pos] is the index in
+    # cands[order[pos]] of the next candidate to try there
+    nxt = [0] * l1.n
+    pos = 0
+    while pos < l1.n:
         i = order[pos]
-        for j in cands[i]:
-            if not used[j] and ok(i, j):
-                assign[i] = j
-                used[j] = True
-                if bt(pos + 1):
-                    return True
-                assign[i] = None
-                used[j] = False
-        return False
-
-    if not bt(0):
-        return None
+        if assign[i] is not None:  # back from a dead end: undo this choice
+            used[assign[i]] = False
+            assign[i] = None
+        cs = cands[i]
+        k = nxt[pos]
+        while k < len(cs) and (used[cs[k]] or not ok(i, cs[k])):
+            k += 1
+        if k == len(cs):
+            if pos == 0:
+                return None
+            nxt[pos] = 0
+            pos -= 1
+            continue
+        assign[i] = cs[k]
+        used[cs[k]] = True
+        nxt[pos] = k + 1
+        pos += 1
     return {l1.labels[i]: l2.labels[assign[i]] for i in range(l1.n)}

@@ -38,6 +38,7 @@ CASES = {
     "typea-1": "typea --n 1",
     "orbit-kite": "orbit fixtures/kite.json",
     "orbit-pentagon-fp3": "orbit fixtures/pentagon.json --field fp:3",
+    "geom-5": "geom --n 5",
 }
 
 

@@ -53,7 +53,11 @@ def test_check_exit_codes(tmp_path):
         proc = run_cli("check", str(path))
         assert proc.returncode == 1, name
         assert proc.stderr.startswith("error: "), name
-    # exceeded guardrails are malformed input too
+    # polygon sizes below n = 1 and exceeded guardrails are malformed input too
+    for n in ("0", "-1", "-3"):
+        proc = run_cli("geom", "--n", n)
+        assert proc.returncode == 1, n
+        assert proc.stderr.startswith(f"error: geom needs n >= 1, got n={n}"), n
     assert run_cli("geom", "--n", "8").returncode == 1
     assert run_cli("geom", "--n", "9").returncode == 1
     assert run_cli("typea", "--n", "6", "--orientation", "LLLLL").returncode == 1

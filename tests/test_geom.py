@@ -1,9 +1,13 @@
+import itertools
+
 import pytest
 
-from serrelab.errors import GuardrailExceeded
+from serrelab.errors import GuardrailExceeded, SerrelabError
 from serrelab.geom import (
     NoncrossingTree,
     Quadrangulation,
+    _is_tree,
+    chords_noncrossing,
     enumerate_quads,
     enumerate_trees,
     fuss_catalan_geom,
@@ -18,8 +22,165 @@ from serrelab.geom import (
 )
 
 
+# -- brute-force oracles: subset backtracking over all chords with a pairwise
+# crossing test, and the region-shielding dual ---------------------------------
+
+
+def _crosses(e1, e2) -> bool:
+    """Strict interior crossing of chords on a convex polygon; shared
+    endpoints never cross."""
+    a, b = min(e1), max(e1)
+    c, d = e2
+    if len({a, b, c, d}) < 4:
+        return False
+    c_in = a < c < b
+    d_in = a < d < b
+    return c_in != d_in
+
+
+def pairwise_noncrossing(edges) -> bool:
+    return not any(_crosses(e, f) for e, f in itertools.combinations(edges, 2))
+
+
+def _noncrossing_subsets(p, chords, size, accept):
+    """Sets of `size` pairwise noncrossing chords, in lexicographic order."""
+    out = []
+
+    def bt(start, chosen):
+        if len(chosen) == size:
+            if accept(chosen):
+                out.append(frozenset(chosen))
+            return
+        if len(chosen) + (len(chords) - start) < size:
+            return
+        for k in range(start, len(chords)):
+            e = chords[k]
+            if all(not _crosses(e, f) for f in chosen):
+                chosen.append(e)
+                bt(k + 1, chosen)
+                chosen.pop()
+
+    bt(0, [])
+    return out
+
+
+def brute_trees(n):
+    p = n + 2
+    chords = [(a, b) for a in range(p) for b in range(a + 1, p)]
+    return [
+        NoncrossingTree(p, es)
+        for es in _noncrossing_subsets(p, chords, p - 1, lambda es: _is_tree(p, es))
+    ]
+
+
+def brute_quads(n):
+    p = 2 * (n + 2)
+    cands = [
+        (a, b)
+        for a in range(p)
+        for b in range(a + 1, p)
+        if (a + b) % 2 == 1 and (b - a) % p not in (1, p - 1)
+    ]
+    return [Quadrangulation(p, ds) for ds in _noncrossing_subsets(p, cands, n, lambda ds: True)]
+
+
+def _arc_side(edge, arc):
+    """True when boundary arc (arc, arc+1) lies inside the chord's span."""
+    a, b = edge
+    return a <= arc < b
+
+
+def _edge_side(e, ref):
+    """Side of chord `e` (as seen from chord `ref`): True = inside span of ref.
+
+    For a shared endpoint the other endpoint decides; the chords never cross.
+    """
+    a, b = ref
+    pts = [x for x in e if x != a and x != b]
+    if not pts:
+        raise SerrelabError("duplicate chord")
+    return all(a < x < b for x in pts)
+
+
+def tree_region_arcs(t):
+    """Partition of the boundary arcs (i, i+1) into the tree's regions; arc i
+    means the arc from vertex i to i+1 mod p."""
+    edges = sorted(t.edges)
+    sig = {}
+    for arc in range(t.p):
+        sig.setdefault(tuple(_arc_side(e, arc) for e in edges), []).append(arc)
+    return list(sig.values())
+
+
+def shielding_dual(t):
+    """Region-adjacency dual: on each side of an edge, the first boundary arc
+    that no other edge shields from it."""
+    p = t.p
+    edges = sorted(t.edges)
+    if len(tree_region_arcs(t)) != p:
+        raise SerrelabError("tree regions do not match boundary arcs one to one")
+    dual_edges = []
+    for e in edges:
+        adj = []
+        for side in (True, False):
+            hit = None
+            for arc in range(p):
+                if _arc_side(e, arc) != side:
+                    continue
+                shielded = False
+                for f in edges:
+                    if f == e:
+                        continue
+                    if _arc_side(f, arc) != _edge_side(e, f):
+                        shielded = True
+                        break
+                if not shielded:
+                    hit = arc
+                    break
+            if hit is None:
+                raise SerrelabError("no region adjacent to a tree edge")
+            adj.append((hit + 1) % p)
+        dual_edges.append(tuple(adj))
+    return make_tree(p - 2, dual_edges)
+
+
+def test_enumerators_match_brute_force():
+    # same objects in the same (lexicographic) order
+    for n in range(1, 6):
+        assert enumerate_trees(n) == brute_trees(n)
+        assert enumerate_quads(n) == brute_quads(n)
+
+
+def test_planar_dual_matches_shielding_oracle():
+    for n in range(1, 6):
+        for t in enumerate_trees(n):
+            assert planar_dual(t) == shielding_dual(t)
+
+
+def test_planar_dual_rejects_a_forest():
+    forest = NoncrossingTree(4, frozenset({(0, 1), (1, 2)}))  # vertex 3 isolated
+    assert len(tree_region_arcs(forest)) != forest.p
+    for dual in (planar_dual, shielding_dual):
+        with pytest.raises(SerrelabError):
+            dual(forest)
+
+
+def test_stack_noncrossing_matches_pairwise():
+    checked = 0
+    for p in range(2, 8):
+        chords = [(a, b) for a in range(p) for b in range(a + 1, p)]
+        for size in range(6):
+            for es in itertools.combinations(chords, size):
+                want = pairwise_noncrossing(es)
+                assert chords_noncrossing(es) == want, es
+                flipped = [(b, a) for a, b in es]
+                assert chords_noncrossing(flipped) == want, es
+                checked += 2
+    assert checked == 67102
+
+
 def test_counts_match_fuss_catalan():
-    for n in (1, 2, 3):
+    for n in range(1, 6):
         trees = enumerate_trees(n)
         quads = enumerate_quads(n)
         assert len(trees) == len(quads) == fuss_catalan_geom(n)

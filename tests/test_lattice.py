@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +177,32 @@ def test_product_unit_and_diamond():
     one = chain(1)
     lat = product(one, chain(3))
     assert poset_isomorphism(lat, chain(3)) is not None
+
+
+def test_poset_isomorphism_deep_chain():
+    # one backtracking level per element: a deep chain must not exhaust the stack
+    iso = poset_isomorphism(chain(1200), chain(1200))
+    assert iso is not None and all(a == b for a, b in iso.items())
+
+
+def test_poset_isomorphism_backtracks():
+    # against a shuffled copy of boolean(4), some early choices among equally
+    # coloured elements reach dead ends and have to be undone
+    b4 = boolean_lattice(4)
+    data = lattice_to_json_dict(b4)
+    covers = {(b4.labels[a], b4.labels[b]) for a, b in b4.covers}
+    for seed in range(5):
+        rng = random.Random(seed)
+        elements = list(data["elements"])
+        rng.shuffle(elements)
+        shuffled_covers = [tuple(c) for c in data["covers"]]
+        rng.shuffle(shuffled_covers)
+        other = build_lattice(elements, shuffled_covers)
+        iso = poset_isomorphism(b4, other)
+        assert iso is not None, seed
+        assert {(iso[a], iso[b]) for a, b in covers} == {
+            (other.labels[a], other.labels[b]) for a, b in other.covers
+        }
 
 
 def test_product_c2_c3_is_divisor():
