@@ -1,8 +1,9 @@
 """Minimal projective resolutions, antichain (co)resolutions, the Nakayama
 functor on complexes of projectives, cohomology, and the derived Serre
 functor with orbit bookkeeping.  The Serre functor of an interval module with
-a boolean complement antichain has a closed form; the generic path through
-the minimal resolution is kept as its oracle.
+a boolean complement antichain has a closed form, and every other small
+enough interval module goes through its Koszul resolution; the generic path
+through the minimal resolution is kept as their oracle.
 
 Degree convention: projective resolutions live in degrees <= 0 with the
 resolved module in degree 0; a Serre image concentrated in degree -k is
@@ -422,8 +423,10 @@ def serre(M: LatticeRep):
     of up(lo) outside I.  Its Koszul resolution is exact, and when C is
     boolean its Nakayama image is the injective Koszul coresolution of the
     dual antichain module of boolean_partner(C), shifted by |C|; that closed
-    form is returned without any linear algebra.  Every other input goes to
-    serre_by_resolution, the oracle.
+    form is returned without any linear algebra.  When C is not boolean but
+    2^|C| <= |L|, so that the Koszul resolution has no more summands than the
+    lattice has elements, the image is the cohomology of its Nakayama image.
+    Every other input goes to serre_by_resolution, the oracle.
     """
     I = find_interval_iso(M)
     if I is not None:
@@ -432,6 +435,8 @@ def serre(M: LatticeRep):
         if len(C.members) <= ANTICHAIN_GUARDRAIL and is_boolean_antichain(lat, C):
             h = dual_antichain_module(lat, boolean_partner(lat, C), M.field)
             return StalkResult(interval=find_interval_iso(h), shift=len(C.members), rep=h)
+        if 2 ** len(C.members) <= lat.n:
+            return _serre_image(antichain_resolution(lat, C, M.field, validate=False))
     return serre_by_resolution(M)
 
 
@@ -440,7 +445,12 @@ def serre_by_resolution(M: LatticeRep):
     concentrated in one degree, else the full cohomology."""
     if M.is_zero():
         raise ValueError("serre of the zero module")
-    res = projective_resolution(M)
+    return _serre_image(projective_resolution(M))
+
+
+def _serre_image(res: ScalarComplex):
+    """Cohomology of the Nakayama image of a projective resolution: a
+    StalkResult when concentrated in one degree, else the full cohomology."""
     H = cohomology(nakayama(res))
     nonzero = {d: h for d, h in H.items() if not h.is_zero()}
     if len(nonzero) == 1:

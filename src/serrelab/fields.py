@@ -1,8 +1,11 @@
 """Exact coefficient fields: rationals (default) and prime fields F_p.
 
-Scalars are self-operating objects (Fraction, or FpElement below); the
-linear algebra layer only needs +, -, *, /, == and truthiness for
-"nonzero".  No floating point anywhere.
+Scalars are self-operating objects: a QQ scalar is a Python int, or a
+Fraction once a quotient is not integral; an F_p scalar is an FpElement
+(below).  The linear algebra layer only needs +, -, *, == and truthiness for
+"nonzero", and takes inverses through field.inv; `/` between scalars is
+written only in this module, since int / int would give a float.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -10,15 +13,25 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _normalized(q: Fraction):
+    return q.numerator if q.denominator == 1 else q
+
+
 class RationalField:
-    """The field of exact rationals, elements are fractions.Fraction."""
+    """The field of exact rationals; elements are ints, or Fractions when not
+    integral.  Ints and Fractions compare, hash and print alike."""
 
     name = "rational"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def of(self, x) -> Fraction:
-        return Fraction(x)
+    def of(self, x):
+        return x if type(x) is int else _normalized(Fraction(x))
+
+    def inv(self, x):
+        if x == 1 or x == -1:
+            return int(x)
+        return _normalized(Fraction(1, x))
 
     def __repr__(self):
         return "QQ"
@@ -140,6 +153,9 @@ class PrimeField:
         self.name = f"fp:{p}"
         self.zero = FpElement(0, p)
         self.one = FpElement(1, p)
+
+    def inv(self, x: FpElement) -> FpElement:
+        return self.one / x
 
     def of(self, x) -> FpElement:
         if isinstance(x, FpElement):

@@ -271,14 +271,18 @@ def run_geom_suite(n: int) -> dict:
     n <= 3 the full object listings."""
     _check_n(n)
     trees = enumerate_trees(n)
+    n_trees = len(trees)
+    # past the count only the n <= 3 listing is needed: free the trees first
+    tree_listing = [t.sorted_edges() for t in trees] if n <= 3 else None
+    del trees
     quads = enumerate_quads(n)
     expected = fuss_catalan_geom(n)
     tree_of = {q: stokes(q) for q in quads}
     # a rotation missing from the enumeration fails the check instead of raising
     equivariant = all(tree_of.get(rotate_quad(q)) == planar_dual(t) for q, t in tree_of.items())
     checks = {
-        "counts": {"trees": len(trees), "quads": len(quads), "expected": expected,
-                   "ok": len(trees) == len(quads) == expected},
+        "counts": {"trees": n_trees, "quads": len(quads), "expected": expected,
+                   "ok": n_trees == len(quads) == expected},
         "stokes_bijection": {"ok": len(set(tree_of.values())) == len(quads)},
         "equivariance": {"ok": equivariant},
     }
@@ -292,6 +296,6 @@ def run_geom_suite(n: int) -> dict:
         }
     out = {"checks": checks, "ok": all(c["ok"] for c in checks.values())}
     if n <= 3:  # full object listings stay readable at this size
-        out["trees"] = [t.sorted_edges() for t in trees]
+        out["trees"] = tree_listing
         out["quadrangulations"] = [q.sorted_diagonals() for q in quads]
     return out

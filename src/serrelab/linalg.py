@@ -81,7 +81,7 @@ def rref(A, ncols, field=QQ):
         if pr is None:
             continue
         R[r], R[pr] = R[pr], R[r]
-        inv = field.one / R[r][c]
+        inv = field.inv(R[r][c])
         R[r] = [x * inv for x in R[r]]
         for i in range(m):
             if i != r and R[i][c]:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from serrelab import linalg
@@ -63,6 +63,55 @@ def test_prime_field_matches_rationals_on_rank(rows):
     qrows = [[F(x) for x in row] for row in rows]
     prow = [[fp.of(x) for x in row] for row in rows]
     assert linalg.rank(qrows, 2, QQ) == linalg.rank(prow, 2, fp)
+
+
+class _FractionField:
+    """QQ with every scalar a Fraction, as the rationals were before ints."""
+
+    zero, one = Fraction(0), Fraction(1)
+
+    def inv(self, x):
+        return Fraction(1) / x
+
+
+def _exact(values):
+    return all(type(x) in (int, Fraction) for x in values)
+
+
+int_rows = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=1, max_size=4)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_rows)
+@example([[2, 1]])
+@example([[3, 1], [1, 2]])
+def test_int_scalars_stay_exact_and_match_fractions(rows):
+    n = len(rows[0])
+    fracs = [[F(x) for x in row] for row in rows]
+    ff = _FractionField()
+    R, pivots = linalg.rref(rows, n, QQ)
+    assert _exact(x for row in R for x in row)
+    assert (R, pivots) == linalg.rref(fracs, n, ff)
+    ker = linalg.kernel_basis(rows, n, QQ)
+    assert _exact(x for v in ker for x in v)
+    assert ker == linalg.kernel_basis(fracs, n, ff)
+    b = list(range(1, len(rows) + 1))
+    x = linalg.solve(rows, b, n, QQ)
+    assert x == linalg.solve(fracs, [F(y) for y in b], n, ff)
+    if x is not None:
+        assert _exact(x) and linalg.mat_vec(rows, x) == b
+
+
+def test_rational_field_keeps_integral_scalars_as_ints():
+    assert (QQ.zero, QQ.one) == (0, 1) and type(QQ.one) is int
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert type(QQ.of(Fraction(6, 3))) is int and QQ.of(half) == half
+    assert [QQ.inv(x) for x in (1, -1, Fraction(-1), 2, third, -2 * third)] == [1, -1, -1, half, 3, -3 * half]
+    assert all(type(QQ.inv(x)) is int for x in (1, -1, Fraction(-1), third))
+    fp = PrimeField(7)
+    assert fp.inv(fp.of(3)) * fp.of(3) == fp.one
 
 
 def test_prime_field_arithmetic():
