@@ -30,14 +30,14 @@ class CoxeterMatrix:
     cartan: CartanMatrix
 
 
-def _proj_vector(lat: Lattice, i: int):
-    up = lat.up_mask[i]
-    return [up >> v & 1 for v in range(lat.n)]
-
-
 def _inj_vector(lat: Lattice, i: int):
     down = lat.down_mask[i]
     return [down >> v & 1 for v in range(lat.n)]
+
+
+def _ones(lat: Lattice, mask):
+    """The 0/1 vector of mask as a {index: value} dict of its nonzeros."""
+    return dict.fromkeys(lat.mask_members(mask), 1)
 
 
 def _moebius(lat: Lattice):
@@ -72,12 +72,19 @@ def cartan_matrix(lat: Lattice) -> CartanMatrix:
                         inverse=[list(col) for col in zip(*_moebius(lat))])
 
 
-def _sparse_rows(C):
-    return [[(j, x) for j, x in enumerate(row) if x] for row in C]
+def _columns(C):
+    """The nonzero entries of each column of C, as (row, value) pairs."""
+    return [[(i, x) for i, x in enumerate(col) if x] for col in zip(*C)]
 
 
-def _apply(rows, v):
-    return [sum(x * v[j] for j, x in row) for row in rows]
+def _apply_columns(cols, v):
+    """C v for v a {index: value} dict of nonzeros: a sum of the columns of C
+    over the support of v only, returned in the same sparse form."""
+    out = {}
+    for j, x in v.items():
+        for i, c in cols[j]:
+            out[i] = out.get(i, 0) + c * x
+    return {i: y for i, y in out.items() if y}
 
 
 def coxeter_matrix(lat: Lattice) -> CoxeterMatrix:
@@ -93,9 +100,9 @@ def coxeter_matrix(lat: Lattice) -> CoxeterMatrix:
             if m:
                 for i in down[k]:
                     C[i][j] -= m
-    rows = _sparse_rows(C)
+    cols = _columns(C)
     for i in range(n):
-        if _apply(rows, _proj_vector(lat, i)) != [-x for x in _inj_vector(lat, i)]:
+        if _apply_columns(cols, _ones(lat, lat.up_mask[i])) != dict.fromkeys(down[i], -1):
             raise SerrelabError("Coxeter matrix failed its defining identity")
     return CoxeterMatrix(matrix=C, cartan=cart)
 
@@ -165,29 +172,40 @@ def _run_trajectories(lat: Lattice, C, max_steps):
     """Iterate C on each [I_i] until it hits +-[P_j] (the signed reading);
     after a -[P_j] hit go on, within the same step budget, to the first
     +[P_j] (the strict reading).  Once the strict reading has failed on one
-    element it is not continued on the later ones."""
-    rows = _sparse_rows(C)
+    element it is not continued on the later ones.
+
+    v is kept as a {index: value} dict of its nonzeros and C is applied column
+    by column over the support of v; the recorded vectors are dense tuples."""
+    n = lat.n
+    cols = _columns(C)
     ptable = {}
-    for j in range(lat.n):
-        pv = tuple(_proj_vector(lat, j))
-        ptable[pv] = (j, 1)
-        ptable[tuple(-x for x in pv)] = (j, -1)
+    for j in range(n):
+        pv = _ones(lat, lat.up_mask[j])
+        ptable[frozenset(pv.items())] = (j, 1)
+        ptable[frozenset((u, -1) for u in pv)] = (j, -1)
+
+    def dense(v):
+        d = [0] * n
+        for u, x in v.items():
+            d[u] = x
+        return tuple(d)
+
     out = {}
     strict_alive = True
     for i, label in enumerate(lat.labels):
-        v = _inj_vector(lat, i)
-        vectors = [tuple(v)]
+        v = _ones(lat, lat.down_mask[i])
+        vectors = [dense(v)]
         traj = None
         for k in range(max_steps + 1):
-            if not any(v):  # after a -[P_j] hit this only fails the strict reading
+            if not v:  # after a -[P_j] hit this only fails the strict reading
                 if traj is None:
                     raise SerrelabError("trajectory vector vanished")
                 break
-            if not _weakly_signed(v):
+            if not _weakly_signed(v.values()):
                 if traj is None:
                     traj = Trajectory(label, vectors, None, None, None, "mixed-sign")
                 break
-            hit = ptable.get(tuple(v))
+            hit = ptable.get(frozenset(v.items()))
             if hit is not None:
                 j, sign = hit
                 if traj is None:
@@ -197,9 +215,9 @@ def _run_trajectories(lat: Lattice, C, max_steps):
                     break
                 if not strict_alive:
                     break
-            v = _apply(rows, v)
+            v = _apply_columns(cols, v)
             if traj is None:
-                vectors.append(tuple(v))
+                vectors.append(dense(v))
         if traj is None:
             raise MaxStepsExceeded(label, max_steps)
         strict_alive = strict_alive and traj.strict_target is not None

@@ -175,25 +175,36 @@ def fuss_catalan_geom(n: int) -> int:
 
 def polygon_regions(p, chords):
     """Regions of the p-gon cut by noncrossing chords, each region given as
-    the clockwise tuple of its corner vertices.  Boundary edges among the
-    chords cut off degenerate 2-gon lunes, which are reported as such."""
-    chords = sorted(_norm_edges(chords))
+    the clockwise tuple of its corner vertices, lowest first.  Boundary edges
+    among the chords cut off degenerate 2-gon lunes, which are reported as
+    such.
 
-    def split(cycle, inside):
-        if not inside:
-            return [tuple(cycle)]
-        (a, b), rest = inside[0], inside[1:]
-        ia, ib = cycle.index(a), cycle.index(b)
-        if ia > ib:
-            ia, ib = ib, ia
-        one = cycle[ia : ib + 1]
-        two = cycle[ib:] + cycle[: ia + 1]
-        sone = set(one)
-        in_one = [e for e in rest if e[0] in sone and e[1] in sone]
-        in_two = [e for e in rest if e not in in_one]
-        return split(one, in_one) + split(two, in_two)
+    One pass over the chords by increasing span.  skip[v] is the next corner
+    after v on the walk around the part not yet cut off: v + 1, or the far end
+    of the widest chord already cut at v.  Chord (a, b) walks a -> b along
+    skip, which is its region, and then sets skip[a] = b; the corners the walk
+    passed are cut off and get skip = p, so that a later walk from or through
+    them overshoots.  A walk that overshoots b means crossing chords.  The
+    outer region is the walk from 0."""
+    skip = list(range(1, p + 1))
 
-    return split(list(range(p)), chords)
+    def walk(a, b):
+        region = [a]
+        while region[-1] < b:
+            region.append(skip[region[-1]])
+        if region[-1] != b:
+            raise SerrelabError("chords cross")
+        return tuple(region)
+
+    regions = []
+    for a, b in sorted(_norm_edges(chords), key=lambda e: (e[1] - e[0], e[0])):
+        region = walk(a, b)
+        for v in region[1:-1]:
+            skip[v] = p
+        skip[a] = b
+        regions.append(region)
+    regions.append(walk(0, p - 1))
+    return regions
 
 
 def planar_dual(t: NoncrossingTree) -> NoncrossingTree:

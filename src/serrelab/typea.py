@@ -119,6 +119,8 @@ class _Engine:
         self._a_free_cache = {}
         self._wide_cache = {}
         self._intervals = None
+        self._serre = None
+        self._positions = None
         self._mutations = None
         self._triples = None
 
@@ -472,9 +474,15 @@ class _Engine:
         return [m for m in self.tors_masks if iv.lo & m == iv.lo and m & iv.hi == m]
 
     def serre_perm(self, iv):
-        lo = self.torsion_closed(iv.t_free)
-        hi = self.torsion_closed(iv.lo | iv.w_free)
-        target = self.mutable_intervals().get((lo, hi))
+        """S(I) = [gen(T_free), gen(lo | W_free)], tabulated for every mutable
+        interval on the first call; None marks an image outside the set."""
+        if self._serre is None:
+            ivs = self.mutable_intervals()
+            self._serre = {
+                key: ivs.get((self.torsion_closed(v.t_free), self.torsion_closed(v.lo | v.w_free)))
+                for key, v in ivs.items()
+            }
+        target = self._serre[iv.key]
         if target is None:
             raise SerrelabError("Serre permutation left the set of mutable intervals")
         return target
@@ -513,15 +521,25 @@ class _Engine:
         self._mutations = out
         return out
 
+    def _member_bits(self, iv):
+        """interval_members(iv) as a bitmask over positions in tors_masks:
+        the classes above iv.lo meet the classes below iv.hi."""
+        if self._positions is None:
+            tors = self.tors_masks
+            above = {m: sum(1 << p for p, t in enumerate(tors) if m & t == m) for m in tors}
+            below = {m: sum(1 << p for p, t in enumerate(tors) if t & m == t) for m in tors}
+            self._positions = above, below
+        above, below = self._positions
+        return above[iv.lo] & below[iv.hi]
+
     def _assert_mutation(self, B, I, A):
-        mi = set(self.interval_members(I))
-        ma = set(self.interval_members(A))
-        mb = set(self.interval_members(B))
+        mi, ma, mb = (self._member_bits(x) for x in (I, A, B))
         if ma & mb or ma | mb != mi:
             raise SerrelabError("interval mutation is not a disjoint union")
-        if max(mb, key=lambda m: (bin(m).count('1'), m)) != max(mi, key=lambda m: (bin(m).count('1'), m)):
+        # hi is the largest member of [lo, hi] under (size, mask)
+        if B.hi != I.hi:
             raise SerrelabError("max B != max I")
-        if A.lo != I.lo or B.hi != I.hi:
+        if A.lo != I.lo:
             raise SerrelabError("mutation bounds are off")
 
     def rotation_check(self):
@@ -532,8 +550,7 @@ class _Engine:
             wb, wi, wa = m.B.w_free, m.I.w_free, m.A.w_free
             if wb & wi != wb or wi & wa != wi:
                 raise RotationViolation("W_free chain inclusion fails")
-            rb, ri, ra = (self.rank_of(w) for w in (wb, wi, wa))
-            if rb + 1 != ra:
+            if m.B.k + 1 != m.A.k:
                 raise RotationViolation("rank gap is not 1")
             case1 = wi == wa
             case2 = wb == wi

@@ -278,8 +278,14 @@ def _differential_lattices():
     return lats + _all_b3_sublattices()
 
 
-def test_fused_trajectory_pass_matches_two_loop_oracle():
-    lattices = _differential_lattices()
+def test_fused_trajectory_pass_matches_two_loop_oracle(pentagon, kite):
+    from serrelab.lattice import product
+    from serrelab.typea import QuiverA, tors_lattice
+
+    # 27 elements; 25 elements, 5 of them with mixed-sign trajectories; and a
+    # non-linear A4 orientation (42 elements; the linear one is Tamari(5))
+    extra = [chain_product([3, 3, 3]), product(pentagon, kite), tors_lattice(QuiverA(4, "LRL"))]
+    lattices = _differential_lattices() + extra
     differs = 0
     for lat in lattices:
         n = lat.n
@@ -306,5 +312,5 @@ def test_fused_trajectory_pass_matches_two_loop_oracle():
             if strict_perm is not None:
                 assert {e: t.strict_target for e, t in rep.trajectories.items()} == strict_perm
             differs += rep.strict_sign_differs
-    assert len(lattices) == 7 + 5 + 5 + 4 + 73
+    assert len(lattices) == 7 + 5 + 5 + 4 + 3 + 73
     assert differs  # the strict reading changes some verdicts in this sweep

@@ -7,6 +7,7 @@ from serrelab.geom import (
     NoncrossingTree,
     Quadrangulation,
     _is_tree,
+    _norm_edges,
     chords_noncrossing,
     enumerate_quads,
     enumerate_trees,
@@ -144,6 +145,38 @@ def shielding_dual(t):
     return make_tree(p - 2, dual_edges)
 
 
+def split_regions(p, chords):
+    """Regions by recursive splitting: the first chord cuts the cycle in two
+    and the other chords go to the side holding both their ends."""
+    chords = sorted(_norm_edges(chords))
+
+    def split(cycle, inside):
+        if not inside:
+            return [tuple(cycle)]
+        (a, b), rest = inside[0], inside[1:]
+        ia, ib = cycle.index(a), cycle.index(b)
+        if ia > ib:
+            ia, ib = ib, ia
+        one = cycle[ia : ib + 1]
+        two = cycle[ib:] + cycle[: ia + 1]
+        sone = set(one)
+        in_one = [e for e in rest if e[0] in sone and e[1] in sone]
+        in_two = [e for e in rest if e not in in_one]
+        return split(one, in_one) + split(two, in_two)
+
+    return split(list(range(p)), chords)
+
+
+def _lowest_first(region):
+    k = region.index(min(region))
+    return region[k:] + region[:k]
+
+
+def _assert_regions_match_split(p, chords):
+    want = sorted(_lowest_first(r) for r in split_regions(p, chords))
+    assert sorted(polygon_regions(p, chords)) == want, chords
+
+
 def test_enumerators_match_brute_force():
     # same objects in the same (lexicographic) order
     for n in range(1, 6):
@@ -229,6 +262,40 @@ def test_double_dual_is_rotation():
     for n in (1, 2, 3):
         for t in enumerate_trees(n):
             assert planar_dual(planar_dual(t)) == rotate_tree(t, 1)
+
+
+def test_regions_match_recursive_split():
+    checked = 0
+    for n in range(1, 6):
+        for q in enumerate_quads(n):
+            _assert_regions_match_split(q.p, q.diagonals)
+            checked += 1
+        for t in enumerate_trees(n):  # boundary edges cut off 2-gon lunes
+            _assert_regions_match_split(t.p, t.edges)
+            checked += 1
+    assert checked == 2 * (3 + 12 + 55 + 273 + 1428)
+
+
+def test_regions_reject_crossing_chords():
+    with pytest.raises(SerrelabError):
+        polygon_regions(6, [(0, 2), (1, 3)])  # 1 cut off before the walk from it
+    with pytest.raises(SerrelabError):
+        polygon_regions(6, [(0, 3), (2, 5)])  # the walk from 0 overshoots 3
+    # every set of up to 4 chords on 2- to 7-gons, in reversed endpoint order
+    counts = [0, 0]
+    for p in range(2, 8):
+        chords = [(a, b) for a in range(p) for b in range(a + 1, p)]
+        for size in range(5):
+            for es in itertools.combinations(chords, size):
+                flipped = [(b, a) for a, b in es]
+                crosses = not chords_noncrossing(es)
+                counts[crosses] += 1
+                if crosses:
+                    with pytest.raises(SerrelabError):
+                        polygon_regions(p, flipped)
+                else:
+                    _assert_regions_match_split(p, flipped)
+    assert counts == [4625, 5316]
 
 
 def test_regions_partition_polygon():

@@ -1,6 +1,6 @@
 import pytest
 
-from serrelab.errors import GuardrailExceeded
+from serrelab.errors import GuardrailExceeded, SerrelabError
 from serrelab.lattice import classify, poset_isomorphism
 from serrelab.typea import (
     ClusterTriple,
@@ -35,7 +35,7 @@ from serrelab.typea import (
     torsion_classes,
     wide_subcats,
 )
-from serrelab.typea import _engine
+from serrelab.typea import _Engine, _engine
 
 
 def masks(eng, *pairs):
@@ -247,6 +247,74 @@ def test_serre_orbit_stats_periods():
     for o in all_orientations(3):
         stats = serre_orbit_stats(QuiverA(3, o))
         assert stats["period_bound"] == 10
+
+
+def _serre_formula(eng, iv):
+    """S(I) straight from its definition, two torsion closures per call."""
+    ivs = eng.mutable_intervals()
+    return ivs[(eng.torsion_closed(iv.t_free), eng.torsion_closed(iv.lo | iv.w_free))]
+
+
+def _orbit_stats_oracle(eng, q):
+    """serre_orbit_stats by iterating the formula 2h+2 times per interval."""
+    ivs = eng.mutable_intervals()
+    period = 2 * (q.n + 1) + 2
+    lengths = []
+    for key, iv in ivs.items():
+        cur, ranksum, length = iv, 0, None
+        for step in range(1, period + 1):
+            cur = _serre_formula(eng, cur)
+            ranksum += cur.k
+            if length is None and cur.key == key:
+                length = step
+        assert cur.key == key and ranksum == q.n * (q.n + 1)
+        lengths.append(length)
+    # an orbit of length L is met once from each of its L intervals
+    cycle_lengths = sorted(L for L in set(lengths) for _ in range(lengths.count(L) // L))
+    return {"period_bound": period, "cycle_lengths": cycle_lengths, "orbit_count": len(cycle_lengths)}
+
+
+def _orientations_up_to_a4():
+    return [QuiverA(n, o) for n in range(1, 5) for o in all_orientations(n)]
+
+
+def test_serre_table_matches_formula():
+    checked = 0
+    for q in _orientations_up_to_a4():
+        eng = _engine(q)
+        for iv in mutable_intervals(q):
+            assert serre_perm(q, iv) is _serre_formula(eng, iv)
+            checked += 1
+    assert checked == 1 * 3 + 2 * 12 + 4 * 55 + 8 * 273
+
+
+def test_serre_orbit_stats_match_iterated_formula():
+    for q in _orientations_up_to_a4():
+        assert serre_orbit_stats(q) == _orbit_stats_oracle(_engine(q), q), q
+
+
+def test_serre_table_is_built_once_per_engine(monkeypatch):
+    q = QuiverA(3, "LR")
+    eng = _Engine(q)  # a fresh engine, outside the lru cache
+    ivs = list(eng.mutable_intervals().values())
+    want = [_serre_formula(eng, iv) for iv in ivs]
+    calls = []
+    closure = eng.torsion_closed
+    monkeypatch.setattr(eng, "torsion_closed", lambda mask: calls.append(mask) or closure(mask))
+    for _ in range(3):
+        assert all(eng.serre_perm(iv) is s for iv, s in zip(ivs, want))
+    assert len(calls) == 2 * len(ivs)
+
+
+def test_assert_mutation_rejects_bad_triples():
+    q = QuiverA(3, "LR")
+    eng = _engine(q)
+    for m in interval_mutations(q):
+        eng._assert_mutation(m.B, m.I, m.A)
+        with pytest.raises(SerrelabError, match="max B != max I"):
+            eng._assert_mutation(m.A, m.I, m.B)  # A and B swapped
+        with pytest.raises(SerrelabError, match="not a disjoint union"):
+            eng._assert_mutation(m.B, m.I, m.I)  # the parts overlap
 
 
 def test_interval_mutation_counts_and_structure():
