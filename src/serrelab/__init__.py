@@ -36,6 +36,7 @@ from .lattice import (
     order_dual,
     poset_isomorphism,
     product,
+    support_antichain,
 )
 from .reps import (
     LatticeRep,
@@ -54,6 +55,7 @@ from .reps import (
     kernel,
     projective_module,
     simple_module,
+    support_module,
 )
 from .derived import (
     GeneralComplexResult,
@@ -67,7 +69,10 @@ from .derived import (
     projective_resolution,
     serre,
     serre_by_resolution,
+    serre_on_support,
     serre_orbit,
+    serre_support,
+    serre_walk,
 )
 from .coxeter import (
     CartanMatrix,

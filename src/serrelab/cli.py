@@ -40,19 +40,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# kind -> (usage, number of arguments or None for one or more, builder)
+GENERATORS = {
+    "tamari": ("tamari N", 1, lambda a: ta.gen_tamari(int(a[0]))),
+    "typeI": ("typeI M", 1, lambda a: ta.gen_type_i(int(a[0]))),
+    "boolean": ("boolean K", 1, lambda a: boolean_lattice(int(a[0]))),
+    "chainprod": ("chainprod A B ...", None, lambda a: chain_product([int(x) for x in a])),
+    "product": ("product F1 F2", 2, lambda a: product(load_lattice(a[0]), load_lattice(a[1]))),
+}
+
+
 def _generator_lattice(spec) -> Lattice:
     kind, args = spec[0], spec[1:]
-    if kind == "tamari":
-        return ta.gen_tamari(int(args[0]))
-    if kind == "typeI":
-        return ta.gen_type_i(int(args[0]))
-    if kind == "boolean":
-        return boolean_lattice(int(args[0]))
-    if kind == "chainprod":
-        return chain_product([int(a) for a in args])
-    if kind == "product":
-        return product(load_lattice(args[0]), load_lattice(args[1]))
-    raise ValueError(f"unknown generator {kind!r}")
+    if kind not in GENERATORS:
+        raise ValueError(f"unknown generator {kind!r}")
+    usage, arity, build = GENERATORS[kind]
+    if (len(args) != arity) if arity else not args:
+        raise ValueError(f"generator spec is {usage!r}, got {' '.join(spec)!r}")
+    return build(args)
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _resolve_input(path, gen):
@@ -231,7 +243,7 @@ def cmd_crosscheck(args):
 def _add_lattice_source(p):
     p.add_argument("lattice", nargs="?", default=None, help="lattice JSON file")
     p.add_argument("--gen", nargs="+", default=None, metavar="SPEC",
-                   help="generator: tamari N | typeI M | boolean K | chainprod A B | product F1 F2")
+                   help="generator: " + " | ".join(usage for usage, _, _ in GENERATORS.values()))
 
 
 def build_parser():
@@ -242,7 +254,7 @@ def build_parser():
     _add_lattice_source(p)
     p.add_argument("--derived", action="store_true", help="also run derived Serre orbits per injective")
     p.add_argument("--field", default="rational", help="rational | fp:P")
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps", type=_positive_int, default=None)
     p.add_argument("--json", default=None, help="also write the report to this file")
     p.set_defaults(func=cmd_check)
 
@@ -250,7 +262,7 @@ def build_parser():
     _add_lattice_source(p)
     p.add_argument("--start", default=None, help="element label (default: all)")
     p.add_argument("--field", default="rational")
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps", type=_positive_int, default=None)
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_orbit)
 
@@ -275,7 +287,7 @@ def build_parser():
     p = sub.add_parser("crosscheck", help="Coxeter-matrix check against the derived machinery")
     _add_lattice_source(p)
     p.add_argument("--field", default="rational")
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps", type=_positive_int, default=None)
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_crosscheck)
 

@@ -10,12 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .derived import GeneralComplexResult, default_max_steps, serre
+from .derived import GeneralComplexResult, default_max_steps, serre_walk
 from .errors import Disagreement, MaxStepsExceeded, SerrelabError
 from .fields import QQ
 from .lattice import IntervalRef, Lattice
 from .perm import cycle_decomposition
-from .reps import find_interval_iso, injective_module
 
 
 @dataclass
@@ -280,21 +279,18 @@ def cross_check(lat: Lattice, max_steps=None, field=QQ) -> CrossCheck:
         if traj.failed is not None:
             per[label] = {"combinatorial_failed": traj.failed}
             continue
-        module = injective_module(lat, label, field)
-        shifts = []
+        walk = serre_walk(lat, lat.down_mask[i], field)
+        got, iso, shifts = _inj_vector(lat, i), IntervalRef(lat.bottom_label, label), []
         for k in range(traj.steps + 1):
-            expect = [abs(x) for x in traj.vectors[k]]
-            got = module.dimension_vector()
-            if got != expect:
+            if got != [abs(x) for x in traj.vectors[k]]:
                 raise Disagreement(label, k, traj.vectors[k], got)
             if k == traj.steps:
                 break
-            res = serre(module)
+            res = next(walk)
             if isinstance(res, GeneralComplexResult):
                 raise Disagreement(label, k, traj.vectors[k + 1], "non-stalk Serre image")
             shifts.append(res.shift)
-            module = res.rep
-        iso = find_interval_iso(module)
+            got, iso = res.dimension_vector(), res.interval
         target_interval = IntervalRef(traj.target, lat.top_label)
         if iso != target_interval:
             raise Disagreement(label, traj.steps, f"projective {traj.target!r}", iso)

@@ -1,9 +1,9 @@
 """Minimal projective resolutions, antichain (co)resolutions, the Nakayama
 functor on complexes of projectives, cohomology, and the derived Serre
-functor with orbit bookkeeping.  The Serre functor of an interval module with
-a boolean complement antichain has a closed form, and every other small
-enough interval module goes through its Koszul resolution; the generic path
-through the minimal resolution is kept as their oracle.
+functor with orbit bookkeeping.  The Serre functor of an antichain module
+with a boolean antichain has a closed form on support bitmasks, and every
+other small enough antichain module goes through its Koszul resolution; the
+generic path through the minimal resolution is kept as their oracle.
 
 Degree convention: projective resolutions live in degrees <= 0 with the
 resolved module in degree 0; a Serre image concentrated in degree -k is
@@ -23,33 +23,48 @@ from .lattice import (
     Antichain,
     IntervalRef,
     Lattice,
-    boolean_partner,
-    is_boolean_antichain,
-    min_complement_antichain,
+    boolean_joins,
+    support_antichain,
+    support_interval,
 )
 from .reps import (
     LatticeRep,
     RepMorphism,
     antichain_module,
     dual_antichain_module,
-    find_interval_iso,
-    injective_module,
     is_isomorphic,
     kernel,
     subquotient,
+    support_module,
+    thin_support,
 )
 
 
-@dataclass
 class StalkResult:
-    """A Serre image concentrated in one degree: rep[shift]; interval is set
-    when the rep is an interval module.  rep is one representative of the
-    isomorphism class of the image; the closed form and the oracle may return
-    different bases of the same class."""
+    """A Serre image concentrated in one degree: rep[shift].
 
-    interval: IntervalRef | None
-    shift: int
-    rep: LatticeRep
+    support is the support mask when the image is isomorphic to the module
+    with identity maps on it, as every closed-form image and every recognised
+    antichain module is; rep is then built from the mask on first access.
+    interval is set when the image is an interval module.  rep is one
+    representative of the isomorphism class of the image; the closed form and
+    the oracle may return different bases of the same class."""
+
+    def __init__(self, lattice: Lattice, shift: int, support, rep=None, field=QQ):
+        self.lattice, self.shift, self.support, self.field = lattice, shift, support, field
+        self._rep = rep
+        self.interval = None if support is None else support_interval(lattice, support)
+
+    @property
+    def rep(self) -> LatticeRep:
+        if self._rep is None:
+            self._rep = support_module(self.lattice, self.support, self.field)
+        return self._rep
+
+    def dimension_vector(self):
+        if self.support is None:
+            return self._rep.dimension_vector()
+        return [self.support >> v & 1 for v in range(self.lattice.n)]
 
 
 @dataclass
@@ -76,7 +91,7 @@ class SerreOrbit:
             "start": str(self.start),
             "steps": [
                 {
-                    "dimension_vector": s.rep.dimension_vector(),
+                    "dimension_vector": s.dimension_vector(),
                     "shift": s.shift,
                     "interval": [str(s.interval.lo), str(s.interval.hi)] if s.interval else None,
                 }
@@ -419,25 +434,69 @@ def serre(M: LatticeRep):
     """The derived Serre functor: a StalkResult when the image is concentrated
     in one degree, else the full cohomology.
 
-    An interval module M_I is the antichain module of C, the minimal elements
-    of up(lo) outside I.  Its Koszul resolution is exact, and when C is
-    boolean its Nakayama image is the injective Koszul coresolution of the
-    dual antichain module of boolean_partner(C), shifted by |C|; that closed
-    form is returned without any linear algebra.  When C is not boolean but
-    2^|C| <= |L|, so that the Koszul resolution has no more summands than the
-    lattice has elements, the image is the cohomology of its Nakayama image.
-    Every other input goes to serre_by_resolution, the oracle.
+    When M is recognised as an antichain module, serre_on_support takes over
+    on its support mask.  Every other input goes to serre_by_resolution, the
+    oracle.
     """
-    I = find_interval_iso(M)
-    if I is not None:
-        lat = M.lattice
-        C = min_complement_antichain(lat, I)
-        if len(C.members) <= ANTICHAIN_GUARDRAIL and is_boolean_antichain(lat, C):
-            h = dual_antichain_module(lat, boolean_partner(lat, C), M.field)
-            return StalkResult(interval=find_interval_iso(h), shift=len(C.members), rep=h)
-        if 2 ** len(C.members) <= lat.n:
-            return _serre_image(antichain_resolution(lat, C, M.field, validate=False))
+    mask = _antichain_support(M)
+    if mask is not None:
+        return serre_on_support(M.lattice, mask, M.field)
     return serre_by_resolution(M)
+
+
+def _antichain_support(M: LatticeRep):
+    """The support mask of M when M is an antichain module: M is thin, its
+    support has a minimum lo and is up(lo) minus the up-set of an antichain,
+    and every cover map inside the support is nonzero.  Rescaling by the
+    composites from lo then makes every such map the identity, so M is
+    isomorphic to support_module on that mask.  Else None."""
+    mask = thin_support(M)
+    if mask is None or support_antichain(M.lattice, mask) is None:
+        return None
+    return mask
+
+
+def serre_support(lat: Lattice, mask: int):
+    """The closed form of the Serre functor on support masks: (mask', k) when
+    mask is the support of the antichain module of an antichain C over lo and
+    C is boolean, else None.
+
+    The Koszul resolution of an antichain module is exact.  When C is boolean
+    its Nakayama image is the injective Koszul coresolution of the dual
+    antichain module of the coatom joins of C under their full join beta,
+    shifted by k = |C|; mask' is that module's support, down(beta) minus the
+    down-sets of the coatom joins.  No linear algebra is involved."""
+    ac = support_antichain(lat, mask)
+    if ac is None or len(ac[1]) > ANTICHAIN_GUARDRAIL:
+        return None
+    lo, members = ac
+    gamma = boolean_joins(lo, members, lat.meet_tab, lat.join_tab)
+    if gamma is None:
+        return None
+    full = len(gamma) - 1
+    image = lat.down_mask[gamma[full]]
+    for j in range(len(members)):
+        image &= ~lat.down_mask[gamma[full ^ (1 << j)]]
+    return image, len(members)
+
+
+def serre_on_support(lat: Lattice, mask: int, field=QQ):
+    """The Serre image of support_module(lat, mask, field), mask convex.
+
+    The closed form when serre_support applies.  For any other antichain
+    module with 2^|C| <= |L|, so that the Koszul resolution has no more
+    summands than the lattice has elements, the cohomology of the Nakayama
+    image of that resolution.  Everything else goes to serre_by_resolution,
+    the oracle; only those two paths build a LatticeRep."""
+    hit = serre_support(lat, mask)
+    if hit is not None:
+        return StalkResult(lat, hit[1], hit[0], field=field)
+    ac = support_antichain(lat, mask)
+    if ac is not None and 2 ** len(ac[1]) <= lat.n:
+        lo, members = ac
+        C = Antichain(frozenset(lat.labels[c] for c in members), lat.labels[lo], "over")
+        return _serre_image(antichain_resolution(lat, C, field, validate=False))
+    return serre_by_resolution(support_module(lat, mask, field))
 
 
 def serre_by_resolution(M: LatticeRep):
@@ -455,8 +514,21 @@ def _serre_image(res: ScalarComplex):
     nonzero = {d: h for d, h in H.items() if not h.is_zero()}
     if len(nonzero) == 1:
         ((d, h),) = nonzero.items()
-        return StalkResult(interval=find_interval_iso(h), shift=-d, rep=h)
+        return StalkResult(h.lattice, -d, _antichain_support(h), h, h.field)
     return GeneralComplexResult(cohomology=nonzero)
+
+
+def serre_walk(lattice: Lattice, mask: int, field=QQ):
+    """The successive Serre images of support_module(lattice, mask, field):
+    StalkResults, ending after the first GeneralComplexResult if one appears.
+    Each step runs on the support mask of the previous image when it has
+    one, so a LatticeRep is built only for a Koszul or oracle step."""
+    res = serre_on_support(lattice, mask, field)
+    while True:
+        yield res
+        if isinstance(res, GeneralComplexResult):
+            return
+        res = serre(res.rep) if res.support is None else serre_on_support(lattice, res.support, field)
 
 
 def default_max_steps(lattice: Lattice) -> int:
@@ -469,16 +541,14 @@ def serre_orbit(lattice: Lattice, a, max_steps=None, field=QQ) -> SerreOrbit:
     if max_steps is None:
         max_steps = default_max_steps(lattice)
     start_ref = IntervalRef(lattice.bottom_label, a)
-    current = injective_module(lattice, a, field)
     steps = []
     total = 0
-    for _ in range(max_steps):
-        res = serre(current)
+    walk = serre_walk(lattice, lattice.down_mask[lattice.index[a]], field)
+    for res in itertools.islice(walk, max_steps):
         if isinstance(res, GeneralComplexResult):
             return SerreOrbit(a, start_ref, steps, None, None, failure=res)
         steps.append(res)
         total += res.shift
-        current = res.rep
         if res.interval == start_ref:
             return SerreOrbit(a, start_ref, steps, len(steps), total)
     raise MaxStepsExceeded(a, max_steps)

@@ -263,6 +263,8 @@ def chain(k: int) -> Lattice:
 def chain_product(sizes) -> Lattice:
     """Product of chains C_{s} for s in sizes (a divisor lattice)."""
     sizes = list(sizes)
+    if not sizes:
+        raise ValueError("chain_product needs at least one chain size")
     if any(s < 1 for s in sizes):
         raise ValueError("chain sizes must be positive")
     lat = chain(1)
@@ -273,6 +275,8 @@ def chain_product(sizes) -> Lattice:
 
 def boolean_lattice(k: int) -> Lattice:
     """B_k as a product of k two-element chains."""
+    if k < 1:
+        raise ValueError(f"boolean lattice needs k >= 1, got k={k}")
     return chain_product([2] * k)
 
 
@@ -309,43 +313,85 @@ def order_dual(lat: Lattice) -> Lattice:
 # -- antichains ----------------------------------------------------------------
 
 
+def _extreme(masks, mask: int) -> int:
+    """An element v of the nonzero mask with masks[v] & mask == {v}: a minimal
+    element for masks = down-sets, a maximal one for up-sets."""
+    v = (mask & -mask).bit_length() - 1
+    while rest := masks[v] & mask & ~(1 << v):
+        v = (rest & -rest).bit_length() - 1
+    return v
+
+
+def support_interval(lat: Lattice, mask: int):
+    """The IntervalRef [lo, hi] when mask is that interval, else None."""
+    if not mask:
+        return None
+    lo, hi = _extreme(lat.down_mask, mask), _extreme(lat.up_mask, mask)
+    if lat.interval_mask(lo, hi) != mask:
+        return None
+    return IntervalRef(lat.labels[lo], lat.labels[hi])
+
+
+def support_antichain(lat: Lattice, mask: int):
+    """(lo, members) when mask is the support of an antichain module: mask has
+    a minimum lo and up(lo) minus mask is the up-set of the antichain whose
+    indices, in increasing order, are members.  Else None."""
+    if not mask:
+        return None
+    lo = _extreme(lat.down_mask, mask)
+    if mask & ~lat.up_mask[lo]:
+        return None
+    outside = lat.up_mask[lo] & ~mask
+    members, covered, rest = [], 0, outside
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        c = low.bit_length() - 1
+        if lat.down_mask[c] & outside == low:
+            members.append(c)
+            covered |= lat.up_mask[c]
+    return (lo, members) if covered == outside else None
+
+
 def min_complement_antichain(lat: Lattice, ref: IntervalRef) -> Antichain:
     """Minimal elements of up(lo) outside [lo, hi]; writes M_[lo,hi] as an
     antichain module over lo."""
     lo, hi = lat.index[ref.lo], lat.index[ref.hi]
     if not lat.leq_i(lo, hi):
         raise ValueError(f"not an interval: {ref.lo!r} !<= {ref.hi!r}")
-    outside = lat.up_mask[lo] & ~lat.interval_mask(lo, hi)
-    members = []
-    for c in lat.mask_members(outside):
-        if lat.down_mask[c] & outside == 1 << c:
-            members.append(lat.labels[c])
-    return Antichain(frozenset(members), ref.lo, "over")
+    _, members = support_antichain(lat, lat.interval_mask(lo, hi))
+    return Antichain(frozenset(lat.labels[c] for c in members), ref.lo, "over")
 
 
 ANTICHAIN_GUARDRAIL = 16
 
 
-def _is_boolean(lat: Lattice, ac: Antichain, meet_tab, join_tab) -> bool:
-    """gamma sends a subset S of the antichain C to its join (the base for the
-    empty subset); it preserves joins by construction.  C is boolean iff gamma
-    preserves meets, that is iff every gamma(S) is the meet of the coatom
-    joins gamma(C - {c}) over c not in S.  Injectivity follows: gamma(S) =
-    gamma(T) with c in S - T gives c = c meet gamma(T) = gamma({}) = base,
-    although every member lies strictly above the base."""
-    ac.validate(lat)
-    if len(ac.members) > ANTICHAIN_GUARDRAIL:
-        raise GuardrailExceeded(f"antichain of size {len(ac.members)}")
-    idx = sorted(lat.index[m] for m in ac.members)
-    full = (1 << len(idx)) - 1
-    gamma = [lat.index[ac.base]] * (full + 1)  # subsets as bitmasks over idx
+def boolean_joins(base: int, members, meet_tab, join_tab):
+    """gamma sends a subset S of the antichain C = members (S a bitmask over
+    their positions) to its join, the base for the empty subset; it preserves
+    joins by construction.  C is boolean iff gamma preserves meets, that is
+    iff every gamma(S) is the meet of the coatom joins gamma(C - {c}) over c
+    not in S.  Injectivity follows: gamma(S) = gamma(T) with c in S - T gives
+    c = c meet gamma(T) = gamma({}) = base, although every member lies
+    strictly above the base.  Returns gamma when C is boolean, else None; with
+    the tables swapped it is the same test in the order dual."""
+    full = (1 << len(members)) - 1
+    gamma = [base] * (full + 1)
     for s in range(1, full + 1):
-        gamma[s] = join_tab[gamma[s & (s - 1)]][idx[(s & -s).bit_length() - 1]]
+        gamma[s] = join_tab[gamma[s & (s - 1)]][members[(s & -s).bit_length() - 1]]
     meets = gamma[:]  # meets[s]: meet of gamma(C - {c}) over c not in s
     for s in range(full - 1, -1, -1):
         c = ~s & (s + 1)  # lowest member not in s
         meets[s] = meet_tab[meets[s | c]][gamma[full ^ c]]
-    return meets == gamma
+    return gamma if meets == gamma else None
+
+
+def _is_boolean(lat: Lattice, ac: Antichain, meet_tab, join_tab) -> bool:
+    ac.validate(lat)
+    if len(ac.members) > ANTICHAIN_GUARDRAIL:
+        raise GuardrailExceeded(f"antichain of size {len(ac.members)}")
+    members = sorted(lat.index[m] for m in ac.members)
+    return boolean_joins(lat.index[ac.base], members, meet_tab, join_tab) is not None
 
 
 def is_boolean_antichain(lat: Lattice, ac: Antichain) -> bool:

@@ -13,7 +13,7 @@ import itertools
 from . import linalg
 from .errors import GuardrailExceeded, LatticeMismatch, SerrelabError
 from .fields import QQ
-from .lattice import Antichain, IntervalRef, Lattice
+from .lattice import Antichain, IntervalRef, Lattice, support_interval
 
 
 class LatticeRep:
@@ -163,7 +163,9 @@ def zero_morphism(source: LatticeRep, target: LatticeRep) -> RepMorphism:
 # -- standard modules ---------------------------------------------------------
 
 
-def _indicator_rep(lattice: Lattice, supp_mask: int, field=QQ) -> LatticeRep:
+def support_module(lattice: Lattice, supp_mask: int, field=QQ) -> LatticeRep:
+    """1 on every element of supp_mask, identity maps inside it; a
+    representation whenever supp_mask is convex."""
     dims = [1 if supp_mask >> i & 1 else 0 for i in range(lattice.n)]
     maps = {}
     one = field.one
@@ -177,7 +179,7 @@ def interval_module(lattice: Lattice, ref: IntervalRef, field=QQ) -> LatticeRep:
     lo, hi = lattice.index[ref.lo], lattice.index[ref.hi]
     if not lattice.leq_i(lo, hi):
         raise ValueError(f"not an interval: {ref.lo!r} !<= {ref.hi!r}")
-    return _indicator_rep(lattice, lattice.interval_mask(lo, hi), field)
+    return support_module(lattice, lattice.interval_mask(lo, hi), field)
 
 
 def simple_module(lattice: Lattice, a, field=QQ) -> LatticeRep:
@@ -200,7 +202,7 @@ def antichain_module(lattice: Lattice, ac: Antichain, field=QQ) -> LatticeRep:
     supp = lattice.up_mask[lattice.index[ac.base]]
     for c in ac.members:
         supp &= ~lattice.up_mask[lattice.index[c]]
-    return _indicator_rep(lattice, supp, field)
+    return support_module(lattice, supp, field)
 
 
 def dual_antichain_module(lattice: Lattice, ac: Antichain, field=QQ) -> LatticeRep:
@@ -211,7 +213,7 @@ def dual_antichain_module(lattice: Lattice, ac: Antichain, field=QQ) -> LatticeR
     supp = lattice.down_mask[lattice.index[ac.base]]
     for d in ac.members:
         supp &= ~lattice.down_mask[lattice.index[d]]
-    return _indicator_rep(lattice, supp, field)
+    return support_module(lattice, supp, field)
 
 
 # -- hom spaces ---------------------------------------------------------------
@@ -435,6 +437,18 @@ def is_isomorphic(M: LatticeRep, N: LatticeRep) -> bool:
     return False
 
 
+def thin_support(M: LatticeRep):
+    """The support mask of M when M is thin (every dimension 0 or 1) and every
+    cover map inside its support is nonzero, else None."""
+    if any(d > 1 for d in M.dims):
+        return None
+    mask = sum(1 << v for v, d in enumerate(M.dims) if d)
+    for (a, b), m in M.maps.items():
+        if mask >> a & 1 and mask >> b & 1 and not m[0][0]:
+            return None
+    return mask
+
+
 def find_interval_iso(M: LatticeRep):
     """The interval I with M isomorphic to M_I, or None.
 
@@ -442,23 +456,5 @@ def find_interval_iso(M: LatticeRep):
     canonical composites from the minimum realizes the isomorphism iff
     every internal cover map is nonzero.
     """
-    lat = M.lattice
-    if any(d > 1 for d in M.dims):
-        return None
-    supp = M.support()
-    if not supp:
-        return None
-    mask = 0
-    for v in supp:
-        mask |= 1 << v
-    minimals = [v for v in supp if lat.down_mask[v] & mask == 1 << v]
-    maximals = [v for v in supp if lat.up_mask[v] & mask == 1 << v]
-    if len(minimals) != 1 or len(maximals) != 1:
-        return None
-    lo, hi = minimals[0], maximals[0]
-    if lat.interval_mask(lo, hi) != mask:
-        return None
-    for (a, b) in lat.covers:
-        if mask >> a & 1 and mask >> b & 1 and not M.maps[(a, b)][0][0]:
-            return None
-    return IntervalRef(lat.labels[lo], lat.labels[hi])
+    mask = thin_support(M)
+    return None if mask is None else support_interval(M.lattice, mask)

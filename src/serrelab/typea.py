@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
-from .derived import StalkResult, serre
+from .derived import StalkResult, serre_on_support
 from .errors import GuardrailExceeded, PeriodViolation, RotationViolation, SerrelabError
 from .fields import QQ
 from .lattice import IntervalRef, Lattice, build_lattice, lattice_to_json_dict, poset_isomorphism
 from .perm import cycle_decomposition
-from .reps import interval_module
 
 QUIVER_GUARDRAIL = 5
 
@@ -916,8 +915,8 @@ def run_typea_suite(q: QuiverA, categorical=True) -> dict:
     if categorical:
         bad = []
         for iv in ivs:
-            M = interval_module(lat, IntervalRef(eng.mask_label(iv.lo), eng.mask_label(iv.hi)))
-            res = serre(M)
+            lo, hi = lat.index[eng.mask_label(iv.lo)], lat.index[eng.mask_label(iv.hi)]
+            res = serre_on_support(lat, lat.interval_mask(lo, hi))
             s = eng.serre_perm(iv)
             want = IntervalRef(eng.mask_label(s.lo), eng.mask_label(s.hi))
             good = (

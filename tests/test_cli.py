@@ -42,6 +42,25 @@ def test_check_exit_codes(tmp_path):
     assert run_cli("check", str(tmp_path / "missing.json")).returncode == 1
     assert run_cli("check", "--gen", "nonsense", "3").returncode == 1
     assert run_cli("check").returncode == 1  # neither file nor generator
+    # generator specs with missing, extra or out-of-range arguments, and a
+    # step budget below 1, are malformed input: one error line, no traceback
+    bad_specs = [
+        ("check", "--gen", "tamari"),
+        ("check", "--gen", "typeI"),
+        ("check", "--gen", "boolean"),
+        ("check", "--gen", "product", fixture_path("kite.json")),
+        ("check", "--gen", "tamari", "2", "x"),
+        ("gen", "--gen", "boolean", "-3"),
+        ("gen", "--gen", "chainprod"),
+        ("check", "--gen", "tamari", "3", "--max-steps", "0"),
+        ("orbit", "--gen", "tamari", "3", "--max-steps", "-1"),
+        ("crosscheck", "--gen", "tamari", "3", "--max-steps", "0"),
+    ]
+    for argv in bad_specs:
+        proc = run_cli(*argv)
+        assert proc.returncode == 1, argv
+        assert proc.stderr.startswith("error: "), argv
+        assert "Traceback" not in proc.stderr, argv
     malformed = {
         "bowtie": [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]],  # not a lattice
         "cycle": [["a", "b"], ["b", "c"], ["c", "a"]],
@@ -90,6 +109,15 @@ def test_check_derived_typei():
     report = json.loads(proc.stdout)
     derived = report["checks"][1]
     assert derived["fcy_pair"] == [4, 5]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_tamari_fcy_pair_matches_rognerud(n):
+    # Tamari(n) is (n(n-1), 2(n+1))-fractionally Calabi-Yau (Rognerud,
+    # Adv. Math. 2021)
+    proc = run_cli("check", "--gen", "tamari", str(n), "--derived")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["checks"][1]["fcy_pair"] == [n * (n - 1), 2 * (n + 1)]
 
 
 def test_orbit_command():

@@ -27,6 +27,8 @@ from serrelab.lattice import (
     product,
 )
 
+from conftest import boolean_sublattice
+
 
 def test_two_chain():
     lat = build_lattice(["0", "1"], [("0", "1")])
@@ -263,23 +265,7 @@ def test_boolean_antichain_counts_match_dual(pentagon, appendix9):
 @settings(max_examples=40, deadline=None)
 @given(st.sets(st.integers(0, 15), min_size=1, max_size=8))
 def test_random_sublattice_of_boolean(seed):
-    members = set(seed)
-    while True:
-        new = set(members)
-        for a, b in itertools.product(members, repeat=2):
-            new.add(a & b)
-            new.add(a | b)
-        if new == members:
-            break
-        members = new
-    elems = sorted(members)
-    covers = []
-    for a in elems:
-        for b in elems:
-            if a != b and a & b == a:
-                if not any(c != a and c != b and a & c == a and c & b == c for c in elems):
-                    covers.append((str(a), str(b)))
-    lat = build_lattice([str(x) for x in elems], covers)
+    lat, elems = boolean_sublattice(seed)
     assert classify(lat).is_distributive
     for a, b in itertools.product(elems, repeat=2):
         assert lat.meet(str(a), str(b)) == str(a & b)

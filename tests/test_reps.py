@@ -28,6 +28,8 @@ from serrelab.reps import (
     zero_rep,
 )
 
+from conftest import boolean_sublattice
+
 
 def all_intervals(lat):
     for lo, hi in itertools.product(lat.labels, repeat=2):
@@ -235,27 +237,7 @@ def test_rep_json_dump(pentagon):
 @settings(max_examples=25, deadline=None)
 @given(st.sets(st.integers(0, 15), min_size=1, max_size=6))
 def test_hom_rule_on_random_sublattices(seed):
-    members = set(seed)
-    while True:
-        new = set(members)
-        for a in members:
-            for b in members:
-                new.add(a & b)
-                new.add(a | b)
-        if new == members:
-            break
-        members = new
-    elems = sorted(members)
-    covers = []
-    for a in elems:
-        for b in elems:
-            if a != b and a & b == a and not any(
-                c != a and c != b and a & c == a and c & b == c for c in elems
-            ):
-                covers.append((str(a), str(b)))
-    from serrelab.lattice import build_lattice
-
-    lat = build_lattice([str(x) for x in elems], covers)
+    lat, _ = boolean_sublattice(seed)
     for I in all_intervals(lat):
         M = interval_module(lat, I)
         for J in all_intervals(lat):

@@ -1,24 +1,41 @@
-"""The closed-form and Koszul Serre paths on interval modules against their
-oracle, serre_by_resolution, and the dispatch rule between the three paths."""
+"""The closed form on support masks and the Koszul path against their
+oracle, serre_by_resolution, on every antichain module; the dispatch rule
+between the three paths; and the mask walks against the Coxeter check and
+the oracle walks."""
 
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serrelab import derived
-from serrelab.derived import GeneralComplexResult, StalkResult, serre, serre_by_resolution
+from serrelab.coxeter import combinatorial_serre_check, cross_check
+from serrelab.derived import GeneralComplexResult, StalkResult, serre, serre_by_resolution, serre_orbit
 from serrelab.fields import QQ, PrimeField
-from serrelab.lattice import IntervalRef, build_lattice, chain_product, load_lattice, product
+from serrelab.lattice import (
+    Antichain,
+    IntervalRef,
+    boolean_partner,
+    build_lattice,
+    chain_product,
+    is_boolean_antichain,
+    load_lattice,
+    min_complement_antichain,
+    product,
+)
 from serrelab.reps import (
     LatticeRep,
+    antichain_module,
     direct_sum,
+    dual_antichain_module,
     interval_module,
     is_isomorphic,
     simple_module,
 )
-from serrelab.typea import QuiverA, all_orientations, gen_tamari, tors_lattice
+from serrelab.typea import QuiverA, all_orientations, gen_tamari, run_typea_suite, tors_lattice
 
-from conftest import FIXTURES, fixture_path
+from conftest import FIXTURES, boolean_sublattice, fixture_path, routed_to_oracle
 
 FIXTURE_FILES = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".json"))
 
@@ -48,17 +65,35 @@ def koszul(monkeypatch):
     return _counted(monkeypatch, "antichain_resolution")
 
 
-def _intervals(lat):
+def _every_antichain(lat):
+    """Every antichain over every base of lat."""
+    up, down = lat.up_mask, lat.down_mask
+
+    def extend(base, chosen, candidates):
+        yield Antichain(frozenset(lat.labels[c] for c in chosen), lat.labels[base], "over")
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            c = low.bit_length() - 1
+            yield from extend(base, chosen + [c], candidates & ~(up[c] | down[c]))
+
+    for base in range(lat.n):
+        yield from extend(base, [], up[base] & ~(1 << base))
+
+
+def _interval_antichains(lat):
+    """The antichain of every interval module of lat."""
     for lo in range(lat.n):
         for hi in lat.mask_members(lat.up_mask[lo]):
-            yield IntervalRef(lat.labels[lo], lat.labels[hi])
+            yield min_complement_antichain(lat, IntervalRef(lat.labels[lo], lat.labels[hi]))
 
 
 def _assert_same_image(fast, slow, where):
+    """Same degree, dimension vector and isomorphism class."""
     assert isinstance(fast, StalkResult) == isinstance(slow, StalkResult), where
     if isinstance(slow, StalkResult):
         assert (fast.shift, fast.interval) == (slow.shift, slow.interval), where
-        assert fast.rep.dims == slow.rep.dims, where
+        assert fast.dimension_vector() == slow.rep.dimension_vector(), where
         assert is_isomorphic(fast.rep, slow.rep), where
     else:
         assert isinstance(fast, GeneralComplexResult), where
@@ -73,27 +108,44 @@ def _mk(k):
     return build_lattice(["0", *atoms, "1"], [("0", a) for a in atoms] + [(a, "1") for a in atoms])
 
 
-def _differential(lat, field, resolutions, koszul):
-    """serre vs the oracle on every interval module of lat; returns the number
-    of calls that took the closed form, the Koszul path and the oracle."""
+def _differential(lat, field, antichains, resolutions, koszul):
+    """serre vs the oracle on the antichain module of each of antichains;
+    returns the number of calls that took the closed form, the Koszul path
+    and the oracle.  A closed-form image must be the dual antichain module of
+    the boolean partner, in degree -|C|."""
     branches = [0, 0, 0]
-    for ref in _intervals(lat):
-        M = interval_module(lat, ref, field)
+    for ac in antichains:
+        M = antichain_module(lat, ac, field)
+        where = (lat, field, ac)
         before = len(resolutions), len(koszul)
         fast = serre(M)
         minimal, kz = len(resolutions) - before[0], len(koszul) - before[1]
-        assert minimal + kz <= 1, (lat, field, ref)
-        branches[0 if not minimal + kz else 1 if kz else 2] += 1
-        _assert_same_image(fast, serre_by_resolution(M), (lat, field, ref))
+        assert minimal + kz <= 1, where
+        k = len(ac.members)
+        boolean = k <= 16 and is_boolean_antichain(lat, ac)
+        small = 2 ** k <= lat.n
+        if minimal:
+            assert not boolean and not small, where
+            branches[2] += 1
+            continue
+        if kz:
+            assert not boolean and small, where
+            branches[1] += 1
+        else:
+            assert boolean, where
+            partner = dual_antichain_module(lat, boolean_partner(lat, ac), field)
+            assert fast.shift == k, where
+            assert fast.dimension_vector() == partner.dimension_vector(), where
+            branches[0] += 1
+        _assert_same_image(fast, serre_by_resolution(M), where)
     return branches
 
 
-def test_fast_paths_match_oracle_on_every_interval(kite, pentagon, resolutions, koszul):
+def test_fast_paths_match_oracle_on_every_antichain_module(kite, pentagon, resolutions, koszul):
     cases = []
-    for name in FIXTURE_FILES:
+    for name in FIXTURE_FILES:  # among them Tamari(4)
         lat = load_lattice(fixture_path(name))
         cases += [(lat, QQ), (lat, PrimeField(3))]
-    cases.append((gen_tamari(5), QQ))
     cases += [(tors_lattice(QuiverA(3, o)), QQ) for o in all_orientations(3)]
     cases.append((chain_product([3, 3, 3]), QQ))
     for lat in (product(kite, kite), product(pentagon, kite)):
@@ -101,8 +153,12 @@ def test_fast_paths_match_oracle_on_every_interval(kite, pentagon, resolutions, 
     cases.append((_mk(3), QQ))
     branches = [0, 0, 0]
     for lat, field in cases:
-        for i, count in enumerate(_differential(lat, field, resolutions, koszul)):
-            branches[i] += count
+        counts = _differential(lat, field, _every_antichain(lat), resolutions, koszul)
+        branches = [a + b for a, b in zip(branches, counts)]
+    # Tamari(5) has too many antichain modules for the oracle; its intervals
+    tamari5 = gen_tamari(5)
+    counts = _differential(tamari5, QQ, _interval_antichains(tamari5), resolutions, koszul)
+    branches = [a + b for a, b in zip(branches, counts)]
     # closed form, Koszul path and oracle all ran
     assert all(branches), branches
 
@@ -142,3 +198,69 @@ def test_non_interval_module_goes_to_the_oracle(pentagon, resolutions):
     res = serre(M)
     assert len(resolutions) == 1
     assert isinstance(res, StalkResult) and res.interval is None
+
+
+def test_rejected_thin_modules_go_to_the_oracle(pentagon, resolutions, koszul):
+    # thin, but its support {a, b} has two minima
+    two_minima, _ = direct_sum([simple_module(pentagon, "a"), simple_module(pentagon, "b")])
+    # the support of M_[0,c] has the antichain shape, but the map 0 -> a is zero
+    M = interval_module(pentagon, IntervalRef("0", "c"))
+    maps = dict(M.maps)
+    maps[(pentagon.index["0"], pentagon.index["a"])] = [[QQ.zero]]
+    zero_map = LatticeRep(pentagon, M.dims, maps, QQ)
+    for N in (two_minima, zero_map):
+        before = len(resolutions)
+        res = serre(N)
+        assert len(resolutions) == before + 1 and not koszul
+        _assert_same_image(res, serre_by_resolution(N), N)
+
+
+def test_product_request_builds_no_minimal_resolution(appendix9, resolutions, koszul):
+    # the orbits of check --gen product appendix9 appendix9 --derived: every
+    # step is an antichain module, and the 34 with a non-boolean antichain
+    # take the Koszul path
+    lat = product(appendix9, appendix9)
+    orbits = [serre_orbit(lat, a) for a in lat.labels]
+    assert sum(len(o.steps) for o in orbits) == 322
+    assert (len(resolutions), len(koszul)) == (0, 34)
+
+
+def test_oracle_fixture_routes_every_walk(serre_oracle, pentagon):
+    # the fixture itself fails the test if a closed-form or Koszul step ran
+    assert serre_orbit(pentagon, "a").period is not None
+    assert cross_check(pentagon).ok
+    suite = run_typea_suite(QuiverA(2, "L"))
+    assert suite["checks"]["categorical_serre"] == {"ok": True, "failures": [], "total": 12}
+
+
+def _orbit_record(orbit):
+    steps = [(s.shift, s.interval, s.dimension_vector()) for s in orbit.steps]
+    return orbit.period, orbit.total_shift, orbit.failure is None, steps
+
+
+# random meet/join-closed sublattices of B4 through the Coxeter check, the
+# mask orbits and the oracle orbits
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sets(st.integers(0, 15), min_size=1, max_size=8),
+    st.sampled_from([QQ, PrimeField(3), PrimeField(5)]),
+)
+def test_b4_sublattices_agree_across_coxeter_masks_and_oracle(seed, field):
+    lat, _ = boolean_sublattice(seed)
+    report = combinatorial_serre_check(lat)
+    fast = {a: serre_orbit(lat, a, field=field) for a in lat.labels}
+    with routed_to_oracle():
+        slow = {a: serre_orbit(lat, a, field=field) for a in lat.labels}
+    assert {a: _orbit_record(o) for a, o in fast.items()} == {
+        a: _orbit_record(o) for a, o in slow.items()
+    }
+    assert report.is_serre_formal == all(o.failure is None for o in fast.values())
+    for a, traj in report.trajectories.items():
+        # C^k [I_a] is the class of S^k I_a, in degree -(shifts so far) and
+        # with one more sign per step from C[P_i] = -[I_i]
+        orbit, shift = fast[a], 0
+        for k, (vector, step) in enumerate(zip(traj.vectors[1:], orbit.steps), 1):
+            shift += step.shift
+            assert list(vector) == [(-1) ** (k + shift) * x for x in step.dimension_vector()]
+        if traj.failed is None and traj.steps and orbit.failure is None:
+            assert orbit.steps[traj.steps - 1].interval == IntervalRef(traj.target, lat.top_label)
