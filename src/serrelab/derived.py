@@ -522,13 +522,18 @@ def serre_walk(lattice: Lattice, mask: int, field=QQ):
     """The successive Serre images of support_module(lattice, mask, field):
     StalkResults, ending after the first GeneralComplexResult if one appears.
     Each step runs on the support mask of the previous image when it has
-    one, so a LatticeRep is built only for a Koszul or oracle step."""
+    one, so a LatticeRep is built only for a Koszul or oracle step.  An image
+    without one is no antichain module (_serre_image has just tested it), so
+    its step goes straight to serre_by_resolution."""
     res = serre_on_support(lattice, mask, field)
     while True:
         yield res
         if isinstance(res, GeneralComplexResult):
             return
-        res = serre(res.rep) if res.support is None else serre_on_support(lattice, res.support, field)
+        if res.support is None:
+            res = serre_by_resolution(res.rep)
+        else:
+            res = serre_on_support(lattice, res.support, field)
 
 
 def default_max_steps(lattice: Lattice) -> int:

@@ -19,6 +19,16 @@ from .errors import CycleDetected, GuardrailExceeded, NotALattice, RedundantCove
 SIZE_GUARDRAIL = 10_000
 
 
+def _iter_bits(mask: int):
+    """Indices of the set bits of mask, lowest first: the package's one bit
+    walk.  Private because perfbench's tracer wraps every public function of
+    a layer in a span, and a span per walk would distort the layers' self times."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Poset:
     """Finite poset on labelled elements with explicit cover relation."""
 
@@ -97,7 +107,7 @@ class Poset:
         return self.up_mask[a] & self.down_mask[b]
 
     def mask_members(self, mask: int):
-        return [i for i in range(self.n) if mask >> i & 1]
+        return list(_iter_bits(mask))
 
     # -- label-level queries -------------------------------------------------
 
@@ -155,15 +165,6 @@ class Lattice(Poset):
         for x in items:
             i = self.index[x]
             idx = i if idx is None else self.join_tab[idx][i]
-        if idx is None:
-            return empty
-        return self.labels[idx]
-
-    def meet_all(self, items, empty=None):
-        idx = None
-        for x in items:
-            i = self.index[x]
-            idx = i if idx is None else self.meet_tab[idx][i]
         if idx is None:
             return empty
         return self.labels[idx]
@@ -241,12 +242,6 @@ def lattice_from_json_dict(data: dict) -> Lattice:
 def load_lattice(path) -> Lattice:
     with open(path, "r", encoding="utf-8") as fh:
         return lattice_from_json_dict(json.load(fh))
-
-
-def dump_lattice(lat: Lattice, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(lattice_to_json_dict(lat), fh, indent=1)
-        fh.write("\n")
 
 
 # -- generators ---------------------------------------------------------------

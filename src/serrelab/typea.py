@@ -4,9 +4,10 @@ intervals, the Serre permutation on them, interval mutations, 2-cluster
 triples, and the Tamari / type-I(m) lattice generators.
 
 Sets of indecomposables are bitmasks over the fixed list of vertex
-intervals [lo, hi], sorted lexicographically.  Hom spaces between type-A
-indecomposables are at most one dimensional; this is asserted at engine
-start and every surjection/injection test rides on the basis morphism.
+intervals [lo, hi], sorted lexicographically.  Everything the engine knows
+about Hom comes from interval arithmetic: Hom(A, B) is zero or spanned by
+A ->> A cap B >-> B.  The torsion classes and their labelled covers come from
+one walk up from 0 (the brute-force definitions check both in the tests).
 """
 
 from __future__ import annotations
@@ -16,11 +17,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import linalg
 from .derived import StalkResult, serre_on_support
 from .errors import GuardrailExceeded, PeriodViolation, RotationViolation, SerrelabError
-from .fields import QQ
-from .lattice import IntervalRef, Lattice, build_lattice, lattice_to_json_dict, poset_isomorphism
+from .lattice import (
+    IntervalRef,
+    Lattice,
+    _iter_bits,
+    build_lattice,
+    lattice_to_json_dict,
+    poset_isomorphism,
+)
 from .perm import cycle_decomposition
 
 QUIVER_GUARDRAIL = 5
@@ -68,18 +74,10 @@ def linear_quiver(n):
 # -- the engine -----------------------------------------------------------------
 
 
-def _members(mask):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _union(rows, mask):
     """OR of rows[i] over the members i of mask."""
     out = 0
-    for i in _members(mask):
+    for i in _iter_bits(mask):
         out |= rows[i]
     return out
 
@@ -91,7 +89,7 @@ def _cliques(compat):
 
     def bt(start, mask, allowed):
         out.append(mask)
-        for i in _members(allowed & ~((1 << start) - 1)):
+        for i in _iter_bits(allowed & ~((1 << start) - 1)):
             bt(i + 1, mask | 1 << i, allowed & compat[i])
 
     bt(0, 0, (1 << len(compat)) - 1)
@@ -112,8 +110,7 @@ class _Engine:
         self.full_mask = (1 << self.N) - 1
         self._tables()
         self._structure_masks()
-        self._closure_data()
-        self._enumerate_torsion()
+        self._walk_torsion()
         self._a_tors_cache = {}
         self._a_free_cache = {}
         self._wide_cache = {}
@@ -123,39 +120,33 @@ class _Engine:
         self._mutations = None
         self._triples = None
 
-    # ---- linear algebra over the quiver -------------------------------------
+    # ---- Hom and Ext by interval arithmetic ------------------------------------
 
     def dimvec(self, m: IndecA):
         return tuple(1 if m.lo <= v <= m.hi else 0 for v in range(1, self.n + 1))
 
-    def _hom_space(self, A: IndecA, B: IndecA):
-        """(dim, witness) for Hom(A, B); witness maps vertex -> scalar."""
-        common = [v for v in range(1, self.n + 1) if A.lo <= v <= A.hi and B.lo <= v <= B.hi]
-        if not common:
-            return 0, None
-        pos = {v: k for k, v in enumerate(common)}
-        rows = []
-        for (s, t) in self.arrows:
-            a_alive = A.lo <= s <= A.hi and A.lo <= t <= A.hi
-            b_alive = B.lo <= s <= B.hi and B.lo <= t <= B.hi
-            # f_t * a_{st} = b_{st} * f_s
-            row = [QQ.zero] * len(common)
-            if a_alive and t in pos:
-                row[pos[t]] += QQ.one
-            if b_alive and s in pos:
-                row[pos[s]] -= QQ.one
-            if any(row):
-                rows.append(row)
-        if rows:
-            basis = linalg.kernel_basis(rows, len(common), QQ)
-        else:  # no constraints: the full space
-            basis = linalg.identity(len(common))
-        if len(basis) == 0:
-            return 0, None
-        if len(basis) > 1:
-            raise SerrelabError("hom space between type-A indecomposables exceeds dimension 1")
-        witness = {v: basis[0][pos[v]] for v in common}
-        return 1, witness
+    def _hom_nonzero(self, A: IndecA, B: IndecA):
+        """Hom(A, B) != 0 exactly when C = A cap B is nonempty, no arrow runs
+        from A - C into C (C is a quotient of A) and none from C into B - C
+        (C is a submodule of B); Hom(A, B) is then spanned by A ->> C >-> B."""
+        lo, hi = max(A.lo, B.lo), min(A.hi, B.hi)
+        if lo > hi:
+            return False
+        for s, t in self.arrows:
+            if lo <= t <= hi and not lo <= s <= hi and A.lo <= s <= A.hi:
+                return False
+            if lo <= s <= hi and not lo <= t <= hi and B.lo <= t <= B.hi:
+                return False
+        return True
+
+    def _runs_outside(self, X: IndecA, Y: IndecA):
+        """Mask of the maximal runs of the vertices of X outside Y."""
+        out = 0
+        if X.lo < Y.lo:
+            out |= 1 << self.idx[IndecA(X.lo, min(X.hi, Y.lo - 1))]
+        if X.hi > Y.hi:
+            out |= 1 << self.idx[IndecA(max(X.lo, Y.hi + 1), X.hi)]
+        return out
 
     def _euler(self, d, e):
         s = sum(a * b for a, b in zip(d, e))
@@ -169,15 +160,22 @@ class _Engine:
         self.e = [[0] * N for _ in range(N)]
         # hom_out[i]: the j with Hom(i, j) != 0; hom_in[j]: the i; ext_* alike
         self.hom_out, self.hom_in, self.ext_out, self.ext_in = ([0] * N for _ in range(4))
-        self.witness = {}
+        # quot_mask[i]: the quotients of i; sub_mask[j]: the submodules of j
+        self.quot_mask, self.sub_mask = [0] * N, [0] * N
+        # the runs of the kernel and the cokernel of the basis hom i -> j
+        self.kerdec, self.cokerdec = {}, {}
         for i, A in enumerate(self.indecs):
             for j, B in enumerate(self.indecs):
-                d, w = self._hom_space(A, B)
-                self.h[i][j] = d
-                if w is not None:
-                    self.witness[(i, j)] = w
+                d = self.h[i][j] = int(self._hom_nonzero(A, B))
+                if d:
                     self.hom_out[i] |= 1 << j
                     self.hom_in[j] |= 1 << i
+                    ker = self.kerdec[(i, j)] = self._runs_outside(A, B)
+                    coker = self.cokerdec[(i, j)] = self._runs_outside(B, A)
+                    if not coker:
+                        self.quot_mask[i] |= 1 << j
+                    if not ker:
+                        self.sub_mask[j] |= 1 << i
                 ext = d - self._euler(self.dimvec(A), self.dimvec(B))
                 if ext < 0:
                     raise SerrelabError("negative Ext dimension")
@@ -189,24 +187,6 @@ class _Engine:
     # ---- structural masks -----------------------------------------------------
 
     def _structure_masks(self):
-        N = self.N
-        self.quot_mask = [0] * N
-        self.sub_mask = [0] * N
-        self.injector_mask = [0] * N  # Y != X with an injective basis hom Y -> X
-        for i, A in enumerate(self.indecs):
-            for j, B in enumerate(self.indecs):
-                w = self.witness.get((i, j))
-                if w is None:
-                    continue
-                surj = all(w[v] for v in range(B.lo, B.hi + 1) if A.lo <= v <= A.hi)
-                surj = surj and all(A.lo <= v <= A.hi for v in range(B.lo, B.hi + 1))
-                inj = all(A.lo <= v <= A.hi and B.lo <= v <= B.hi and w[v] for v in range(A.lo, A.hi + 1))
-                if surj:
-                    self.quot_mask[i] |= 1 << j
-                if inj:
-                    self.sub_mask[j] |= 1 << i
-                    if i != j:
-                        self.injector_mask[j] |= 1 << i
         # the projective at v spans the vertices reachable from v along the arrows
         fwd = {v: [] for v in range(1, self.n + 1)}
         for (s, t) in self.arrows:
@@ -221,30 +201,6 @@ class _Engine:
                         seen.add(y)
                         stack.append(y)
             self.proj_mask |= 1 << self.idx[IndecA(min(seen), max(seen))]
-
-    def _components_mask(self, vertex_set):
-        """Decompose a 0/1 vertex support into maximal runs -> indec mask."""
-        out = 0
-        run = None
-        for v in range(1, self.n + 2):
-            if v <= self.n and v in vertex_set:
-                run = v if run is None else run
-            else:
-                if run is not None:
-                    out |= 1 << self.idx[IndecA(run, v - 1)]
-                    run = None
-        return out
-
-    def _closure_data(self):
-        self.kerdec = {}
-        self.cokerdec = {}
-        for (i, j), w in self.witness.items():
-            A, B = self.indecs[i], self.indecs[j]
-            supp_a = set(range(A.lo, A.hi + 1))
-            supp_b = set(range(B.lo, B.hi + 1))
-            alive = {v for v in supp_a & supp_b if w[v]}
-            self.kerdec[(i, j)] = self._components_mask(supp_a - alive)
-            self.cokerdec[(i, j)] = self._components_mask(supp_b - alive)
         # mid_pairs[s]: (q, E) per indecomposable middle of 0 -> S -> E -> Q -> 0;
         # wide_pairs[s] adds the kernel and cokernel summands of the basis hom
         self.mid_pairs = [[] for _ in range(self.N)]
@@ -254,8 +210,7 @@ class _Engine:
                 mid = 0
                 if S.hi + 1 == Qm.lo or Qm.hi + 1 == S.lo:
                     ei = self.idx[IndecA(min(S.lo, Qm.lo), max(S.hi, Qm.hi))]
-                    w = self.witness.get((si, ei))
-                    if w is not None and all(w[v] for v in range(S.lo, S.hi + 1)):
+                    if self.h[si][ei]:  # S lies inside E: a nonzero hom is injective
                         mid = 1 << ei
                 if mid:
                     self.mid_pairs[si].append((qi, mid))
@@ -311,26 +266,42 @@ class _Engine:
 
     # ---- torsion classes ---------------------------------------------------------
 
-    def _enumerate_torsion(self):
-        """Masks closed under quotients (a cheap early-exit filter), then
-        under extensions."""
-        tors = []
-        for mask in range(1 << self.N):
-            bits = mask
-            while bits:
-                low = bits & -bits
-                if self.quot_mask[low.bit_length() - 1] & ~mask:
-                    break
-                bits ^= low
-            else:
-                if self.torsion_closed(mask) == mask:
-                    tors.append(mask)
-        tors.sort(key=lambda m: (m.bit_count(), m))
-        self.tors_masks = tors
-        self.tors_set = set(tors)
+    def _walk_torsion(self):
+        """Torsion classes and their labelled covers, walking up from 0.
+
+        Every cover T <. T' has a unique brick label B in T^{perp_0} cap T',
+        and T' = gen(T | B); every type-A indecomposable is a brick.  So the
+        upper covers of T are the minimal classes among gen(T | x) for x in
+        T^{perp_0}.  tors_masks is sorted by (size, mask), and tors_lower /
+        tors_upper list each class's covers as (class, label) in that order."""
+        upper = {}
+        todo = [0]
+        while todo:
+            t = todo.pop()
+            if t in upper:
+                continue
+            perp = self.perp_from(t)
+            cands = {self.torsion_closed(t | 1 << x) for x in _iter_bits(perp)}
+            upper[t] = []
+            for c in cands:
+                if any(d != c and d & c == d for d in cands):
+                    continue
+                label = perp & c
+                if label.bit_count() != 1:
+                    raise SerrelabError("cover edge label is not unique")
+                upper[t].append((c, label))
+                todo.append(c)
+        self.tors_masks = sorted(upper, key=lambda m: (m.bit_count(), m))
+        self.tors_set = set(upper)
+        pos = {m: p for p, m in enumerate(self.tors_masks)}
+        self.tors_upper, self.tors_lower = {}, {t: [] for t in self.tors_masks}
+        for t in self.tors_masks:
+            self.tors_upper[t] = sorted(upper[t], key=lambda e: pos[e[0]])
+            for c, label in self.tors_upper[t]:
+                self.tors_lower[c].append((t, label))
 
     def members(self, mask):
-        return frozenset(self.indecs[i] for i in _members(mask))
+        return frozenset(self.indecs[i] for i in _iter_bits(mask))
 
     def mask_of(self, members):
         return sum(1 << self.idx[x] for x in set(members))
@@ -338,36 +309,12 @@ class _Engine:
     def mask_label(self, mask):
         return "".join("1" if mask >> i & 1 else "0" for i in range(self.N))
 
-    def _tors_covers(self):
-        """Cover relations of the inclusion order on torsion classes, with the
-        unique edge label in T^{perp_0} cap T' attached to each."""
-        if hasattr(self, "_covers_cache"):
-            return self._covers_cache
-        masks = self.tors_masks
-        lower = {m: [] for m in masks}
-        upper = {m: [] for m in masks}
-        for ma in masks:
-            for mb in masks:
-                if ma != mb and ma & mb == ma:
-                    if not any(
-                        mc != ma and mc != mb and ma & mc == ma and mc & mb == mc
-                        for mc in masks
-                    ):
-                        cand = self.perp_from(ma) & mb
-                        if bin(cand).count("1") != 1:
-                            raise SerrelabError("cover edge label is not unique")
-                        lower[mb].append((ma, cand))
-                        upper[ma].append((mb, cand))
-        self._covers_cache = (lower, upper)
-        return self._covers_cache
-
     def a_tors(self, mask):
         """a(T) for a torsion class: extension closure of the lower-cover
         edge labels (these are exactly the simple objects of a(T))."""
         if mask not in self._a_tors_cache:
-            lower, _ = self._tors_covers()
             labels = 0
-            for _, lab in lower[mask]:
+            for _, lab in self.tors_lower[mask]:
                 labels |= lab
             self._a_tors_cache[mask] = self.filt_closure(labels)
         return self._a_tors_cache[mask]
@@ -376,9 +323,8 @@ class _Engine:
         """a(F) for the torsion-free class F = T^{perp_0}: extension closure
         of the upper-cover edge labels of T."""
         if mask not in self._a_free_cache:
-            _, upper = self._tors_covers()
             labels = 0
-            for _, lab in upper[mask]:
+            for _, lab in self.tors_upper[mask]:
                 labels |= lab
             self._a_free_cache[mask] = self.filt_closure(labels)
         return self._a_free_cache[mask]
@@ -387,10 +333,9 @@ class _Engine:
         """(Lattice, label->mask map); labels are fixed-width bitmask strings."""
         masks = self.tors_masks
         labels = {m: self.mask_label(m) for m in masks}
-        lower, _ = self._tors_covers()
         covers = []
         for mb in masks:
-            for ma, _lab in lower[mb]:
+            for ma, _lab in self.tors_lower[mb]:
                 covers.append((labels[ma], labels[mb]))
         lat = build_lattice(list(labels.values()), covers)
         return lat, {labels[m]: m for m in masks}
@@ -398,7 +343,8 @@ class _Engine:
     # ---- wide subcategories and the Ingalls-Thomas maps ----------------------------
 
     def simples_of(self, wide_mask):
-        return sum(1 << x for x in _members(wide_mask) if not wide_mask & self.injector_mask[x])
+        """Members with no proper submodule in wide_mask."""
+        return sum(1 << x for x in _iter_bits(wide_mask) if not wide_mask & self.sub_mask[x] & ~(1 << x))
 
     def rank_of(self, wide_mask):
         return self.simples_of(wide_mask).bit_count()
@@ -412,11 +358,11 @@ class _Engine:
 
     def ext_injectives_in(self, mask):
         """Members of mask with no Ext^1 from any member."""
-        return sum(1 << x for x in _members(mask) if not self.ext_in[x] & mask)
+        return sum(1 << x for x in _iter_bits(mask) if not self.ext_in[x] & mask)
 
     def ext_projectives_in(self, mask):
         """Members of mask with no Ext^1 into any member."""
-        return sum(1 << x for x in _members(mask) if not self.ext_out[x] & mask)
+        return sum(1 << x for x in _iter_bits(mask) if not self.ext_out[x] & mask)
 
     # ---- mutable intervals ----------------------------------------------------------
 
@@ -605,7 +551,7 @@ class _Engine:
         eligible subset of the right size."""
         out = set()
         for t_tors, t_free, size, elig in self._orthogonal_pairs(self.n - 1):
-            for comb in itertools.combinations(_members(elig), self.n - 1 - size):
+            for comb in itertools.combinations(_iter_bits(elig), self.n - 1 - size):
                 out.add((t_free, t_tors, sum(1 << p for p in comb)))
         return sorted(out)
 
@@ -656,9 +602,6 @@ class MutableInterval:
     @property
     def key(self):
         return (self.lo, self.hi)
-
-    def members(self, mask):
-        return self.engine.members(mask)
 
     def __repr__(self):
         e = self.engine

@@ -64,7 +64,7 @@ def kite():
 def routed_to_oracle():
     """Route every Serre step of the derived, coxeter and typea layers through
     serre_by_resolution, the oracle: serre and serre_on_support, through which
-    every walk takes its steps, are replaced wherever a module holds them.
+    every fast Serre step enters, are replaced wherever a module holds them.
     Yields the oracle for direct calls.  Fails if the oracle never ran, or if
     the closed form (serre_support) or the Koszul path (antichain_resolution)
     ran all the same."""

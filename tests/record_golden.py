@@ -39,6 +39,7 @@ CASES = {
     "orbit-kite": "orbit fixtures/kite.json",
     "orbit-pentagon-fp3": "orbit fixtures/pentagon.json --field fp:3",
     "geom-5": "geom --n 5",
+    "typea-4-LRL": "typea --n 4 --orientation LRL",
 }
 
 
