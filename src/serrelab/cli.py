@@ -273,8 +273,9 @@ def build_parser():
 
     p = sub.add_parser("typea", help="full type-A suite for one or all orientations")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--orientation", default=None)
-    p.add_argument("--all-orientations", action="store_true")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--orientation", default=None)
+    which.add_argument("--all-orientations", action="store_true")
     p.add_argument("--fast", action="store_true", help="skip the categorical integration")
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_typea)

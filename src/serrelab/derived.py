@@ -23,7 +23,10 @@ from .lattice import (
     Antichain,
     IntervalRef,
     Lattice,
-    boolean_joins,
+    _antichain_gamma,
+    _is_boolean,
+    _iter_bits,
+    _subset_joins,
     support_antichain,
     support_interval,
 )
@@ -215,14 +218,13 @@ def _indec_sum(lat: Lattice, labels, kind, field):
 class RepComplex:
     """Cochain complex of LatticeRep with RepMorphism differentials."""
 
-    def __init__(self, terms, diffs, validate=True):
+    def __init__(self, terms, diffs):
         self.terms = dict(terms)
         self.diffs = dict(diffs)
-        if validate:
-            for d, f in self.diffs.items():
-                if d + 1 in self.diffs:
-                    if not self.diffs[d + 1].compose(f).is_zero():
-                        raise NotAComplex(f"d o d != 0 at degree {d}")
+        for d, f in self.diffs.items():
+            if d + 1 in self.diffs:
+                if not self.diffs[d + 1].compose(f).is_zero():
+                    raise NotAComplex(f"d o d != 0 at degree {d}")
 
     def degrees(self):
         return sorted(self.terms)
@@ -342,36 +344,32 @@ def projective_resolution(M: LatticeRep) -> ScalarComplex:
 # -- antichain (co)resolutions ---------------------------------------------------
 
 
-def _koszul(lattice: Lattice, members_idx, base_idx, bound_op, field):
-    """degrees i -> subsets of size i with their lattice bound, plus Koszul
-    differentials from size i to size i-1 (entry sign (-1)^position)."""
-    members = sorted(members_idx)
-    subsets = {i: list(itertools.combinations(members, i)) for i in range(len(members) + 1)}
-    labels = {}
-    for i, subs in subsets.items():
-        row = []
-        for s in subs:
-            if not s:
-                row.append(base_idx)
-            else:
-                j = s[0]
-                for c in s[1:]:
-                    j = bound_op[j][c]
-                row.append(j)
-        labels[i] = row
+def _koszul(lattice: Lattice, gamma, kind: str, field) -> ScalarComplex:
+    """The Koszul complex on the subset-join table (kind 'proj') or the
+    subset-meet table (kind 'inj') gamma of an antichain C: one summand at
+    gamma(S) per subset S of C, in degree -|S| for 'proj' and |S| for 'inj'.
+    The Koszul map sends S to each S - {c} with the sign (-1)^(position of c
+    in S); a coresolution runs the other way, so its matrices are transposed."""
+    k = (len(gamma) - 1).bit_length()
+    by_size = [[] for _ in range(k + 1)]
+    for s in range(len(gamma)):
+        by_size[bin(s).count("1")].append(s)
+    step = -1 if kind == "proj" else 1
+    degrees = {step * i: [gamma[s] for s in subs] for i, subs in enumerate(by_size)}
     diffs = {}
     one = field.one
-    for i in range(1, len(members) + 1):
-        src, tgt = subsets[i], subsets[i - 1]
-        index = {s: k for k, s in enumerate(tgt)}
+    for i in range(1, k + 1):
+        src, tgt = by_size[i], by_size[i - 1]
+        row = {t: r for r, t in enumerate(tgt)}
         mat = linalg.zeros(len(tgt), len(src), field)
         for j, s in enumerate(src):
-            for p in range(len(s)):
-                t = s[:p] + s[p + 1:]
-                sign = one if p % 2 == 0 else -one
-                mat[index[t]][j] = sign
-        diffs[i] = mat
-    return labels, diffs
+            for p, c in enumerate(_iter_bits(s)):
+                mat[row[s ^ (1 << c)]][j] = one if p % 2 == 0 else -one
+        if kind == "proj":
+            diffs[-i] = mat
+        else:
+            diffs[i - 1] = linalg.transpose(mat, len(src))
+    return ScalarComplex(lattice, kind, degrees, diffs, field)
 
 
 def _check_resolves(cx: ScalarComplex, target: LatticeRep, what: str):
@@ -385,38 +383,20 @@ def _check_resolves(cx: ScalarComplex, target: LatticeRep, what: str):
             raise SerrelabError(f"{what} not exact in degree {d}")
 
 
-def antichain_resolution(lattice: Lattice, ac: Antichain, field=QQ, validate=True) -> ScalarComplex:
+def antichain_resolution(lattice: Lattice, ac: Antichain, field=QQ) -> ScalarComplex:
     """Closed-form Koszul resolution of the antichain module: degree -i holds
     one P_{join of S} per i-subset S, signs by the Koszul rule."""
-    if ac.mode != "over":
-        raise ValueError("antichain_resolution expects mode='over'")
-    ac.validate(lattice)
-    members = [lattice.index[m] for m in ac.members]
-    labels, diffs = _koszul(lattice, members, lattice.index[ac.base], lattice.join_tab, field)
-    degrees = {-i: labs for i, labs in labels.items()}
-    sc_diffs = {-i: diffs[i] for i in diffs}
-    cx = ScalarComplex(lattice, "proj", degrees, sc_diffs, field)
-    if validate:
-        _check_resolves(cx, antichain_module(lattice, ac, field), "antichain resolution")
+    gamma = _antichain_gamma(lattice, ac, "over", "antichain_resolution")
+    cx = _koszul(lattice, gamma, "proj", field)
+    _check_resolves(cx, antichain_module(lattice, ac, field), "antichain resolution")
     return cx
 
 
-def antichain_coresolution(lattice: Lattice, ac: Antichain, field=QQ, validate=True) -> ScalarComplex:
+def antichain_coresolution(lattice: Lattice, ac: Antichain, field=QQ) -> ScalarComplex:
     """Injective Koszul coresolution of a dual antichain module, degrees 0..|D|."""
-    if ac.mode != "under":
-        raise ValueError("antichain_coresolution expects mode='under'")
-    ac.validate(lattice)
-    members = [lattice.index[m] for m in ac.members]
-    labels, diffs = _koszul(lattice, members, lattice.index[ac.base], lattice.meet_tab, field)
-    degrees = dict(labels.items())
-    # Koszul maps run from size i to size i-1; as a coresolution the arrows
-    # go the other way, so transpose the sign matrices
-    sc_diffs = {}
-    for i, mat in diffs.items():
-        sc_diffs[i - 1] = linalg.transpose(mat, len(degrees[i]))
-    cx = ScalarComplex(lattice, "inj", degrees, sc_diffs, field)
-    if validate:
-        _check_resolves(cx, dual_antichain_module(lattice, ac, field), "antichain coresolution")
+    gamma = _antichain_gamma(lattice, ac, "under", "antichain_coresolution")
+    cx = _koszul(lattice, gamma, "inj", field)
+    _check_resolves(cx, dual_antichain_module(lattice, ac, field), "antichain coresolution")
     return cx
 
 
@@ -456,46 +436,44 @@ def _antichain_support(M: LatticeRep):
     return mask
 
 
-def serre_support(lat: Lattice, mask: int):
-    """The closed form of the Serre functor on support masks: (mask', k) when
-    mask is the support of the antichain module of an antichain C over lo and
-    C is boolean, else None.
+def serre_support(lat: Lattice, gamma):
+    """The closed form of the Serre functor on support masks.  gamma is the
+    subset-join table of the antichain C of an antichain module over lo; when
+    C is boolean, the support mask of the Serre image, which sits in degree
+    -|C|, else None.
 
     The Koszul resolution of an antichain module is exact.  When C is boolean
     its Nakayama image is the injective Koszul coresolution of the dual
     antichain module of the coatom joins of C under their full join beta,
-    shifted by k = |C|; mask' is that module's support, down(beta) minus the
+    shifted by |C|; the mask is that module's support, down(beta) minus the
     down-sets of the coatom joins.  No linear algebra is involved."""
-    ac = support_antichain(lat, mask)
-    if ac is None or len(ac[1]) > ANTICHAIN_GUARDRAIL:
-        return None
-    lo, members = ac
-    gamma = boolean_joins(lo, members, lat.meet_tab, lat.join_tab)
-    if gamma is None:
+    if not _is_boolean(gamma, lat.meet_tab):
         return None
     full = len(gamma) - 1
     image = lat.down_mask[gamma[full]]
-    for j in range(len(members)):
+    for j in range(full.bit_length()):
         image &= ~lat.down_mask[gamma[full ^ (1 << j)]]
-    return image, len(members)
+    return image
 
 
 def serre_on_support(lat: Lattice, mask: int, field=QQ):
     """The Serre image of support_module(lat, mask, field), mask convex.
 
-    The closed form when serre_support applies.  For any other antichain
-    module with 2^|C| <= |L|, so that the Koszul resolution has no more
-    summands than the lattice has elements, the cohomology of the Nakayama
-    image of that resolution.  Everything else goes to serre_by_resolution,
-    the oracle; only those two paths build a LatticeRep."""
-    hit = serre_support(lat, mask)
-    if hit is not None:
-        return StalkResult(lat, hit[1], hit[0], field=field)
+    When mask is the support of an antichain module, one subset-join table of
+    its antichain C serves both fast paths: the closed form when C is
+    boolean, and otherwise, when 2^|C| <= |L| so that the Koszul resolution
+    has no more summands than the lattice has elements, the cohomology of
+    the Nakayama image of that resolution.  Everything else goes to
+    serre_by_resolution, the oracle; only those two paths build a LatticeRep."""
     ac = support_antichain(lat, mask)
-    if ac is not None and 2 ** len(ac[1]) <= lat.n:
+    if ac is not None and len(ac[1]) <= ANTICHAIN_GUARDRAIL:
         lo, members = ac
-        C = Antichain(frozenset(lat.labels[c] for c in members), lat.labels[lo], "over")
-        return _serre_image(antichain_resolution(lat, C, field, validate=False))
+        gamma = _subset_joins(lo, members, lat.join_tab)
+        image = serre_support(lat, gamma)
+        if image is not None:
+            return StalkResult(lat, len(members), image, field=field)
+        if len(gamma) <= lat.n:
+            return _serre_image(_koszul(lat, gamma, "proj", field))
     return serre_by_resolution(support_module(lat, mask, field))
 
 

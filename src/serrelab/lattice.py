@@ -12,11 +12,17 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import CycleDetected, GuardrailExceeded, NotALattice, RedundantCover
 
 SIZE_GUARDRAIL = 10_000
+
+
+def _check_size(n: int):
+    if n > SIZE_GUARDRAIL:
+        raise GuardrailExceeded(f"{n} elements > {SIZE_GUARDRAIL}")
 
 
 def _iter_bits(mask: int):
@@ -38,8 +44,7 @@ class Poset:
             raise ValueError("element labels must be distinct")
         if not labels:
             raise ValueError("empty element set")
-        if len(labels) > SIZE_GUARDRAIL:
-            raise GuardrailExceeded(f"{len(labels)} elements > {SIZE_GUARDRAIL}")
+        _check_size(len(labels))
         self.labels = labels
         self.n = len(labels)
         self.index = {lab: i for i, lab in enumerate(labels)}
@@ -127,11 +132,9 @@ class Lattice(Poset):
     def __init__(self, elements, covers):
         super().__init__(elements, covers)
         self.meet_tab, self.join_tab = self._tables()
-        self.bottom = self.meet_tab[0][self.n - 1] if self.n > 1 else 0
-        self.top = self.join_tab[0][self.n - 1] if self.n > 1 else 0
-        for i in range(self.n):
-            self.bottom = self.meet_tab[self.bottom][i]
-            self.top = self.join_tab[self.top][i]
+        # a lattice has one minimal and one maximal element, so they open
+        # and close every linear extension
+        self.bottom, self.top = self.topo[0], self.topo[-1]
 
     def _tables(self):
         """The meet of a and b is the element whose down-set is down(a) & down(b),
@@ -158,16 +161,6 @@ class Lattice(Poset):
 
     def join(self, a, b):
         return self.labels[self.join_tab[self.index[a]][self.index[b]]]
-
-    def join_all(self, items, empty=None):
-        """Join of an iterable of labels; `empty` for the empty join."""
-        idx = None
-        for x in items:
-            i = self.index[x]
-            idx = i if idx is None else self.join_tab[idx][i]
-        if idx is None:
-            return empty
-        return self.labels[idx]
 
     @property
     def bottom_label(self):
@@ -256,16 +249,25 @@ def chain(k: int) -> Lattice:
 
 
 def chain_product(sizes) -> Lattice:
-    """Product of chains C_{s} for s in sizes (a divisor lattice)."""
+    """Product of chains C_{s} for s in sizes (a divisor lattice), labelled
+    'e0'..: element i has the mixed-radix digits of i as coordinates, the
+    first size most significant, and its upper covers in coordinate order."""
     sizes = list(sizes)
     if not sizes:
         raise ValueError("chain_product needs at least one chain size")
     if any(s < 1 for s in sizes):
         raise ValueError("chain sizes must be positive")
-    lat = chain(1)
-    for s in sizes:
-        lat = product(lat, chain(s))
-    return relabel_canonically(lat)
+    n = math.prod(sizes)
+    _check_size(n)
+    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+    labels = [f"e{i}" for i in range(n)]
+    covers = [
+        (labels[i], labels[i + stride])
+        for i in range(n)
+        for s, stride in zip(sizes, strides)
+        if i // stride % s < s - 1
+    ]
+    return build_lattice(labels, covers)
 
 
 def boolean_lattice(k: int) -> Lattice:
@@ -275,14 +277,9 @@ def boolean_lattice(k: int) -> Lattice:
     return chain_product([2] * k)
 
 
-def relabel_canonically(lat: Lattice) -> Lattice:
-    """Relabel elements as 'e0'..'e{n-1}' in current input order."""
-    labels = [f"e{i}" for i in range(lat.n)]
-    return build_lattice(labels, [(labels[a], labels[b]) for a, b in lat.covers])
-
-
 def product(l1: Lattice, l2: Lattice) -> Lattice:
     """Componentwise-order product; labels joined with '|'."""
+    _check_size(l1.n * l2.n)
     labels = []
     for x in l1.labels:
         for y in l2.labels:
@@ -361,78 +358,81 @@ def min_complement_antichain(lat: Lattice, ref: IntervalRef) -> Antichain:
 ANTICHAIN_GUARDRAIL = 16
 
 
-def boolean_joins(base: int, members, meet_tab, join_tab):
-    """gamma sends a subset S of the antichain C = members (S a bitmask over
-    their positions) to its join, the base for the empty subset; it preserves
-    joins by construction.  C is boolean iff gamma preserves meets, that is
-    iff every gamma(S) is the meet of the coatom joins gamma(C - {c}) over c
-    not in S.  Injectivity follows: gamma(S) = gamma(T) with c in S - T gives
-    c = c meet gamma(T) = gamma({}) = base, although every member lies
-    strictly above the base.  Returns gamma when C is boolean, else None; with
-    the tables swapped it is the same test in the order dual."""
-    full = (1 << len(members)) - 1
-    gamma = [base] * (full + 1)
-    for s in range(1, full + 1):
+def _subset_joins(base: int, members, join_tab):
+    """gamma, the subset-join table of the antichain C = members over base:
+    gamma[S] is the join of the members in S, S a bitmask over their
+    positions, and the base for the empty subset.  With the meet table for
+    join_tab it is the subset-meet table of an antichain under base."""
+    gamma = [base] * (1 << len(members))
+    for s in range(1, len(gamma)):
         gamma[s] = join_tab[gamma[s & (s - 1)]][members[(s & -s).bit_length() - 1]]
+    return gamma
+
+
+def _is_boolean(gamma, meet_tab) -> bool:
+    """Whether the antichain C of the subset-join table gamma is boolean.
+    gamma preserves joins by construction; C is boolean iff gamma preserves
+    meets, that is iff every gamma(S) is the meet of the coatom joins
+    gamma(C - {c}) over c not in S.  Injectivity follows: gamma(S) = gamma(T)
+    with c in S - T gives c = c meet gamma(T) = gamma({}) = base, although
+    every member lies strictly above the base.  With the tables swapped it is
+    the same test in the order dual."""
+    full = len(gamma) - 1
     meets = gamma[:]  # meets[s]: meet of gamma(C - {c}) over c not in s
     for s in range(full - 1, -1, -1):
         c = ~s & (s + 1)  # lowest member not in s
         meets[s] = meet_tab[meets[s | c]][gamma[full ^ c]]
-    return gamma if meets == gamma else None
+    return meets == gamma
 
 
-def _is_boolean(lat: Lattice, ac: Antichain, meet_tab, join_tab) -> bool:
+def _antichain_gamma(lat: Lattice, ac: Antichain, mode: str, caller: str):
+    """The prologue of the label-level antichain functions: checks the mode,
+    validates ac and returns its subset-join table (mode 'over') or
+    subset-meet table (mode 'under') over the sorted member indices."""
+    if ac.mode != mode:
+        raise ValueError(f"{caller} expects mode={mode!r}")
     ac.validate(lat)
     if len(ac.members) > ANTICHAIN_GUARDRAIL:
         raise GuardrailExceeded(f"antichain of size {len(ac.members)}")
     members = sorted(lat.index[m] for m in ac.members)
-    return boolean_joins(lat.index[ac.base], members, meet_tab, join_tab) is not None
+    tab = lat.join_tab if mode == "over" else lat.meet_tab
+    return _subset_joins(lat.index[ac.base], members, tab)
 
 
 def is_boolean_antichain(lat: Lattice, ac: Antichain) -> bool:
-    if ac.mode != "over":
-        raise ValueError("is_boolean_antichain expects mode='over'")
-    return _is_boolean(lat, ac, lat.meet_tab, lat.join_tab)
+    return _is_boolean(_antichain_gamma(lat, ac, "over", "is_boolean_antichain"), lat.meet_tab)
 
 
 def is_dual_boolean_antichain(lat: Lattice, ac: Antichain) -> bool:
     """The same test in the order dual, for antichains under a base: subsets
     go to meets, unions to meets and intersections to joins."""
-    if ac.mode != "under":
-        raise ValueError("is_dual_boolean_antichain expects mode='under'")
-    return _is_boolean(lat, ac, lat.join_tab, lat.meet_tab)
+    gamma = _antichain_gamma(lat, ac, "under", "is_dual_boolean_antichain")
+    return _is_boolean(gamma, lat.join_tab)
 
 
 def boolean_partner(lat: Lattice, ac: Antichain) -> Antichain:
     """The paired dual antichain of the boolean sublattice spanned by `ac`:
     coatom joins under the full join."""
-    if ac.mode != "over":
-        raise ValueError("boolean_partner expects mode='over'")
-    members = sorted(ac.members, key=lambda m: lat.index[m])
-    if not members:
-        return Antichain(frozenset(), ac.base, "under")
-    beta = lat.join_all(members)
-    dual = set()
-    for drop in members:
-        rest = [m for m in members if m != drop]
-        dual.add(lat.join_all(rest, empty=ac.base))
-    return Antichain(frozenset(dual), beta, "under")
+    gamma = _antichain_gamma(lat, ac, "over", "boolean_partner")
+    full = len(gamma) - 1
+    dual = frozenset(lat.labels[gamma[full ^ (1 << j)]] for j in range(full.bit_length()))
+    return Antichain(dual, lat.labels[gamma[full]], "under")
 
 
-def all_antichains_over(lat: Lattice, base, include_empty=True):
-    """All antichains strictly above `base` (exhaustive; desk scale only)."""
+def all_antichains_over(lat: Lattice, base):
+    """Every antichain strictly above `base`, the empty one included: each
+    is extended by the later elements incomparable to all its members."""
     b = lat.index[base]
-    above = [i for i in lat.mask_members(lat.up_mask[b]) if i != b]
+    up, down = lat.up_mask, lat.down_mask
     out = []
-    for r in range(0 if include_empty else 1, len(above) + 1):
-        for comb in itertools.combinations(above, r):
-            ok = True
-            for i, j in itertools.combinations(comb, 2):
-                if lat.leq_i(i, j) or lat.leq_i(j, i):
-                    ok = False
-                    break
-            if ok:
-                out.append(Antichain(frozenset(lat.labels[i] for i in comb), base, "over"))
+
+    def extend(chosen, candidates):
+        out.append(Antichain(frozenset(lat.labels[c] for c in chosen), base, "over"))
+        for c in _iter_bits(candidates):
+            later = candidates & ~((2 << c) - 1)
+            extend(chosen + [c], later & ~(up[c] | down[c]))
+
+    extend([], up[b] & ~(1 << b))
     return out
 
 

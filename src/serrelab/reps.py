@@ -114,14 +114,12 @@ class LatticeRep:
 class RepMorphism:
     """Componentwise linear map between representations of one lattice."""
 
-    def __init__(self, source: LatticeRep, target: LatticeRep, components, validate=False):
+    def __init__(self, source: LatticeRep, target: LatticeRep, components):
         if source.lattice is not target.lattice:
             raise LatticeMismatch("morphism endpoints live over different lattices")
         self.source = source
         self.target = target
         self.components = list(components)
-        if validate:
-            self.validate()
 
     def validate(self):
         f, M, N = self.components, self.source, self.target

@@ -167,6 +167,13 @@ def test_typea_all_orientations():
     assert all(r["checks"]["counts"]["mutable_intervals"] == 12 for r in report["runs"])
 
 
+def test_typea_orientation_flags_are_exclusive():
+    proc = run_cli("typea", "--n", "3", "--orientation", "LL", "--all-orientations")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: argument --all-orientations: not allowed with argument --orientation")
+
+
 def test_geom_command():
     proc = run_cli("geom", "--n", "2")
     assert proc.returncode == 0

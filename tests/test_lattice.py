@@ -1,5 +1,7 @@
+import glob
 import itertools
 import json
+import os
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from serrelab.errors import CycleDetected, GuardrailExceeded, NotALattice, Redun
 from serrelab.lattice import (
     Antichain,
     IntervalRef,
+    Poset,
     all_antichains_over,
     boolean_lattice,
     boolean_partner,
@@ -21,13 +24,18 @@ from serrelab.lattice import (
     is_dual_boolean_antichain,
     lattice_from_json_dict,
     lattice_to_json_dict,
+    load_lattice,
     min_complement_antichain,
     order_dual,
     poset_isomorphism,
     product,
 )
 
-from conftest import boolean_sublattice
+from conftest import FIXTURES, boolean_sublattice
+
+
+def _fixture_lattices():
+    return [load_lattice(p) for p in sorted(glob.glob(os.path.join(FIXTURES, "*.json")))]
 
 
 def test_two_chain():
@@ -73,6 +81,44 @@ def test_guardrail():
     labels = [str(i) for i in range(n)]
     with pytest.raises(GuardrailExceeded):
         build_lattice(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
+
+
+def _chain_product_by_fold(sizes):
+    """The product of chains as a fold of product over chain(1), relabelled
+    'e0'..: the oracle of chain_product's one-pass construction."""
+    lat = chain(1)
+    for s in sizes:
+        lat = product(lat, chain(s))
+    labels = [f"e{i}" for i in range(lat.n)]
+    return build_lattice(labels, [(labels[a], labels[b]) for a, b in lat.covers])
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [(1,), (5,), (2, 2), (2, 3), (3, 2), (1, 3, 1), (2, 2, 2), (3, 1, 4), (2, 3, 4), (4, 4), (2, 2, 2, 2)],
+)
+def test_chain_product_matches_the_fold(sizes):
+    lat, oracle = chain_product(sizes), _chain_product_by_fold(sizes)
+    assert (lat.labels, lat.covers) == (oracle.labels, oracle.covers)
+
+
+def test_oversized_products_are_rejected_before_they_are_built(monkeypatch):
+    c101, c100 = chain(101), chain(100)
+    built = []
+    init = Poset.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poset, "__init__", counted_init)
+    with pytest.raises(GuardrailExceeded, match="16384 elements > 10000"):
+        boolean_lattice(14)
+    with pytest.raises(GuardrailExceeded, match="10100 elements"):
+        chain_product([101, 100])
+    with pytest.raises(GuardrailExceeded, match="10100 elements"):
+        product(c101, c100)
+    assert built == []
 
 
 def test_meet_join_oracle_exhaustive(pentagon, appendix9):
@@ -149,10 +195,32 @@ def test_non_boolean_antichain_diamond():
 def test_boolean_partner_bijection(pentagon, appendix9):
     for lat in (pentagon, boolean_lattice(3), appendix9):
         for base in lat.labels:
-            for ac in all_antichains_over(lat, base, include_empty=False):
-                if is_boolean_antichain(lat, ac):
+            for ac in all_antichains_over(lat, base):
+                if ac.members and is_boolean_antichain(lat, ac):
                     partner = boolean_partner(lat, ac)
                     assert is_dual_boolean_antichain(lat, partner)
+
+
+def _antichains_by_combinations(lat, base):
+    """Every antichain strictly above base, by testing every subset of the
+    up-set: the oracle of all_antichains_over."""
+    b = lat.index[base]
+    above = [i for i in lat.mask_members(lat.up_mask[b]) if i != b]
+    out = []
+    for r in range(len(above) + 1):
+        for comb in itertools.combinations(above, r):
+            if not any(lat.leq_i(i, j) or lat.leq_i(j, i) for i, j in itertools.combinations(comb, 2)):
+                out.append(Antichain(frozenset(lat.labels[i] for i in comb), base, "over"))
+    return out
+
+
+def test_antichain_walk_matches_combinations(kite):
+    lats = _fixture_lattices()
+    for lat in lats + [chain_product([3, 3]), order_dual(kite)]:
+        for base in lat.labels:
+            walk = all_antichains_over(lat, base)
+            assert len(set(walk)) == len(walk)
+            assert set(walk) == set(_antichains_by_combinations(lat, base)), (lat.labels, base)
 
 
 def test_classify_divisor_and_boolean():
@@ -298,14 +366,9 @@ def _divisor_search(lat):
 
 
 def test_birkhoff_divisor_test_matches_isomorphism_search(pentagon, kite):
-    import glob
-    import os
-
-    from conftest import FIXTURES
-    from serrelab.lattice import load_lattice
     from serrelab.typea import QuiverA, all_orientations, gen_tamari, gen_type_i, tors_lattice
 
-    lats = [load_lattice(p) for p in sorted(glob.glob(os.path.join(FIXTURES, "*.json")))]
+    lats = _fixture_lattices()
     lats += [chain_product(s) for s in [(1,), (4,), (2, 2), (2, 3), (3, 3), (3, 4), (2, 2, 2),
                                         (2, 2, 3), (2, 3, 4)]]
     lats += [gen_tamari(n) for n in range(1, 6)]

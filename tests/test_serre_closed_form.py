@@ -16,6 +16,7 @@ from serrelab.fields import QQ, PrimeField
 from serrelab.lattice import (
     Antichain,
     IntervalRef,
+    all_antichains_over,
     boolean_partner,
     build_lattice,
     chain_product,
@@ -61,24 +62,14 @@ def resolutions(monkeypatch):
 
 @pytest.fixture
 def koszul(monkeypatch):
-    """Counts the antichain (Koszul) resolutions built through derived."""
-    return _counted(monkeypatch, "antichain_resolution")
+    """Counts the Koszul complexes that serre_on_support builds."""
+    return _counted(monkeypatch, "_koszul")
 
 
 def _every_antichain(lat):
     """Every antichain over every base of lat."""
-    up, down = lat.up_mask, lat.down_mask
-
-    def extend(base, chosen, candidates):
-        yield Antichain(frozenset(lat.labels[c] for c in chosen), lat.labels[base], "over")
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            c = low.bit_length() - 1
-            yield from extend(base, chosen + [c], candidates & ~(up[c] | down[c]))
-
-    for base in range(lat.n):
-        yield from extend(base, [], up[base] & ~(1 << base))
+    for base in lat.labels:
+        yield from all_antichains_over(lat, base)
 
 
 def _interval_antichains(lat):
@@ -215,14 +206,27 @@ def test_rejected_thin_modules_go_to_the_oracle(pentagon, resolutions, koszul):
         _assert_same_image(res, serre_by_resolution(N), N)
 
 
-def test_product_request_builds_no_minimal_resolution(appendix9, resolutions, koszul):
+def test_product_request_builds_no_minimal_resolution(appendix9, resolutions, koszul, monkeypatch):
     # the orbits of check --gen product appendix9 appendix9 --derived: every
     # step is an antichain module, and the 34 with a non-boolean antichain
-    # take the Koszul path
+    # take the Koszul path.  Each step builds the subset-join table of its
+    # antichain once, and both fast paths read it on indices, so the walk
+    # constructs no label-level Antichain
     lat = product(appendix9, appendix9)
+    gammas = _counted(monkeypatch, "_subset_joins")
+    antichains = []
+    init = Antichain.__init__
+
+    def counted_init(self, *args, **kwargs):
+        antichains.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Antichain, "__init__", counted_init)
     orbits = [serre_orbit(lat, a) for a in lat.labels]
     assert sum(len(o.steps) for o in orbits) == 322
     assert (len(resolutions), len(koszul)) == (0, 34)
+    assert len(gammas) == 322
+    assert antichains == []
 
 
 def test_oracle_fixture_routes_every_walk(serre_oracle, pentagon):
