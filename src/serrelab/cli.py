@@ -85,10 +85,10 @@ def _resolve_input(path, gen):
 
 def _emit(report, json_path):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
-    if json_path:
+    if json_path:  # first, so that an unwritable path leaves stdout empty
         with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _fcy_pair(orbits):

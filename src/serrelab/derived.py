@@ -154,97 +154,55 @@ class ScalarComplex:
                 if not linalg.is_zero(prod):
                     raise NotAComplex(f"d o d != 0 between degrees {d} and {d + 2}")
 
-    def realize(self, kind=None) -> "RepComplex":
-        """Explicit complex of representations (P_a or I_a summands)."""
-        kind = kind or self.kind
-        lat, field = self.lattice, self.field
-        terms = {}
-        coords = {}
-        for d, labels in self.degrees.items():
-            terms[d], coords[d] = _indec_sum(lat, labels, kind, field)
-        diffs = {}
-        for d, mat in self.diffs.items():
-            if d not in terms or d + 1 not in terms:
-                if not linalg.is_zero(mat):
-                    raise ValueError("differential out of an empty term")
-                continue
-            comps = _block_components(mat, coords[d], coords[d + 1], terms[d], terms[d + 1])
-            diffs[d] = RepMorphism(terms[d], terms[d + 1], comps)
-        return RepComplex(terms, diffs)
+
+def _indec_sum(lat: Lattice, labels, kind, field):
+    """Direct sum of P_l / I_l for l in labels; returns (rep, alive) with
+    alive[v] the positions of the summands present at element v, in
+    coordinate order."""
+    present = lat.up_mask if kind == "proj" else lat.down_mask
+    alive = [[] for _ in range(lat.n)]
+    for j, l in enumerate(labels):
+        for v in _iter_bits(present[l]):
+            alive[v].append(j)
+    maps = {}
+    one = field.one
+    for (a, b) in lat.covers:
+        row = {j: r for r, j in enumerate(alive[b])}
+        m = linalg.zeros(len(alive[b]), len(alive[a]), field)
+        for c, j in enumerate(alive[a]):
+            if j in row:
+                m[row[j]][c] = one
+        maps[(a, b)] = m
+    return LatticeRep(lat, map(len, alive), maps, field, validate=False), alive
 
 
-def _block_components(mat, src_pos, tgt_pos, source: LatticeRep, target: LatticeRep):
+def _restrict(mat, src_alive, tgt_alive):
     """Components of the map between sums of indecomposables whose block
     (i, j) is the scalar mat[i][j] times the canonical map.  Both the
     canonical map P_s -> P_t (the identity on up(s)) and I_s -> I_t (the
     identity on down(t)) are the identity exactly where both summands are
-    present, which the positions of _indec_sum record."""
-    comps = []
-    for v in range(source.lattice.n):
-        comp = linalg.zeros(target.dims[v], source.dims[v], source.field)
-        for i, tp in enumerate(tgt_pos):
-            if tp[v] is None:
-                continue
-            for j, sp in enumerate(src_pos):
-                if mat[i][j] and sp[v] is not None:
-                    comp[tp[v]][sp[v]] = mat[i][j]
-        comps.append(comp)
-    return comps
+    present, so each component is mat restricted to the summands there."""
+    return [[[mat[i][j] for j in src] for i in tgt] for src, tgt in zip(src_alive, tgt_alive)]
 
 
-def _indec_sum(lat: Lattice, labels, kind, field):
-    """Direct sum of P_l / I_l for l in labels; returns (rep, positions) with
-    positions[j][v] the coordinate of summand j at element v (or None)."""
-    n = lat.n
-    pos = [[None] * n for _ in labels]
-    dims = [0] * n
-    for j, l in enumerate(labels):
-        for v in range(n):
-            alive = lat.leq_i(l, v) if kind == "proj" else lat.leq_i(v, l)
-            if alive:
-                pos[j][v] = dims[v]
-                dims[v] += 1
-    maps = {}
-    one = field.one
-    for (a, b) in lat.covers:
-        m = linalg.zeros(dims[b], dims[a], field)
-        for j in range(len(labels)):
-            if pos[j][a] is not None and pos[j][b] is not None:
-                m[pos[j][b]][pos[j][a]] = one
-        maps[(a, b)] = m
-    return LatticeRep(lat, dims, maps, field, validate=False), pos
-
-
-class RepComplex:
-    """Cochain complex of LatticeRep with RepMorphism differentials."""
-
-    def __init__(self, terms, diffs):
-        self.terms = dict(terms)
-        self.diffs = dict(diffs)
-        for d, f in self.diffs.items():
-            if d + 1 in self.diffs:
-                if not self.diffs[d + 1].compose(f).is_zero():
-                    raise NotAComplex(f"d o d != 0 at degree {d}")
-
-    def degrees(self):
-        return sorted(self.terms)
-
-
-def cohomology(cx: RepComplex) -> dict:
-    """Pointwise ker/im quotients with induced cover maps, per degree."""
+def cohomology(cx: ScalarComplex) -> dict:
+    """Pointwise ker/im quotients with induced cover maps, per degree, read
+    off the scalar blocks restricted to the summands present at each element."""
+    lat, field = cx.lattice, cx.field
+    sums = {d: _indec_sum(lat, labels, cx.kind, field) for d, labels in cx.degrees.items()}
     out = {}
-    for d in cx.degrees():
-        term = cx.terms[d]
-        n, field = term.lattice.n, term.field
-        if d in cx.diffs:
-            cycles = [linalg.kernel_basis(cx.diffs[d].components[v], term.dims[v], field) for v in range(n)]
+    for d, (term, alive) in sorted(sums.items()):
+        if d + 1 in sums and d in cx.diffs:
+            comps = _restrict(cx.diffs[d], alive, sums[d + 1][1])
+            cycles = [linalg.kernel_basis(comps[v], term.dims[v], field) for v in range(lat.n)]
         else:
-            cycles = [linalg.identity(term.dims[v], field) for v in range(n)]
-        if d - 1 in cx.diffs:
-            f = cx.diffs[d - 1]
-            bounds = [linalg.column_space_basis(f.components[v], f.source.dims[v], field) for v in range(n)]
+            cycles = [linalg.identity(term.dims[v], field) for v in range(lat.n)]
+        if d - 1 in sums and d - 1 in cx.diffs:
+            src = sums[d - 1][1]
+            comps = _restrict(cx.diffs[d - 1], src, alive)
+            bounds = [linalg.column_space_basis(comps[v], len(src[v]), field) for v in range(lat.n)]
         else:
-            bounds = [[] for _ in range(n)]
+            bounds = [[] for _ in range(lat.n)]
         out[d] = subquotient(term, cycles, bounds)[0]
     return out
 
@@ -253,7 +211,8 @@ def cohomology(cx: RepComplex) -> dict:
 
 
 def _projective_cover(M: LatticeRep):
-    """(labels, phi) with phi a projective cover sum(P_l) ->> M."""
+    """(labels, phi, alive) with phi a projective cover sum(P_l) ->> M and
+    alive the summands of sum(P_l) present at each element."""
     lat, fieldk = M.lattice, M.field
     gens = []  # (element index, generating vector in M_a)
     for a in range(lat.n):
@@ -275,40 +234,27 @@ def _projective_cover(M: LatticeRep):
         for k in linalg.extend_basis(rad_basis, std, M.dims[a], fieldk):
             gens.append((a, std[k]))
     labels = [a for a, _ in gens]
-    P, pos = _indec_sum(lat, labels, "proj", fieldk)
-    comps = []
-    for v in range(lat.n):
-        comp = linalg.zeros(M.dims[v], P.dims[v], fieldk)
-        for j, (a, vec) in enumerate(gens):
-            if pos[j][v] is None:
-                continue
-            img = linalg.mat_vec(M.canonical_map(a, v), vec, fieldk)
-            for i in range(M.dims[v]):
-                comp[i][pos[j][v]] = img[i]
-        comps.append(comp)
-    phi = RepMorphism(P, M, comps)
+    P, alive = _indec_sum(lat, labels, "proj", fieldk)
+    images = [  # at v, the images of the generators of the summands present there
+        [linalg.mat_vec(M.canonical_map(labels[j], v), gens[j][1], fieldk) for j in alive[v]]
+        for v in range(lat.n)
+    ]
+    phi = RepMorphism(P, M, [linalg.transpose(cols, M.dims[v]) for v, cols in enumerate(images)])
     for v in range(lat.n):  # cover must be onto
         if linalg.rank(phi.components[v], P.dims[v], fieldk) != M.dims[v]:
             raise SerrelabError("projective cover is not surjective")
-    return labels, phi, P, pos
+    return labels, phi, alive
 
 
-def _scalar_blocks(d: RepMorphism, src_labels, src_pos, tgt_labels, tgt_pos):
+def _scalar_blocks(d: RepMorphism, src_labels, src_alive, tgt_labels, tgt_alive):
     """Extract the scalar of each block of a map between sums of projectives
     and assert the map is exactly its block reconstruction."""
-    lat, fieldk = d.source.lattice, d.source.field
-    mat = linalg.zeros(len(tgt_labels), len(src_labels), fieldk)
+    mat = linalg.zeros(len(tgt_labels), len(src_labels), d.source.field)
     for j, s in enumerate(src_labels):
-        v = s  # generator of P_s sits at element s
-        col = src_pos[j][v]
-        for i, t in enumerate(tgt_labels):
-            if tgt_pos[i][v] is not None:
-                sc = d.components[v][tgt_pos[i][v]][col]
-                if sc and not lat.leq_i(t, s):
-                    raise SerrelabError("scalar block without a canonical map")
-                mat[i][j] = sc
-    recon = _block_components(mat, src_pos, tgt_pos, d.source, d.target)
-    if not all(map(linalg.mat_eq, recon, d.components)):
+        col = src_alive[s].index(j)  # generator of P_s sits at element s
+        for r, i in enumerate(tgt_alive[s]):  # exactly the t_i <= s
+            mat[i][j] = d.components[s][r][col]
+    if _restrict(mat, src_alive, tgt_alive) != d.components:
         raise SerrelabError("map between projective sums is not block-scalar")
     return mat
 
@@ -323,17 +269,17 @@ def projective_resolution(M: LatticeRep) -> ScalarComplex:
     diffs = {}
     current = M
     prev_incl = None
-    prev_labels = prev_pos = None
+    prev_labels = prev_alive = None
     step = 0
     while not current.is_zero():
-        labels, phi, P, pos = _projective_cover(current)
+        labels, phi, alive = _projective_cover(current)
         degrees[-step] = labels
         if prev_incl is not None:
             d = prev_incl.compose(phi)
-            diffs[-step] = _scalar_blocks(d, labels, pos, prev_labels, prev_pos)
+            diffs[-step] = _scalar_blocks(d, labels, alive, prev_labels, prev_alive)
         K, incl = kernel(phi)
         prev_incl = incl
-        prev_labels, prev_pos = labels, pos
+        prev_labels, prev_alive = labels, alive
         current = K
         step += 1
         if step > 2 * lat.n + 4:
@@ -373,9 +319,9 @@ def _koszul(lattice: Lattice, gamma, kind: str, field) -> ScalarComplex:
 
 
 def _check_resolves(cx: ScalarComplex, target: LatticeRep, what: str):
-    """The realized complex is exact away from degree 0, where its cohomology
-    is isomorphic to target."""
-    for d, h in cohomology(cx.realize()).items():
+    """The complex is exact away from degree 0, where its cohomology is
+    isomorphic to target."""
+    for d, h in cohomology(cx).items():
         if d == 0:
             if not is_isomorphic(h, target):
                 raise SerrelabError(f"{what} does not resolve the module")
@@ -400,11 +346,12 @@ def antichain_coresolution(lattice: Lattice, ac: Antichain, field=QQ) -> ScalarC
     return cx
 
 
-def nakayama(cx: ScalarComplex) -> RepComplex:
-    """Replace each P_a by I_a, keeping the scalar blocks along canonical maps."""
+def nakayama(cx: ScalarComplex) -> ScalarComplex:
+    """Replace each P_a by I_a, keeping the degrees and the scalar blocks
+    along canonical maps."""
     if cx.kind != "proj":
         raise ValueError("nakayama expects a complex of projectives")
-    return cx.realize(kind="inj")
+    return ScalarComplex(cx.lattice, "inj", cx.degrees, cx.diffs, cx.field, cx.minimal)
 
 
 # -- the derived Serre functor ----------------------------------------------------

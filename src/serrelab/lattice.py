@@ -229,7 +229,18 @@ def lattice_to_json_dict(lat: Lattice) -> dict:
 
 
 def lattice_from_json_dict(data: dict) -> Lattice:
-    return build_lattice(data["elements"], [tuple(c) for c in data["covers"]])
+    """The lattice of {"elements": [label, ...], "covers": [[lo, hi], ...]}
+    with string labels; ValueError on any other shape."""
+    if not isinstance(data, dict):
+        raise ValueError("lattice JSON must be an object with 'elements' and 'covers'")
+    elements, covers = data.get("elements"), data.get("covers")
+    if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
+        raise ValueError("'elements' must be a list of string labels")
+    if not isinstance(covers, list) or not all(
+        isinstance(c, list) and len(c) == 2 and all(isinstance(x, str) for x in c) for c in covers
+    ):
+        raise ValueError("'covers' must be a list of [lower, upper] label pairs")
+    return build_lattice(elements, [tuple(c) for c in covers])
 
 
 def load_lattice(path) -> Lattice:
@@ -419,21 +430,31 @@ def boolean_partner(lat: Lattice, ac: Antichain) -> Antichain:
     return Antichain(dual, lat.labels[gamma[full]], "under")
 
 
-def all_antichains_over(lat: Lattice, base):
-    """Every antichain strictly above `base`, the empty one included: each
-    is extended by the later elements incomparable to all its members."""
-    b = lat.index[base]
-    up, down = lat.up_mask, lat.down_mask
+def _cliques(compat, allowed):
+    """Masks of all sets of pairwise compatible indices inside the mask
+    allowed (j in compat[i] when i and j are compatible), the empty set
+    included, in depth-first order: each set is extended by the later
+    allowed indices compatible with all its members."""
     out = []
 
-    def extend(chosen, candidates):
-        out.append(Antichain(frozenset(lat.labels[c] for c in chosen), base, "over"))
-        for c in _iter_bits(candidates):
-            later = candidates & ~((2 << c) - 1)
-            extend(chosen + [c], later & ~(up[c] | down[c]))
+    def extend(start, mask, allowed):
+        out.append(mask)
+        for i in _iter_bits(allowed & ~((1 << start) - 1)):
+            extend(i + 1, mask | 1 << i, allowed & compat[i])
 
-    extend([], up[b] & ~(1 << b))
+    extend(0, 0, allowed)
     return out
+
+
+def all_antichains_over(lat: Lattice, base):
+    """Every antichain strictly above `base`, the empty one included: the
+    cliques of the incomparability relation inside up(base) - base."""
+    b = lat.index[base]
+    incomparable = [~(up | down) for up, down in zip(lat.up_mask, lat.down_mask)]
+    return [
+        Antichain(frozenset(lat.labels[c] for c in _iter_bits(mask)), base, "over")
+        for mask in _cliques(incomparable, lat.up_mask[b] & ~(1 << b))
+    ]
 
 
 # -- classification ------------------------------------------------------------

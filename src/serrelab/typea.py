@@ -22,6 +22,7 @@ from .errors import GuardrailExceeded, PeriodViolation, RotationViolation, Serre
 from .lattice import (
     IntervalRef,
     Lattice,
+    _cliques,
     _iter_bits,
     build_lattice,
     lattice_to_json_dict,
@@ -79,20 +80,6 @@ def _union(rows, mask):
     out = 0
     for i in _iter_bits(mask):
         out |= rows[i]
-    return out
-
-
-def _cliques(compat):
-    """Masks of all sets of pairwise compatible indices (j in compat[i]),
-    in depth-first order."""
-    out = []
-
-    def bt(start, mask, allowed):
-        out.append(mask)
-        for i in _iter_bits(allowed & ~((1 << start) - 1)):
-            bt(i + 1, mask | 1 << i, allowed & compat[i])
-
-    bt(0, 0, (1 << len(compat)) - 1)
     return out
 
 
@@ -353,7 +340,7 @@ class _Engine:
         """Wide subcategories as extension closures of semibricks (sets of
         pairwise hom-orthogonal indecomposables)."""
         compat = [self.full_mask & ~(self.hom_out[i] | self.hom_in[i]) for i in range(self.N)]
-        out = {self.filt_closure(m) for m in _cliques(compat)}
+        out = {self.filt_closure(m) for m in _cliques(compat, self.full_mask)}
         return sorted(out, key=lambda m: (m.bit_count(), m))
 
     def ext_injectives_in(self, mask):
@@ -518,12 +505,11 @@ class _Engine:
         max_size summands together and no Hom or Ext^1 from t_tors to t_free;
         elig holds the projectives with no hom into either."""
         compat = [self.full_mask & ~(self.ext_out[i] | self.ext_in[i] | 1 << i) for i in range(self.N)]
-        rigid = _cliques(compat)
-        for t_tors in rigid:
+        for t_tors in _cliques(compat, self.full_mask):
             bad = _union(self.hom_out, t_tors) | _union(self.ext_out, t_tors)
-            for t_free in rigid:
+            for t_free in _cliques(compat, self.full_mask & ~bad):
                 size = t_tors.bit_count() + t_free.bit_count()
-                if size <= max_size and not t_free & bad:
+                if size <= max_size:
                     yield t_tors, t_free, size, self.proj_mask & self.perp_into(t_tors | t_free)
 
     def cluster_triples(self):

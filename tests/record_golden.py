@@ -40,6 +40,7 @@ CASES = {
     "orbit-pentagon-fp3": "orbit fixtures/pentagon.json --field fp:3",
     "geom-5": "geom --n 5",
     "typea-4-LRL": "typea --n 4 --orientation LRL",
+    "orbit-kite-fp3": "orbit fixtures/kite.json --field fp:3",
 }
 
 

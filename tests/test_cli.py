@@ -61,17 +61,32 @@ def test_check_exit_codes(tmp_path):
         assert proc.returncode == 1, argv
         assert proc.stderr.startswith("error: "), argv
         assert "Traceback" not in proc.stderr, argv
-    malformed = {
+    bad_covers = {
         "bowtie": [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]],  # not a lattice
         "cycle": [["a", "b"], ["b", "c"], ["c", "a"]],
         "redundant": [["a", "b"], ["b", "c"], ["a", "c"]],
     }
-    for name, covers in malformed.items():
+    malformed = {name: {"elements": list("abcd"), "covers": c} for name, c in bad_covers.items()}
+    # files of the wrong shape, and non-string labels that would print alike
+    malformed |= {
+        "top-list": [["a"], []],
+        "top-string": "pentagon",
+        "elements-string": {"elements": "ab", "covers": [["a", "b"]]},
+        "elements-object": {"elements": {"a": 1}, "covers": []},
+        "covers-object": {"elements": ["a", "b"], "covers": {"a": "b"}},
+        "element-list": {"elements": [["a"], "b"], "covers": []},
+        "cover-holds-list": {"elements": ["a", "b"], "covers": [[["a"], "b"]]},
+        "int-label": {"elements": ["1", 1], "covers": [["1", 1]]},
+        "missing-covers": {"elements": ["a"]},
+    }
+    for name, data in malformed.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"elements": ["a", "b", "c", "d"], "covers": covers}))
+        path.write_text(json.dumps(data))
         proc = run_cli("check", str(path))
         assert proc.returncode == 1, name
+        assert proc.stdout == "", name
         assert proc.stderr.startswith("error: "), name
+        assert "Traceback" not in proc.stderr, name
     # polygon sizes below n = 1 and exceeded guardrails are malformed input too
     for n in ("0", "-1", "-3"):
         proc = run_cli("geom", "--n", n)
@@ -197,6 +212,12 @@ def test_json_output_file(tmp_path):
     assert proc.returncode == 0
     assert json.loads(out.read_text())["ok"] is True
     assert out.read_text() == proc.stdout
+    # an unwritable path is one error line, with nothing on stdout
+    proc = run_cli("check", fixture_path("b2.json"), "--json", str(tmp_path / "no" / "x.json"))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_max_steps_flag():
