@@ -1,9 +1,13 @@
 """Minimal projective resolutions, antichain (co)resolutions, the Nakayama
 functor on complexes of projectives, cohomology, and the derived Serre
 functor with orbit bookkeeping.  The Serre functor of an antichain module
-with a boolean antichain has a closed form on support bitmasks, and every
-other small enough antichain module goes through its Koszul resolution; the
-generic path through the minimal resolution is kept as their oracle.
+with a boolean antichain has a closed form on support bitmasks.  Every other
+small enough antichain module goes through its Koszul resolution, whose
+Nakayama image at an element x is the relative chain complex of the simplicial
+complex Delta_x = {S : x !<= gamma(S)}: ranks are taken once per distinct
+pattern of summands, and an image that is an antichain module again is
+returned as a mask, with no module built.  The generic path through the
+minimal resolution is kept as their oracle.
 
 Degree convention: projective resolutions live in degrees <= 0 with the
 resolved module in degree 0; a Serre image concentrated in degree -k is
@@ -12,6 +16,7 @@ reported as shift +k.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -290,16 +295,26 @@ def projective_resolution(M: LatticeRep) -> ScalarComplex:
 # -- antichain (co)resolutions ---------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _subsets(k):
+    """The subsets of a k-set as bitmasks: by size, increasing inside a size,
+    and for each member c, the set of subsets without c as a bitmask over
+    subsets (bit S set when c is not in S)."""
+    by_size = [[] for _ in range(k + 1)]
+    for s in range(1 << k):
+        by_size[bin(s).count("1")].append(s)
+    without = [sum(1 << s for s in range(1 << k) if not s >> c & 1) for c in range(k)]
+    return by_size, without
+
+
 def _koszul(lattice: Lattice, gamma, kind: str, field) -> ScalarComplex:
     """The Koszul complex on the subset-join table (kind 'proj') or the
     subset-meet table (kind 'inj') gamma of an antichain C: one summand at
     gamma(S) per subset S of C, in degree -|S| for 'proj' and |S| for 'inj'.
     The Koszul map sends S to each S - {c} with the sign (-1)^(position of c
     in S); a coresolution runs the other way, so its matrices are transposed."""
-    k = (len(gamma) - 1).bit_length()
-    by_size = [[] for _ in range(k + 1)]
-    for s in range(len(gamma)):
-        by_size[bin(s).count("1")].append(s)
+    by_size = _subsets((len(gamma) - 1).bit_length())[0]
+    k = len(by_size) - 1
     step = -1 if kind == "proj" else 1
     degrees = {step * i: [gamma[s] for s in subs] for i, subs in enumerate(by_size)}
     diffs = {}
@@ -410,8 +425,9 @@ def serre_on_support(lat: Lattice, mask: int, field=QQ):
     its antichain C serves both fast paths: the closed form when C is
     boolean, and otherwise, when 2^|C| <= |L| so that the Koszul resolution
     has no more summands than the lattice has elements, the cohomology of
-    the Nakayama image of that resolution.  Everything else goes to
-    serre_by_resolution, the oracle; only those two paths build a LatticeRep."""
+    the Nakayama image of that resolution (_koszul_image).  Everything else
+    goes to serre_by_resolution, the oracle; it and a Koszul image that is
+    not an antichain module are the only steps that build a LatticeRep."""
     ac = support_antichain(lat, mask)
     if ac is not None and len(ac[1]) <= ANTICHAIN_GUARDRAIL:
         lo, members = ac
@@ -420,8 +436,87 @@ def serre_on_support(lat: Lattice, mask: int, field=QQ):
         if image is not None:
             return StalkResult(lat, len(members), image, field=field)
         if len(gamma) <= lat.n:
-            return _serre_image(_koszul(lat, gamma, "proj", field))
+            return _koszul_image(lat, gamma, _koszul(lat, gamma, "proj", field))
     return serre_by_resolution(support_module(lat, mask, field))
+
+
+def _pattern_homology(cx: ScalarComplex, pattern: int):
+    """(dims, ranks) of the Koszul complex cx of a k-element antichain
+    restricted to the subsets in pattern, a bitmask over subsets closed
+    under adding members: dims[i] = dim H^{-i} and ranks[i] the rank of the
+    restricted differential out of degree -i (ranks[0] = ranks[k + 1] = 0).
+
+    Its complement Delta = {S not in pattern} is a simplicial complex on C,
+    and H^{-i} is the reduced homology H_{i-2}(Delta).  When the restriction
+    is void, or is closed under removing some member c (Delta a cone with
+    apex c, as when the pattern is full), adding c is a contraction: dims
+    are 0 with no rank taken, and ranks is None."""
+    by_size, without = _subsets(len(cx.degrees) - 1)
+    k = len(by_size) - 1
+    if not pattern or any(
+        (pattern & low) << (1 << c) == pattern & ~low for c, low in enumerate(without)
+    ):
+        return [0] * (k + 1), None
+    alive = [[j for j, s in enumerate(subs) if pattern >> s & 1] for subs in by_size]
+    ranks = [0] * (k + 2)
+    for i in range(1, k + 1):
+        if alive[i] and alive[i - 1]:
+            mat = _restrict(cx.diffs[-i], [alive[i]], [alive[i - 1]])[0]
+            ranks[i] = linalg.rank(mat, len(alive[i]), cx.field)
+    return [len(alive[i]) - ranks[i] - ranks[i + 1] for i in range(k + 1)], ranks
+
+
+def _projection_rank(cx: ScalarComplex, s: int, big: int, small: int, homology):
+    """The rank of the map on H^{-s} induced by projecting cx restricted to
+    the pattern big onto cx restricted to small, a pattern inside big; for a
+    cover a < b of the lattice this is the cover map of the Nakayama image,
+    with big = P_a and small = P_b.  homology maps each pattern to its
+    _pattern_homology.
+
+    The kernel K of the projection (the subsets in big but not in small) is a
+    subcomplex, so the preimage of the boundaries of small is B_big + K, and
+    the rank is dim(Z_big + K_s) - dim(B_big + K_s), that is
+    dim Z_big + rank(d restricted to K_s) - |K_s| - rank_small(-s-1)."""
+    (dims, ranks), (_, ranks_small) = homology[big], homology[small]
+    if ranks is None or ranks_small is None:
+        return 0
+    by_size = _subsets(len(cx.degrees) - 1)[0]
+    dropped = big & ~small
+    cols = [j for j, t in enumerate(by_size[s]) if dropped >> t & 1]
+    rows = [i for i, t in enumerate(by_size[s - 1]) if dropped >> t & 1] if s else []
+    rho = 0
+    if rows and cols:
+        rho = linalg.rank(_restrict(cx.diffs[-s], [cols], [rows])[0], len(cols), cx.field)
+    return dims[s] + ranks[s + 1] + rho - len(cols) - ranks_small[s + 1]
+
+
+def _koszul_image(lat: Lattice, gamma, cx: ScalarComplex):
+    """The Serre image of the antichain module with subset-join table gamma,
+    read off its Koszul complex cx without building a module.
+
+    At an element x the Nakayama image of cx is cx restricted to the pattern
+    P_x = {S : x <= gamma(S)}, the summands I_gamma(S) present at x, so its
+    cohomology is taken once per distinct pattern.  A thin stalk in degree
+    -s whose support is an antichain module's support is that module when
+    every cover map inside the support is nonzero (_projection_rank, once
+    per distinct pair of patterns).  Every other image is the cohomology of
+    nakayama(cx), as on the generic path."""
+    pattern = [0] * lat.n
+    for s, g in enumerate(gamma):
+        for x in _iter_bits(lat.down_mask[g]):
+            pattern[x] |= 1 << s
+    homology = {p: _pattern_homology(cx, p) for p in set(pattern)}
+    degrees = {i for dims, _ in homology.values() for i, d in enumerate(dims) if d}
+    if len(degrees) != 1 or any(d > 1 for dims, _ in homology.values() for d in dims):
+        return _serre_image(cx)
+    (s,) = degrees
+    mask = sum(1 << x for x, p in enumerate(pattern) if homology[p][0][s])
+    if support_antichain(lat, mask) is None:
+        return _serre_image(cx)
+    pairs = {(pattern[a], pattern[b]) for a, b in lat.covers if mask >> a & 1 and mask >> b & 1}
+    if not all(_projection_rank(cx, s, big, small, homology) for big, small in pairs):
+        return _serre_image(cx)
+    return StalkResult(lat, s, mask, field=cx.field)
 
 
 def serre_by_resolution(M: LatticeRep):
@@ -447,9 +542,10 @@ def serre_walk(lattice: Lattice, mask: int, field=QQ):
     """The successive Serre images of support_module(lattice, mask, field):
     StalkResults, ending after the first GeneralComplexResult if one appears.
     Each step runs on the support mask of the previous image when it has
-    one, so a LatticeRep is built only for a Koszul or oracle step.  An image
-    without one is no antichain module (_serre_image has just tested it), so
-    its step goes straight to serre_by_resolution."""
+    one, so a LatticeRep is built only for an oracle step or a Koszul step
+    whose image is no antichain module.  An image without a mask is no
+    antichain module (_serre_image has just tested it), so its step goes
+    straight to serre_by_resolution."""
     res = serre_on_support(lattice, mask, field)
     while True:
         yield res

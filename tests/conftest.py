@@ -66,8 +66,8 @@ def routed_to_oracle():
     serre_by_resolution, the oracle: serre and serre_on_support, through which
     every fast Serre step enters, are replaced wherever a module holds them.
     Yields the oracle for direct calls.  Fails if the oracle never ran, or if
-    the closed form (serre_support) or the Koszul path (_koszul) ran all the
-    same."""
+    the closed form (serre_support) or the Koszul path (_koszul_image) ran
+    all the same."""
     calls, fast = [], []
 
     def oracle(M):
@@ -91,7 +91,7 @@ def routed_to_oracle():
             for name, stand_in in (("serre", oracle), ("serre_on_support", oracle_on_support)):
                 if hasattr(module, name):
                     mp.setattr(module, name, stand_in)
-        for name in ("serre_support", "_koszul"):
+        for name in ("serre_support", "_koszul_image"):
             mp.setattr(derived, name, counted(name))
         yield oracle
     assert calls, "the oracle never ran"

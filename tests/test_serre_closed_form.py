@@ -3,20 +3,24 @@ oracle, serre_by_resolution, on every antichain module; the dispatch rule
 between the three paths; and the mask walks against the Coxeter check and
 the oracle walks."""
 
+import functools
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serrelab import derived
-from serrelab.coxeter import combinatorial_serre_check, cross_check
+from serrelab import derived, linalg
+from serrelab.coxeter import combinatorial_serre_check, coxeter_matrix, cross_check
 from serrelab.derived import GeneralComplexResult, StalkResult, serre, serre_by_resolution, serre_orbit
 from serrelab.fields import QQ, PrimeField
 from serrelab.lattice import (
     Antichain,
     IntervalRef,
     all_antichains_over,
+    _subset_joins,
+    boolean_lattice,
     boolean_partner,
     build_lattice,
     chain_product,
@@ -33,6 +37,7 @@ from serrelab.reps import (
     interval_module,
     is_isomorphic,
     simple_module,
+    support_module,
 )
 from serrelab.typea import QuiverA, all_orientations, gen_tamari, run_typea_suite, tors_lattice
 
@@ -62,8 +67,9 @@ def resolutions(monkeypatch):
 
 @pytest.fixture
 def koszul(monkeypatch):
-    """Counts the Koszul complexes that serre_on_support builds."""
-    return _counted(monkeypatch, "_koszul")
+    """Counts the steps that serre_on_support sends down the Koszul path,
+    each entering _koszul_image once, fallback or not."""
+    return _counted(monkeypatch, "_koszul_image")
 
 
 def _every_antichain(lat):
@@ -222,49 +228,186 @@ def test_product_request_builds_no_minimal_resolution(appendix9, resolutions, ko
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Antichain, "__init__", counted_init)
+    # Nor does a Koszul step build a module or take cohomology: all 34 images
+    # are read off the Koszul complex at one rank per element pattern
+    cohomologies = _counted(monkeypatch, "cohomology")
+    reps = []
+    rep_init = LatticeRep.__init__
+
+    def counted_rep_init(self, *args, **kwargs):
+        reps.append(args)
+        rep_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LatticeRep, "__init__", counted_rep_init)
     orbits = [serre_orbit(lat, a) for a in lat.labels]
     assert sum(len(o.steps) for o in orbits) == 322
     assert (len(resolutions), len(koszul)) == (0, 34)
     assert len(gammas) == 322
     assert antichains == []
+    assert (len(reps), len(cohomologies)) == (0, 0)
 
 
-def test_oracle_fixture_routes_every_walk(serre_oracle, pentagon):
-    # the fixture itself fails the test if a closed-form or Koszul step ran
-    assert serre_orbit(pentagon, "a").period is not None
-    assert cross_check(pentagon).ok
-    suite = run_typea_suite(QuiverA(2, "L"))
-    assert suite["checks"]["categorical_serre"] == {"ok": True, "failures": [], "total": 12}
+@functools.lru_cache(maxsize=None)
+def _product_koszul_steps(field):
+    """(lattice, gamma) of each step that the orbits of
+    product(appendix9, appendix9) over field send down the Koszul path."""
+    lat = product(*[load_lattice(fixture_path("appendix9.json"))] * 2)
+    steps = []
+    image = derived._koszul_image
+
+    def recorded(lat, gamma, cx):
+        steps.append((lat, gamma))
+        return image(lat, gamma, cx)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(derived, "_koszul_image", recorded)
+        for a in lat.labels:
+            serre_orbit(lat, a, field=field)
+    return steps
 
 
-def _orbit_record(orbit):
-    steps = [(s.shift, s.interval, s.dimension_vector()) for s in orbit.steps]
-    return orbit.period, orbit.total_shift, orbit.failure is None, steps
+def _module_mask(lat, gamma):
+    """The support of the antichain module over gamma(empty) whose antichain
+    is the gamma of the singletons."""
+    mask = lat.up_mask[gamma[0]]
+    for j in range(len(gamma).bit_length() - 1):
+        mask &= ~lat.up_mask[gamma[1 << j]]
+    return mask
 
 
-# random meet/join-closed sublattices of B4 through the Coxeter check, the
-# mask orbits and the oracle orbits
-@settings(max_examples=25, deadline=None)
-@given(
-    st.sets(st.integers(0, 15), min_size=1, max_size=8),
-    st.sampled_from([QQ, PrimeField(3), PrimeField(5)]),
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)])
+def test_koszul_path_matches_oracle_on_the_product_request(field):
+    # the only request whose Koszul steps reach |C| = 5 and 6; kite x kite
+    # has 25 elements, so there 2^|C| <= |L| stops at |C| = 4
+    steps = _product_koszul_steps(field)
+    assert len(steps) == 34
+    assert {len(gamma).bit_length() - 1 for _, gamma in steps} >= {5, 6}
+    for lat, gamma in steps:
+        mask = _module_mask(lat, gamma)
+        fast = derived.serre_on_support(lat, mask, field)
+        assert isinstance(fast, StalkResult) and fast.support is not None
+        _assert_same_image(fast, serre_by_resolution(support_module(lat, mask, field)), gamma)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)])
+def test_koszul_cohomology_satisfies_the_euler_identity(appendix9, field):
+    # sum_i (-1)^i dim H^{-i}(SM)(x) is the class of SM, which is -(C dim M)
+    # because C[P_i] = -[I_i]; checked on the per-pattern cohomology of every
+    # Koszul step, and in its stalk form (-1)^shift dim SM on every step
+    lat = product(appendix9, appendix9)
+    C = coxeter_matrix(lat).matrix
+
+    def minus_coxeter(vector):
+        return [-sum(c * v for c, v in zip(row, vector)) for row in C]
+
+    for _, gamma in _product_koszul_steps(field):
+        cx = derived._koszul(lat, gamma, "proj", field)
+        dim_m = [_module_mask(lat, gamma) >> x & 1 for x in range(lat.n)]
+        euler = []
+        for x in range(lat.n):
+            pattern = sum(1 << s for s, g in enumerate(gamma) if lat.leq_i(x, g))
+            dims, _ = derived._pattern_homology(cx, pattern)
+            euler.append(sum((-1) ** i * d for i, d in enumerate(dims)))
+        assert euler == minus_coxeter(dim_m), gamma
+    for a in lat.labels:
+        dim_m = [lat.leq_i(x, lat.index[a]) for x in range(lat.n)]
+        for step in serre_orbit(lat, a, field=field).steps:
+            sign = (-1) ** step.shift
+            assert [sign * d for d in step.dimension_vector()] == minus_coxeter(dim_m), a
+            dim_m = step.dimension_vector()
+
+
+def _boolean_koszul(k, field):
+    """The Koszul complex of the k atoms of B_k, whose gamma is a bijection
+    from the subsets of the atoms onto B_k."""
+    lat = boolean_lattice(k)
+    bottom = lat.index[lat.bottom_label]
+    gamma = _subset_joins(bottom, sorted(lat.upper_covers[bottom]), lat.join_tab)
+    return derived._koszul(lat, gamma, "proj", field)
+
+
+def _pattern(k, faces):
+    """The subsets of a k-set outside the simplicial complex generated by
+    faces (each a string of vertices 1..k), as a bitmask over subsets."""
+    generators = [sum(1 << (int(v) - 1) for v in face) for face in faces]
+    delta = [s for s in range(1 << k) if any(s & g == s for g in generators)]
+    return (1 << (1 << k)) - 1 - sum(1 << s for s in delta)
+
+
+RP2 = ["123", "134", "145", "156", "162", "235", "346", "452", "563", "624"]
+
+
+@pytest.mark.parametrize(
+    "field, expected",
+    [(QQ, [0] * 7), (PrimeField(3), [0] * 7), (PrimeField(2), [0, 0, 0, 1, 1, 0, 0])],
 )
-def test_b4_sublattices_agree_across_coxeter_masks_and_oracle(seed, field):
-    lat, _ = boolean_sublattice(seed)
-    report = combinatorial_serre_check(lat)
-    fast = {a: serre_orbit(lat, a, field=field) for a in lat.labels}
-    with routed_to_oracle():
-        slow = {a: serre_orbit(lat, a, field=field) for a in lat.labels}
-    assert {a: _orbit_record(o) for a, o in fast.items()} == {
-        a: _orbit_record(o) for a, o in slow.items()
-    }
-    assert report.is_serre_formal == all(o.failure is None for o in fast.values())
-    for a, traj in report.trajectories.items():
-        # C^k [I_a] is the class of S^k I_a, in degree -(shifts so far) and
-        # with one more sign per step from C[P_i] = -[I_i]
-        orbit, shift = fast[a], 0
-        for k, (vector, step) in enumerate(zip(traj.vectors[1:], orbit.steps), 1):
-            shift += step.shift
-            assert list(vector) == [(-1) ** (k + shift) * x for x in step.dimension_vector()]
-        if traj.failed is None and traj.steps and orbit.failure is None:
-            assert orbit.steps[traj.steps - 1].interval == IntervalRef(traj.target, lat.top_label)
+def test_pattern_homology_has_torsion_on_rp2(field, expected):
+    # H^{-i} is the reduced homology H_{i-2} of Delta, here the 6-vertex
+    # RP^2: H_1 and H_2 are F_2, and vanish over QQ and F_3
+    dims, ranks = derived._pattern_homology(_boolean_koszul(6, field), _pattern(6, RP2))
+    assert dims == expected and ranks is not None
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)])
+def test_pattern_homology_on_spheres_cones_void_and_full(field):
+    for k in range(2, 6):
+        cx = _boolean_koszul(k, field)
+        full = (1 << (1 << k)) - 1
+        # the boundary of the simplex is a (k-2)-sphere: one class in degree -k
+        assert derived._pattern_homology(cx, 1 << (1 << k) - 1)[0] == [0] * k + [1]
+        # the cone with apex 1 over the boundary of the simplex on 2..k; the
+        # void and full patterns (Delta the full simplex and the void complex)
+        others = "".join(str(v) for v in range(2, k + 1))
+        cone = _pattern(k, ["1" + others.replace(v, "") for v in others])
+        for pattern in (0, full, cone):
+            assert derived._pattern_homology(cx, pattern) == ([0] * (k + 1), None)
+
+
+def _up_set(k, generators):
+    return sum(1 << s for s in range(1 << k) if any(g & s == g for g in generators))
+
+
+def _induced_rank(cx, s, big, small):
+    """The rank of H^{-s}(big) -> H^{-s}(small) by plain linear algebra: the
+    cycles of big, projected, against the boundaries of small."""
+    by_size, field = derived._subsets(len(cx.degrees) - 1)[0], cx.field
+
+    def alive(pattern, i):
+        subs = by_size[i] if 0 <= i < len(by_size) else []
+        return [j for j, t in enumerate(subs) if pattern >> t & 1]
+
+    def restricted(i, src, tgt):  # the differential out of degree -i
+        return derived._restrict(cx.diffs[-i], [src], [tgt])[0]
+
+    big_s, small_s, small_up = alive(big, s), alive(small, s), alive(small, s + 1)
+    cycles = linalg.identity(len(big_s), field)
+    if s and alive(big, s - 1):
+        cycles = linalg.kernel_basis(restricted(s, big_s, alive(big, s - 1)), len(big_s), field)
+    projected = [[z[big_s.index(j)] for j in small_s] for z in cycles]
+    bounds = []
+    if small_up and small_s:
+        bounds = linalg.transpose(restricted(s + 1, small_up, small_s), len(small_up))
+
+    def rank(vectors):
+        return linalg.rank(linalg.transpose(vectors, len(small_s)), len(vectors), field) if vectors else 0
+
+    return rank(bounds + projected) - rank(bounds)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)])
+def test_projection_rank_matches_the_induced_map(field):
+    # the cover-map test of the Koszul path on random nested patterns, many of
+    # whose maps are zero, against the map on homology built explicitly
+    rng = random.Random(13)
+    ranks = set()
+    for k in (3, 4, 5):
+        cx = _boolean_koszul(k, field)
+        for _ in range(60):
+            big = _up_set(k, rng.sample(range(1 << k), rng.randint(1, 4)))
+            small = big & _up_set(k, rng.sample(range(1 << k), rng.randint(1, 3)))
+            homology = {p: derived._pattern_homology(cx, p) for p in (big, small)}
+            for s in range(k + 1):
+                rank = derived._projection_rank(cx, s, big, small, homology)
+                assert rank == _induced_rank(cx, s, big, small), (k, big, small, s)
+                ranks.add(rank)
+    assert {0, 1} <= ranks
