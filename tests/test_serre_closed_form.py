@@ -247,6 +247,47 @@ def test_product_request_builds_no_minimal_resolution(appendix9, resolutions, ko
     assert (len(reps), len(cohomologies)) == (0, 0)
 
 
+def test_oracle_fixture_routes_every_walk(serre_oracle, pentagon):
+    # the fixture itself fails the test if a closed-form or Koszul step ran
+    assert serre_orbit(pentagon, "a").period is not None
+    assert cross_check(pentagon).ok
+    suite = run_typea_suite(QuiverA(2, "L"))
+    assert suite["checks"]["categorical_serre"] == {"ok": True, "failures": [], "total": 12}
+
+
+def _orbit_record(orbit):
+    steps = [(s.shift, s.interval, s.dimension_vector()) for s in orbit.steps]
+    return orbit.period, orbit.total_shift, orbit.failure is None, steps
+
+
+# random meet/join-closed sublattices of B4 through the Coxeter check, the
+# mask orbits and the oracle orbits
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sets(st.integers(0, 15), min_size=1, max_size=8),
+    st.sampled_from([QQ, PrimeField(3), PrimeField(5)]),
+)
+def test_b4_sublattices_agree_across_coxeter_masks_and_oracle(seed, field):
+    lat, _ = boolean_sublattice(seed)
+    report = combinatorial_serre_check(lat)
+    fast = {a: serre_orbit(lat, a, field=field) for a in lat.labels}
+    with routed_to_oracle():
+        slow = {a: serre_orbit(lat, a, field=field) for a in lat.labels}
+    assert {a: _orbit_record(o) for a, o in fast.items()} == {
+        a: _orbit_record(o) for a, o in slow.items()
+    }
+    assert report.is_serre_formal == all(o.failure is None for o in fast.values())
+    for a, traj in report.trajectories.items():
+        # C^k [I_a] is the class of S^k I_a, in degree -(shifts so far) and
+        # with one more sign per step from C[P_i] = -[I_i]
+        orbit, shift = fast[a], 0
+        for k, (vector, step) in enumerate(zip(traj.vectors[1:], orbit.steps), 1):
+            shift += step.shift
+            assert list(vector) == [(-1) ** (k + shift) * x for x in step.dimension_vector()]
+        if traj.failed is None and traj.steps and orbit.failure is None:
+            assert orbit.steps[traj.steps - 1].interval == IntervalRef(traj.target, lat.top_label)
+
+
 @functools.lru_cache(maxsize=None)
 def _product_koszul_steps(field):
     """(lattice, gamma) of each step that the orbits of
@@ -352,9 +393,10 @@ def test_pattern_homology_has_torsion_on_rp2(field, expected):
 def test_pattern_homology_on_spheres_cones_void_and_full(field):
     for k in range(2, 6):
         cx = _boolean_koszul(k, field)
-        full = (1 << (1 << k)) - 1
-        # the boundary of the simplex is a (k-2)-sphere: one class in degree -k
-        assert derived._pattern_homology(cx, 1 << (1 << k) - 1)[0] == [0] * k + [1]
+        full, top = (1 << (1 << k)) - 1, (1 << k) - 1
+        # Delta the boundary of the simplex, a (k-2)-sphere: P = {C} and one
+        # class in degree -k
+        assert derived._pattern_homology(cx, 1 << top)[0] == [0] * k + [1]
         # the cone with apex 1 over the boundary of the simplex on 2..k; the
         # void and full patterns (Delta the full simplex and the void complex)
         others = "".join(str(v) for v in range(2, k + 1))
