@@ -83,12 +83,82 @@ def _resolve_input(path, gen):
     return lat, {"kind": kind, "detail": detail, "fingerprint": fp}
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _scalar_text(obj):
+    """The JSON text of a str, int, bool or None; None for a dict, list or
+    tuple.  Any other type raises TypeError: a report holds no floats."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple, dict)):
+        return None
+    raise TypeError(f"a report cannot hold a value of type {type(obj).__name__}")
+
+
+def _append_chunks(obj, nl, out):
+    """Append the text of obj to out; nl is the newline and indent of the
+    line obj starts on."""
+    text = _scalar_text(obj)
+    if text is not None:
+        out.append(text)
+        return
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        for key, _ in items:
+            if not isinstance(key, str):
+                raise TypeError(f"a report key must be a str, not {type(key).__name__}")
+        heads = [inner + _encode_str(key) + ": " for key, _ in items]
+        values = [value for _, value in items]
+        brackets = "{}"
+    else:
+        kinds = set(map(type, obj))
+        if kinds == {int} or kinds == {str}:  # a matrix row or a label list: one chunk
+            texts = map(repr if kinds == {int} else _encode_str, obj)  # repr is int.__repr__ here
+            out.append("[" + inner + ("," + inner).join(texts) + nl + "]")
+            return
+        heads, values, brackets = [inner] * len(obj), obj, "[]"
+    if not values:
+        out.append(brackets)
+        return
+    sep = brackets[0]
+    for head, value in zip(heads, values):
+        text = _scalar_text(value)
+        if text is None:
+            out.append(sep + head)
+            _append_chunks(value, inner, out)
+        else:
+            out.append(sep + head + text)
+        sep = ","
+    out.append(nl + brackets[1])
+
+
+def _report_chunks(report) -> list:
+    """The report text, byte for byte as json.dumps writes it with an indent
+    of 2 and sorted keys, as a list of chunks built by C-level joins: the
+    pure-Python encoder that json selects for any indent is never run.  Keys
+    must be str and values str, int, bool, None, dict, list or tuple, else
+    TypeError before any chunk is returned."""
+    out = []
+    _append_chunks(report, "\n", out)
+    return out
+
+
 def _emit(report, json_path):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    parts = _report_chunks(report) + ["\n"]
     if json_path:  # first, so that an unwritable path leaves stdout empty
         with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+            fh.writelines(parts)
+    sys.stdout.writelines(parts)
 
 
 def _fcy_pair(orbits):

@@ -163,7 +163,16 @@ class ScalarComplex:
 def _indec_sum(lat: Lattice, labels, kind, field):
     """Direct sum of P_l / I_l for l in labels; returns (rep, alive) with
     alive[v] the positions of the summands present at element v, in
-    coordinate order."""
+    coordinate order.  Memoized in a dict the lattice owns, so that it dies
+    with the lattice; callers only read the pair."""
+    memo = lat.__dict__.setdefault("_indec_sums", {})
+    key = (tuple(labels), kind, field)
+    if key not in memo:
+        memo[key] = _build_indec_sum(lat, labels, kind, field)
+    return memo[key]
+
+
+def _build_indec_sum(lat: Lattice, labels, kind, field):
     present = lat.up_mask if kind == "proj" else lat.down_mask
     alive = [[] for _ in range(lat.n)]
     for j, l in enumerate(labels):

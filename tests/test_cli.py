@@ -220,6 +220,17 @@ def test_json_output_file(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_json_output_file_on_a_large_report(tmp_path):
+    out = tmp_path / "report.json"
+    proc = run_cli("check", "--gen", "tamari", "5", "--derived", "--json", str(out))
+    assert proc.returncode == 0
+    assert len(proc.stdout) > 500_000
+    assert out.read_text() == proc.stdout
+    report = json.loads(proc.stdout)
+    assert json.loads(out.read_text()) == report
+    assert proc.stdout == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 def test_max_steps_flag():
     proc = run_cli("check", "--gen", "chainprod", "4", "4", "--max-steps", "1")
     assert proc.returncode == 2
