@@ -114,9 +114,7 @@ def _append_chunks(obj, nl, out):
     inner = nl + "  "
     if isinstance(obj, dict):
         items = sorted(obj.items())
-        for key, _ in items:
-            if not isinstance(key, str):
-                raise TypeError(f"a report key must be a str, not {type(key).__name__}")
+        # _encode_str raises TypeError on a key that is not a str
         heads = [inner + _encode_str(key) + ": " for key, _ in items]
         values = [value for _, value in items]
         brackets = "{}"
