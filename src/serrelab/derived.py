@@ -4,10 +4,10 @@ functor with orbit bookkeeping.  The Serre functor of an antichain module
 with a boolean antichain has a closed form on support bitmasks.  Every other
 small enough antichain module goes through its Koszul resolution, whose
 Nakayama image at an element x is the relative chain complex of the simplicial
-complex Delta_x = {S : x !<= gamma(S)}: ranks are taken once per distinct
-pattern of summands, and an image that is an antichain module again is
-returned as a mask, with no module built.  The generic path through the
-minimal resolution is kept as their oracle.
+complex Delta_x = {S : x !<= gamma(S)}: ranks of one shared simplex boundary
+are taken once per distinct pattern of summands, with no complex or module
+built; a non-stalk image comes back as dimension vectors, an antichain module
+as a mask.  The minimal resolution is their oracle, and the one fallback.
 
 Degree convention: projective resolutions live in degrees <= 0 with the
 resolved module in degree 0; a Serre image concentrated in degree -k is
@@ -77,7 +77,8 @@ class StalkResult:
 
 @dataclass
 class GeneralComplexResult:
-    """Cohomology spread over several degrees (not Serre formal here)."""
+    """The dimension vector of each nonzero degree of an image spread over
+    several degrees (not Serre formal here)."""
 
     cohomology: dict
 
@@ -316,17 +317,13 @@ def _subsets(k):
     return by_size, without
 
 
-def _koszul(lattice: Lattice, gamma, kind: str, field) -> ScalarComplex:
-    """The Koszul complex on the subset-join table (kind 'proj') or the
-    subset-meet table (kind 'inj') gamma of an antichain C: one summand at
-    gamma(S) per subset S of C, in degree -|S| for 'proj' and |S| for 'inj'.
-    The Koszul map sends S to each S - {c} with the sign (-1)^(position of c
-    in S); a coresolution runs the other way, so its matrices are transposed."""
-    by_size = _subsets((len(gamma) - 1).bit_length())[0]
-    k = len(by_size) - 1
-    step = -1 if kind == "proj" else 1
-    degrees = {step * i: [gamma[s] for s in subs] for i, subs in enumerate(by_size)}
-    diffs = {}
+@functools.lru_cache(maxsize=None)
+def _boundary(k, field):
+    """The signed boundary of the full simplex on a k-set, shared, so read
+    only: entry i maps the i-subsets to the (i-1)-subsets in _subsets order,
+    S to each S - {c} with the sign (-1)^(position of c in S); entry 0 is []."""
+    by_size = _subsets(k)[0]
+    d = [[]]
     one = field.one
     for i in range(1, k + 1):
         src, tgt = by_size[i], by_size[i - 1]
@@ -335,10 +332,23 @@ def _koszul(lattice: Lattice, gamma, kind: str, field) -> ScalarComplex:
         for j, s in enumerate(src):
             for p, c in enumerate(_iter_bits(s)):
                 mat[row[s ^ (1 << c)]][j] = one if p % 2 == 0 else -one
-        if kind == "proj":
-            diffs[-i] = mat
-        else:
-            diffs[i - 1] = linalg.transpose(mat, len(src))
+        d.append(mat)
+    return d
+
+
+def _koszul(lattice: Lattice, gamma, kind: str, field) -> ScalarComplex:
+    """The Koszul complex on the subset-join table (kind 'proj') or the
+    subset-meet table (kind 'inj') gamma of an antichain C: one summand at
+    gamma(S) per subset S of C, in degree -|S| for 'proj' and |S| for 'inj',
+    maps from _boundary, transposed for a coresolution, which runs upward."""
+    k = (len(gamma) - 1).bit_length()
+    by_size, d = _subsets(k)[0], _boundary(k, field)
+    step = -1 if kind == "proj" else 1
+    degrees = {step * i: [gamma[s] for s in subs] for i, subs in enumerate(by_size)}
+    if kind == "proj":
+        diffs = {-i: d[i] for i in range(1, k + 1)}
+    else:
+        diffs = {i - 1: linalg.transpose(d[i], len(by_size[i])) for i in range(1, k + 1)}
     return ScalarComplex(lattice, kind, degrees, diffs, field)
 
 
@@ -433,10 +443,10 @@ def serre_on_support(lat: Lattice, mask: int, field=QQ):
     When mask is the support of an antichain module, one subset-join table of
     its antichain C serves both fast paths: the closed form when C is
     boolean, and otherwise, when 2^|C| <= |L| so that the Koszul resolution
-    has no more summands than the lattice has elements, the cohomology of
-    the Nakayama image of that resolution (_koszul_image).  Everything else
-    goes to serre_by_resolution, the oracle; it and a Koszul image that is
-    not an antichain module are the only steps that build a LatticeRep."""
+    has no more summands than the lattice has elements, the simplicial
+    homology of its Nakayama image (_koszul_image).  Everything else goes to
+    serre_by_resolution, the oracle and the only step that builds a
+    LatticeRep, as does a Koszul stalk that is no antichain module."""
     ac = support_antichain(lat, mask)
     if ac is not None and len(ac[1]) <= ANTICHAIN_GUARDRAIL:
         lo, members = ac
@@ -445,22 +455,24 @@ def serre_on_support(lat: Lattice, mask: int, field=QQ):
         if image is not None:
             return StalkResult(lat, len(members), image, field=field)
         if len(gamma) <= lat.n:
-            return _koszul_image(lat, gamma, _koszul(lat, gamma, "proj", field))
+            res = _koszul_image(lat, gamma, field)
+            if res is not None:
+                return res
     return serre_by_resolution(support_module(lat, mask, field))
 
 
-def _pattern_homology(cx: ScalarComplex, pattern: int):
-    """(dims, ranks) of the Koszul complex cx of a k-element antichain
-    restricted to the subsets in pattern, a bitmask over subsets closed
-    under adding members: dims[i] = dim H^{-i} and ranks[i] the rank of the
-    restricted differential out of degree -i (ranks[0] = ranks[k + 1] = 0).
+def _pattern_homology(d, field, pattern: int):
+    """(dims, ranks) of the Koszul complex with boundary table d restricted
+    to the subsets in pattern, a bitmask over subsets closed under adding
+    members: dims[i] = dim H^{-i} and ranks[i] the rank of the restricted
+    differential out of degree -i (ranks[0] = ranks[k + 1] = 0).
 
     Its complement Delta = {S not in pattern} is a simplicial complex on C,
     and H^{-i} is the reduced homology H_{i-2}(Delta).  When the restriction
     is void, or is closed under removing some member c (Delta a cone with
     apex c, as when the pattern is full), adding c is a contraction: dims
     are 0 with no rank taken, and ranks is None."""
-    by_size, without = _subsets(len(cx.degrees) - 1)
+    by_size, without = _subsets(len(d) - 1)
     k = len(by_size) - 1
     if not pattern or any(
         (pattern & low) << (1 << c) == pattern & ~low for c, low in enumerate(without)
@@ -470,17 +482,17 @@ def _pattern_homology(cx: ScalarComplex, pattern: int):
     ranks = [0] * (k + 2)
     for i in range(1, k + 1):
         if alive[i] and alive[i - 1]:
-            mat = _restrict(cx.diffs[-i], [alive[i]], [alive[i - 1]])[0]
-            ranks[i] = linalg.rank(mat, len(alive[i]), cx.field)
+            mat = _restrict(d[i], [alive[i]], [alive[i - 1]])[0]
+            ranks[i] = linalg.rank(mat, len(alive[i]), field)
     return [len(alive[i]) - ranks[i] - ranks[i + 1] for i in range(k + 1)], ranks
 
 
-def _projection_rank(cx: ScalarComplex, s: int, big: int, small: int, homology):
-    """The rank of the map on H^{-s} induced by projecting cx restricted to
-    the pattern big onto cx restricted to small, a pattern inside big; for a
-    cover a < b of the lattice this is the cover map of the Nakayama image,
-    with big = P_a and small = P_b.  homology maps each pattern to its
-    _pattern_homology.
+def _projection_rank(d, field, s: int, big: int, small: int, homology):
+    """The rank of the map on H^{-s} induced by projecting the Koszul complex
+    with boundary table d on the pattern big onto the pattern small inside
+    it; for a cover a < b of the lattice this is the cover map of the
+    Nakayama image, with big = P_a and small = P_b.  homology maps each
+    pattern to its _pattern_homology.
 
     The kernel K of the projection (the subsets in big but not in small) is a
     subcomplex, so the preimage of the boundaries of small is B_big + K, and
@@ -489,72 +501,67 @@ def _projection_rank(cx: ScalarComplex, s: int, big: int, small: int, homology):
     (dims, ranks), (_, ranks_small) = homology[big], homology[small]
     if ranks is None or ranks_small is None:
         return 0
-    by_size = _subsets(len(cx.degrees) - 1)[0]
+    by_size = _subsets(len(d) - 1)[0]
     dropped = big & ~small
     cols = [j for j, t in enumerate(by_size[s]) if dropped >> t & 1]
     rows = [i for i, t in enumerate(by_size[s - 1]) if dropped >> t & 1] if s else []
     rho = 0
     if rows and cols:
-        rho = linalg.rank(_restrict(cx.diffs[-s], [cols], [rows])[0], len(cols), cx.field)
+        rho = linalg.rank(_restrict(d[s], [cols], [rows])[0], len(cols), field)
     return dims[s] + ranks[s + 1] + rho - len(cols) - ranks_small[s + 1]
 
 
-def _koszul_image(lat: Lattice, gamma, cx: ScalarComplex):
+def _koszul_image(lat: Lattice, gamma, field):
     """The Serre image of the antichain module with subset-join table gamma,
-    read off its Koszul complex cx without building a module.
-
-    At an element x the Nakayama image of cx is cx restricted to the pattern
-    P_x = {S : x <= gamma(S)}, the summands I_gamma(S) present at x, so its
-    cohomology is taken once per distinct pattern.  A thin stalk in degree
-    -s whose support is an antichain module's support is that module when
-    every cover map inside the support is nonzero (_projection_rank, once
-    per distinct pair of patterns).  Every other image is the cohomology of
-    nakayama(cx), as on the generic path."""
+    with no module or complex built; None for a stalk that is no antichain
+    module.  At an element x the Nakayama image of the Koszul resolution is
+    the Koszul complex restricted to the pattern P_x = {S : x <= gamma(S)},
+    the summands I_gamma(S) present at x, so its cohomology is taken once
+    per distinct pattern; an image in several degrees is returned as the
+    dimension vector of each.  A thin stalk in degree -s on an antichain
+    module's support is that module when every cover map inside the support
+    is nonzero (_projection_rank, once per distinct pair of patterns)."""
+    d = _boundary((len(gamma) - 1).bit_length(), field)
     pattern = [0] * lat.n
     for s, g in enumerate(gamma):
         for x in _iter_bits(lat.down_mask[g]):
             pattern[x] |= 1 << s
-    homology = {p: _pattern_homology(cx, p) for p in set(pattern)}
-    degrees = {i for dims, _ in homology.values() for i, d in enumerate(dims) if d}
-    if len(degrees) != 1 or any(d > 1 for dims, _ in homology.values() for d in dims):
-        return _serre_image(cx)
-    (s,) = degrees
-    mask = sum(1 << x for x, p in enumerate(pattern) if homology[p][0][s])
-    if support_antichain(lat, mask) is None:
-        return _serre_image(cx)
+    homology = {p: _pattern_homology(d, field, p) for p in set(pattern)}
+    vectors = {-i: [homology[p][0][i] for p in pattern] for i in range(len(d))}
+    nonzero = {deg: vec for deg, vec in vectors.items() if any(vec)}
+    if len(nonzero) != 1:
+        return GeneralComplexResult(cohomology=nonzero)
+    ((deg, vec),) = nonzero.items()
+    mask = sum(1 << x for x, dim in enumerate(vec) if dim)
+    if max(vec) > 1 or support_antichain(lat, mask) is None:
+        return None
     pairs = {(pattern[a], pattern[b]) for a, b in lat.covers if mask >> a & 1 and mask >> b & 1}
-    if not all(_projection_rank(cx, s, big, small, homology) for big, small in pairs):
-        return _serre_image(cx)
-    return StalkResult(lat, s, mask, field=cx.field)
+    if not all(_projection_rank(d, field, -deg, big, small, homology) for big, small in pairs):
+        return None
+    return StalkResult(lat, -deg, mask, field=field)
 
 
 def serre_by_resolution(M: LatticeRep):
     """Cohomology of nakayama(projective_resolution(M)); a StalkResult when
-    concentrated in one degree, else the full cohomology."""
+    concentrated in one degree, else the dimension vectors per degree."""
     if M.is_zero():
         raise ValueError("serre of the zero module")
-    return _serre_image(projective_resolution(M))
-
-
-def _serre_image(res: ScalarComplex):
-    """Cohomology of the Nakayama image of a projective resolution: a
-    StalkResult when concentrated in one degree, else the full cohomology."""
-    H = cohomology(nakayama(res))
+    H = cohomology(nakayama(projective_resolution(M)))
     nonzero = {d: h for d, h in H.items() if not h.is_zero()}
     if len(nonzero) == 1:
         ((d, h),) = nonzero.items()
         return StalkResult(h.lattice, -d, _antichain_support(h), h, h.field)
-    return GeneralComplexResult(cohomology=nonzero)
+    return GeneralComplexResult(cohomology={d: h.dimension_vector() for d, h in nonzero.items()})
 
 
 def serre_walk(lattice: Lattice, mask: int, field=QQ):
     """The successive Serre images of support_module(lattice, mask, field):
     StalkResults, ending after the first GeneralComplexResult if one appears.
     Each step runs on the support mask of the previous image when it has
-    one, so a LatticeRep is built only for an oracle step or a Koszul step
-    whose image is no antichain module.  An image without a mask is no
-    antichain module (_serre_image has just tested it), so its step goes
-    straight to serre_by_resolution."""
+    one, so a LatticeRep is built only for an oracle step, among them the
+    fallback of a Koszul stalk that is no antichain module.  An image
+    without a mask is no antichain module (serre_by_resolution has just
+    tested it), so its step goes straight to serre_by_resolution."""
     res = serre_on_support(lattice, mask, field)
     while True:
         yield res

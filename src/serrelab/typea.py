@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .derived import StalkResult, serre_on_support
 from .errors import GuardrailExceeded, PeriodViolation, RotationViolation, SerrelabError
@@ -419,6 +419,12 @@ class _Engine:
             raise SerrelabError("Serre permutation left the set of mutable intervals")
         return target
 
+    @cached_property
+    def serre_cycles(self):
+        """The cycles of the Serre permutation, as lists of mutable intervals
+        in the order of mutable_intervals(); decomposed once."""
+        return cycle_decomposition(self.serre_perm, self.mutable_intervals().values())
+
     def serre_perm_inverse(self, iv):
         lo = iv.hi & self.perp_into(iv.w_tors)
         hi = self.perp_into(iv.t_tors)
@@ -715,33 +721,21 @@ def fuss_catalan_count(n: int) -> int:
 
 
 def serre_orbit_stats(q: QuiverA):
-    """Iterate the Serre permutation 2h+2 times on every mutable interval,
-    asserting the period and the rank sum; returns orbit cycle data."""
-    eng = _engine(q)
-    ivs = eng.mutable_intervals()
+    """Check the period and the rank sum on every cycle of the Serre
+    permutation: its length L divides 2h+2 and (2h+2)/L times its rank sum
+    is 2N (for A_1 also h+1 and N); returns orbit cycle data."""
     h = coxeter_number(q)
     N = indec_count(q)
     period = 2 * h + 2
-    succ = {iv.key: eng.serre_perm(iv).key for iv in ivs.values()}
-    for key, iv in ivs.items():
-        cur = iv
-        ranksum = 0
-        for _ in range(period):
-            cur = eng.serre_perm(cur)
-            ranksum += cur.k
-        if cur.key != key:
+    cycles = _engine(q).serre_cycles
+    for cyc in cycles:
+        key, L, ksum = cyc[0].key, len(cyc), sum(iv.k for iv in cyc)
+        if period % L:
             raise PeriodViolation(f"interval {key} does not return after {period} steps")
-        if ranksum != 2 * N:
-            raise PeriodViolation(f"rank sum {ranksum} != {2 * N} for interval {key}")
-        if q.n == 1:
-            cur2 = iv
-            ranksum2 = 0
-            for _ in range(h + 1):
-                cur2 = eng.serre_perm(cur2)
-                ranksum2 += cur2.k
-            if cur2.key != key or ranksum2 != N:
-                raise PeriodViolation("A_1 special (N, h+1) periodicity fails")
-    cycles = cycle_decomposition(succ.__getitem__, ivs)
+        if period // L * ksum != 2 * N:
+            raise PeriodViolation(f"rank sum {period // L * ksum} != {2 * N} for interval {key}")
+        if q.n == 1 and ((h + 1) % L or (h + 1) // L * ksum != N):
+            raise PeriodViolation("A_1 special (N, h+1) periodicity fails")
     return {
         "period_bound": period,
         "cycle_lengths": sorted(len(c) for c in cycles),
@@ -836,10 +830,9 @@ def run_typea_suite(q: QuiverA, categorical=True) -> dict:
         }
         for iv in ivs
     ]
-    succ = {iv.key: eng.serre_perm(iv).key for iv in ivs}
     out["serre_permutation_cycles"] = [
-        [f"{eng.mask_label(lo)}<={eng.mask_label(hi)}" for lo, hi in cyc]
-        for cyc in cycle_decomposition(succ.__getitem__, [iv.key for iv in ivs])
+        [f"{eng.mask_label(iv.lo)}<={eng.mask_label(iv.hi)}" for iv in cyc]
+        for cyc in eng.serre_cycles
     ]
     if categorical:
         bad = []
