@@ -395,14 +395,15 @@ def serre(M: LatticeRep):
     """The derived Serre functor: a StalkResult when the image is concentrated
     in one degree, else the full cohomology.
 
-    When M is recognised as an antichain module, serre_on_support takes over
-    on its support mask.  Every other input goes to serre_by_resolution, the
-    oracle.
+    When M is recognised as an antichain module, the steps of
+    serre_on_support take over on its support mask and antichain, found once.
+    Every other input goes to serre_by_resolution, the oracle.
     """
-    mask = _antichain_support(M)
-    if mask is not None:
-        return serre_on_support(M.lattice, mask, M.field)
-    return serre_by_resolution(M)
+    mask = thin_support(M)
+    ac = None if mask is None else support_antichain(M.lattice, mask)
+    if ac is None:
+        return serre_by_resolution(M)
+    return _serre_on_antichain(M.lattice, mask, ac, M.field)
 
 
 def _antichain_support(M: LatticeRep):
@@ -447,7 +448,11 @@ def serre_on_support(lat: Lattice, mask: int, field=QQ):
     homology of its Nakayama image (_koszul_image).  Everything else goes to
     serre_by_resolution, the oracle and the only step that builds a
     LatticeRep, as does a Koszul stalk that is no antichain module."""
-    ac = support_antichain(lat, mask)
+    return _serre_on_antichain(lat, mask, support_antichain(lat, mask), field)
+
+
+def _serre_on_antichain(lat: Lattice, mask: int, ac, field):
+    """serre_on_support with ac = support_antichain(lat, mask) given."""
     if ac is not None and len(ac[1]) <= ANTICHAIN_GUARDRAIL:
         lo, members = ac
         gamma = _subset_joins(lo, members, lat.join_tab)

@@ -5,12 +5,20 @@ the Stokes bijection between them.
 Vertices are labelled 0..p-1 clockwise.  In the 2(n+2)-gon the even
 vertices are the marked ones; rotation adds +1 mod the polygon size, which
 flips the marking.  Boundary edges of the (n+2)-gon count as tree edges.
+
+A tree or quadrangulation holds its chords as one int, a bitmask over the
+chords of its polygon (_chord_table): lexicographically smaller chords get
+higher bits, so among chord sets of one size, descending mask order is the
+lexicographic order of the sorted chord lists.  Enumeration, rotation,
+Stokes and planar duality work on these masks; `edges` and `diagonals`
+decode them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import typea
 from .errors import GuardrailExceeded, InputError, SerrelabError
@@ -23,22 +31,90 @@ def _norm_edges(edges):
     return frozenset((a, b) if a < b else (b, a) for a, b in edges)
 
 
+class _ChordTable:
+    """The chords of the p-gon as bits, the lexicographically smallest chord
+    (0, 1) the highest."""
+
+    __slots__ = ("bit", "chord", "rot", "cross")
+
+    def __init__(self, p: int):
+        # chord[k] = (a, b), a < b: the chord of bit 1 << k
+        self.chord = [(a, b) for a in range(p) for b in range(a + 1, p)][::-1]
+        # bit[a][b] == bit[b][a]: the bit of chord (a, b), a != b
+        self.bit = [[0] * p for _ in range(p)]
+        for k, (a, b) in enumerate(self.chord):
+            self.bit[a][b] = self.bit[b][a] = 1 << k
+        # rot[k]: the bit of chord k rotated by +1
+        self.rot = [self.bit[(a + 1) % p][(b + 1) % p] for a, b in self.chord]
+        # cross[k]: the mask of the chords crossing chord k
+        self.cross = [
+            sum(self.bit[c][d] for c, d in self.chord if a < c < b < d or c < a < d < b)
+            for a, b in self.chord
+        ]
+
+
+# one table per polygon size, built on first use
+_chord_table = lru_cache(maxsize=None)(_ChordTable)
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, highest first."""
+    while mask:
+        k = mask.bit_length() - 1
+        yield k
+        mask ^= 1 << k
+
+
+def _chords(p: int, mask: int) -> list:
+    """The chords of mask in lexicographic order."""
+    chord = _chord_table(p).chord
+    return [chord[k] for k in _bits(mask)]
+
+
+def _mask_of(p: int, chords) -> int:
+    """The mask of chords, pairs of distinct vertices of the p-gon."""
+    bit = _chord_table(p).bit
+    mask = 0
+    for a, b in chords:
+        if a == b or not (0 <= a < p and 0 <= b < p):
+            raise ValueError(f"({a}, {b}) is no chord of the {p}-gon")
+        mask |= bit[a][b]
+    return mask
+
+
+def _rotated(p: int, mask: int) -> int:
+    """The mask of the chords of mask rotated by +1."""
+    rot = _chord_table(p).rot
+    out = 0
+    for k in _bits(mask):
+        out |= rot[k]
+    return out
+
+
 @dataclass(frozen=True, slots=True)
 class NoncrossingTree:
     p: int  # polygon size n+2
-    edges: frozenset
+    mask: int  # the edges, as chord bits of the p-gon
+
+    @property
+    def edges(self) -> frozenset:
+        return frozenset(_chords(self.p, self.mask))
 
     def sorted_edges(self):
-        return sorted(self.edges)
+        return _chords(self.p, self.mask)
 
 
 @dataclass(frozen=True, slots=True)
 class Quadrangulation:
     p: int  # polygon size 2(n+2)
-    diagonals: frozenset
+    mask: int  # the diagonals, as chord bits of the p-gon
+
+    @property
+    def diagonals(self) -> frozenset:
+        return frozenset(_chords(self.p, self.mask))
 
     def sorted_diagonals(self):
-        return sorted(self.diagonals)
+        return _chords(self.p, self.mask)
 
 
 def chords_noncrossing(edges) -> bool:
@@ -77,13 +153,15 @@ def _is_tree(p, edges) -> bool:
 
 
 def make_tree(n: int, edges) -> NoncrossingTree:
+    _check_n(n)  # the chord table grows as p^2 ints of up to p^2 / 2 bits
     p = n + 2
     es = _norm_edges(edges)
+    mask = _mask_of(p, es)
     if not chords_noncrossing(es):
         raise ValueError("edges cross")
     if not _is_tree(p, es):
         raise ValueError("edges do not form a spanning tree")
-    return NoncrossingTree(p, es)
+    return NoncrossingTree(p, mask)
 
 
 def _check_n(n):
@@ -100,30 +178,35 @@ def enumerate_trees(n: int):
     Root-edge decomposition over runs i..j of consecutive vertices: with k the
     largest neighbour of i, a tree on i..j is a tree on k..j plus the edge
     (i, k) over a tree on i..m and a tree on m+1..k, for one split i <= m < k.
-    Each tree arises once, and no crossing test runs."""
+    Each tree arises once, and no crossing test runs; a tree is the union of
+    the masks of its parts, and one descending sort of the masks gives the
+    lexicographic order."""
     _check_n(n)
     p = n + 2
-    trees = {(i, i): [()] for i in range(p)}
+    bit = _chord_table(p).bit
+    trees = {(i, i): [0] for i in range(p)}
     for span in range(1, p):
         for i in range(p - span):
             j = i + span
             found = trees[i, j] = []
             for k in range(i + 1, j + 1):
-                root = ((i, k),)
+                root = bit[i][k]
                 for m in range(i, k):
                     for left in trees[i, m]:
                         for below in trees[m + 1, k]:
-                            head = left + below + root
-                            found.extend(head + right for right in trees[k, j])
-    out = [NoncrossingTree(p, frozenset(es)) for es in trees[0, p - 1]]
+                            head = left | below | root
+                            found.extend(head | right for right in trees[k, j])
+    masks = trees[0, p - 1]
     trees.clear()
-    out.sort(key=NoncrossingTree.sorted_edges)
-    return out
+    masks.sort(reverse=True)
+    return [NoncrossingTree(p, m) for m in masks]
 
 
 def make_quad(n: int, diagonals) -> Quadrangulation:
+    _check_n(n)
     p = 2 * (n + 2)
     ds = _norm_edges(diagonals)
+    mask = _mask_of(p, ds)
     for a, b in ds:
         if (b - a) % p in (1, p - 1):
             raise ValueError("boundary edges are not quadrangulation diagonals")
@@ -133,7 +216,7 @@ def make_quad(n: int, diagonals) -> Quadrangulation:
         raise ValueError("diagonals cross")
     if len(ds) != n:
         raise ValueError(f"need exactly {n} diagonals")
-    return Quadrangulation(p, ds)
+    return Quadrangulation(p, mask)
 
 
 def enumerate_quads(n: int):
@@ -144,25 +227,28 @@ def enumerate_quads(n: int):
     Root-edge decomposition over runs i..j of an even number of consecutive
     vertices: the quadrilateral (i, a, b, j) on the edge (i, j) leaves three
     smaller even runs i..a, a..b and b..j, quadrangulated independently; a run
-    of two vertices is a polygon side and contributes no diagonal."""
+    of two vertices is a polygon side and contributes no diagonal.  As for
+    the trees, the parts are combined as masks and sorted once."""
     _check_n(n)
     p = 2 * (n + 2)
-    quads = {(i, i + 1): [()] for i in range(p - 1)}
+    bit = _chord_table(p).bit
+    quads = {(i, i + 1): [0] for i in range(p - 1)}
     for span in range(3, p, 2):
         for i in range(p - span):
             j = i + span
             found = quads[i, j] = []
             for a in range(i + 1, j, 2):
                 for b in range(a + 1, j, 2):
-                    sides = tuple(e for e in ((i, a), (a, b), (b, j)) if e[1] - e[0] > 1)
+                    # distinct bits: their sum is their union
+                    sides = sum(bit[u][v] for u, v in ((i, a), (a, b), (b, j)) if v - u > 1)
                     for left in quads[i, a]:
                         for middle in quads[a, b]:
-                            head = left + middle + sides
-                            found.extend(head + right for right in quads[b, j])
-    out = [Quadrangulation(p, frozenset(ds)) for ds in quads[0, p - 1]]
+                            head = left | middle | sides
+                            found.extend(head | right for right in quads[b, j])
+    masks = quads[0, p - 1]
     quads.clear()
-    out.sort(key=Quadrangulation.sorted_diagonals)
-    return out
+    masks.sort(reverse=True)
+    return [Quadrangulation(p, m) for m in masks]
 
 
 def fuss_catalan_geom(n: int) -> int:
@@ -211,15 +297,20 @@ def planar_dual(t: NoncrossingTree) -> NoncrossingTree:
     """Region-adjacency dual, re-anchored by the half-step rotation: the new
     vertex on the boundary arc (i, i+1) lands on vertex i+1.
 
-    One boundary walk gives each arc i its region signature, the bitmask of
-    the tree edges (a, b) with a <= i < b: passing vertex i toggles exactly the
-    edges at i.  The two regions beside an edge differ in its bit alone."""
+    One boundary walk gives each arc i its region signature, the mask of the
+    tree edges (a, b) with a <= i < b: passing vertex i toggles exactly the
+    edges at i.  The two regions beside an edge differ in its bit alone.
+
+    The dual is not validated again: run_geom_suite compares each dual with
+    a Stokes image, which stokes has validated, so an invalid dual fails the
+    equivariance check."""
     p = t.p
-    edges = sorted(t.edges)
+    table = _chord_table(p)
+    edges = [(*table.chord[k], 1 << k) for k in _bits(t.mask)]
     toggle = [0] * p
-    for k, (a, b) in enumerate(edges):
-        toggle[a] ^= 1 << k
-        toggle[b] ^= 1 << k
+    for a, b, e in edges:
+        toggle[a] ^= e
+        toggle[b] ^= e
     sig = []
     s = 0
     for v in range(p):
@@ -228,35 +319,31 @@ def planar_dual(t: NoncrossingTree) -> NoncrossingTree:
     arc_of = {s: arc for arc, s in enumerate(sig)}
     if len(arc_of) != p:  # p arcs in p regions: one arc each
         raise SerrelabError("tree regions do not match boundary arcs one to one")
-    dual_edges = []
-    for k, (a, b) in enumerate(edges):
-        bit = 1 << k
+    dual = 0
+    for a, b, e in edges:
         for inside in range(a, b):
-            outside = arc_of.get(sig[inside] ^ bit)
+            outside = arc_of.get(sig[inside] ^ e)
             if outside is not None:
-                dual_edges.append(((inside + 1) % p, (outside + 1) % p))
+                dual |= table.bit[(inside + 1) % p][(outside + 1) % p]
                 break
         else:
             raise SerrelabError("no region adjacent to a tree edge")
-    return make_tree(p - 2, dual_edges)
+    return NoncrossingTree(p, dual)
 
 
 def rotate_tree(t: NoncrossingTree, steps: int = 1) -> NoncrossingTree:
-    p = t.p
-    return NoncrossingTree(
-        p, _norm_edges(((a + steps) % p, (b + steps) % p) for a, b in t.edges)
-    )
+    mask = t.mask
+    for _ in range(steps % t.p):
+        mask = _rotated(t.p, mask)
+    return NoncrossingTree(t.p, mask)
 
 
 def rotate_quad(q: Quadrangulation) -> Quadrangulation:
-    p = q.p
-    return Quadrangulation(
-        p, _norm_edges(((a + 1) % p, (b + 1) % p) for a, b in q.diagonals)
-    )
+    return Quadrangulation(q.p, _rotated(q.p, q.mask))
 
 
 def quadrilaterals(q: Quadrangulation):
-    regions = polygon_regions(q.p, q.diagonals)
+    regions = polygon_regions(q.p, q.sorted_diagonals())
     for r in regions:
         if len(r) != 4:
             raise SerrelabError(f"region {r} of a quadrangulation is not a quadrilateral")
@@ -265,15 +352,24 @@ def quadrilaterals(q: Quadrangulation):
 
 def stokes(q: Quadrangulation) -> NoncrossingTree:
     """The even-even diagonal of each quadrilateral, as a noncrossing tree of
-    the (n+2)-gon on the even vertices."""
-    edges = []
+    the (n+2)-gon on the even vertices.  An image that crosses or is no
+    spanning tree is a verification failure (SerrelabError), not bad input."""
+    p = q.p // 2
+    table = _chord_table(p)
+    mask = 0
     for quad in quadrilaterals(q):
         marked = [v for v in quad if v % 2 == 0]
         if len(marked) != 2:
             raise SerrelabError("a quadrilateral without exactly one even-even chord")
-        edges.append((marked[0] // 2, marked[1] // 2))
-    n = q.p // 2 - 2
-    return make_tree(n, edges)
+        mask |= table.bit[marked[0] // 2][marked[1] // 2]
+    edges = []
+    for k in _bits(mask):
+        if table.cross[k] & mask:  # the chords crossing chord k: as chords_noncrossing
+            raise SerrelabError("Stokes image edges cross")
+        edges.append(table.chord[k])
+    if not _is_tree(p, edges):
+        raise SerrelabError("Stokes image is not a spanning tree")
+    return NoncrossingTree(p, mask)
 
 
 def run_geom_suite(n: int) -> dict:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -6,8 +7,12 @@ from serrelab.errors import GuardrailExceeded, SerrelabError
 from serrelab.geom import (
     NoncrossingTree,
     Quadrangulation,
+    _chord_table,
+    _chords,
     _is_tree,
+    _mask_of,
     _norm_edges,
+    _rotated,
     chords_noncrossing,
     enumerate_quads,
     enumerate_trees,
@@ -19,8 +24,15 @@ from serrelab.geom import (
     quadrilaterals,
     rotate_quad,
     rotate_tree,
+    run_geom_suite,
     stokes,
 )
+
+
+def _unchecked(cls, p, chords):
+    """cls(p, mask) with the mask of chords and no validation: the objects of
+    the oracles, and a forest that make_tree rejects."""
+    return cls(p, _mask_of(p, chords))
 
 
 # -- brute-force oracles: subset backtracking over all chords with a pairwise
@@ -69,7 +81,7 @@ def brute_trees(n):
     p = n + 2
     chords = [(a, b) for a in range(p) for b in range(a + 1, p)]
     return [
-        NoncrossingTree(p, es)
+        _unchecked(NoncrossingTree, p, es)
         for es in _noncrossing_subsets(p, chords, p - 1, lambda es: _is_tree(p, es))
     ]
 
@@ -82,7 +94,10 @@ def brute_quads(n):
         for b in range(a + 1, p)
         if (a + b) % 2 == 1 and (b - a) % p not in (1, p - 1)
     ]
-    return [Quadrangulation(p, ds) for ds in _noncrossing_subsets(p, cands, n, lambda ds: True)]
+    return [
+        _unchecked(Quadrangulation, p, ds)
+        for ds in _noncrossing_subsets(p, cands, n, lambda ds: True)
+    ]
 
 
 def _arc_side(edge, arc):
@@ -184,6 +199,56 @@ def test_enumerators_match_brute_force():
         assert enumerate_quads(n) == brute_quads(n)
 
 
+def test_chord_masks_match_chord_sets():
+    # every set of 1 to 5 chords on 4- to 10-gons; itertools.combinations of
+    # the sorted chords yields each size in sorted_edges order
+    checked = 0
+    for p in range(4, 11):
+        chords = [(a, b) for a in range(p) for b in range(a + 1, p)]
+        turned = {(a, b): ((a + 1) % p, (b + 1) % p) for a, b in chords}
+        for size in range(1, 6):
+            prev = None
+            for es in itertools.combinations(chords, size):
+                mask = _mask_of(p, es)
+                assert prev is None or prev > mask, es  # descending masks
+                assert _chords(p, mask) == list(es), es  # decoding, in order
+                assert _rotated(p, mask) == _mask_of(p, map(turned.__getitem__, es)), es
+                prev = mask
+                checked += 1
+    assert checked == 1985656
+
+
+def test_crossing_masks_match_pairwise():
+    # a set is noncrossing when no pair crosses: the table's crossing mask of
+    # each chord is checked against the pairwise oracle
+    for p in range(2, 11):
+        table = _chord_table(p)
+        for k, e in enumerate(table.chord):
+            want = sum(1 << j for j, f in enumerate(table.chord) if _crosses(e, f))
+            assert table.cross[k] == want, e
+
+
+def test_mask_objects_keep_their_chord_sets():
+    t = make_tree(3, [(4, 3), (4, 1), (2, 1), (1, 0)])
+    assert t.edges == frozenset({(0, 1), (1, 2), (1, 4), (3, 4)})
+    assert t == _unchecked(NoncrossingTree, 5, t.edges)
+    assert hash(t) == hash(_unchecked(NoncrossingTree, 5, t.edges))
+    with pytest.raises(ValueError):
+        make_tree(3, [(0, 5), (0, 1), (1, 2), (2, 3)])  # no chord of the pentagon
+
+
+def test_geom_suite_traced_peak():
+    # chord sets as int masks: about 2.3 MB traced at n = 6, against 15.6 MB
+    # as frozensets of pairs
+    tracemalloc.start()
+    try:
+        assert run_geom_suite(6)["ok"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20, peak
+
+
 def test_planar_dual_matches_shielding_oracle():
     for n in range(1, 6):
         for t in enumerate_trees(n):
@@ -191,7 +256,7 @@ def test_planar_dual_matches_shielding_oracle():
 
 
 def test_planar_dual_rejects_a_forest():
-    forest = NoncrossingTree(4, frozenset({(0, 1), (1, 2)}))  # vertex 3 isolated
+    forest = _unchecked(NoncrossingTree, 4, {(0, 1), (1, 2)})  # vertex 3 isolated
     assert len(tree_region_arcs(forest)) != forest.p
     for dual in (planar_dual, shielding_dual):
         with pytest.raises(SerrelabError):
@@ -226,6 +291,11 @@ def test_counts_match_fuss_catalan():
 def test_guardrail():
     with pytest.raises(GuardrailExceeded):
         enumerate_trees(9)
+    # a chord table for a polygon past the cap is never built
+    with pytest.raises(GuardrailExceeded):
+        make_tree(200, [(0, 1)])
+    with pytest.raises(GuardrailExceeded):
+        make_quad(8, [(0, 3)])
 
 
 def test_tree_validation():
@@ -364,4 +434,36 @@ def test_missing_rotation_fails_equivariance(monkeypatch):
     suite = geom.run_geom_suite(3)
     assert suite["checks"]["equivariance"]["ok"] is False
     # a verification failure (exit 2), not malformed input (exit 1)
+    assert cli.main(["geom", "--n", "3"]) == 2
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        # even-even chords (0, 4), (2, 6), (4, 8), (6, 8): a spanning tree of
+        # the pentagon whose edges (0, 2) and (1, 3) cross
+        lambda q: [(0, 1, 4, 5), (2, 3, 6, 7), (4, 5, 8, 9), (6, 7, 8, 9)],
+        # one quadrilateral dropped: three edges span no pentagon
+        lambda q: polygon_regions(q.p, q.diagonals)[1:],
+    ],
+    ids=["crossing", "not-spanning"],
+)
+def test_bad_stokes_image_is_a_verification_failure(monkeypatch, broken):
+    from serrelab import cli, geom
+
+    monkeypatch.setattr(geom, "quadrilaterals", broken)
+    with pytest.raises(SerrelabError):
+        stokes(enumerate_quads(3)[0])
+    # the suite's own construction failed: exit 2, not malformed input (exit 1)
+    assert cli.main(["geom", "--n", "3"]) == 2
+
+
+def test_invalid_dual_fails_equivariance(monkeypatch):
+    from serrelab import cli, geom
+
+    def crossing_dual(t):
+        return _unchecked(NoncrossingTree, t.p, [(0, 2), (1, 3), (2, 4), (3, 4)])
+
+    monkeypatch.setattr(geom, "planar_dual", crossing_dual)
+    assert geom.run_geom_suite(3)["checks"]["equivariance"]["ok"] is False
     assert cli.main(["geom", "--n", "3"]) == 2
