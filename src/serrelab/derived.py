@@ -118,9 +118,10 @@ class ScalarComplex:
 
     degrees: dict degree -> list of element indices (one per summand);
     diffs: dict d -> matrix of scalars mapping degree d to degree d+1, with
-    rows indexed by the summands of degree d+1.  A block may be nonzero only
-    when the target label lies below the source label, which is exactly when
-    the canonical map between the corresponding indecomposables exists.
+    rows indexed by the summands of degree d+1, reduced into the field's
+    canonical scalars at construction.  A block may be nonzero only when the
+    target label lies below the source label, which is exactly when the
+    canonical map between the corresponding indecomposables exists.
     """
 
     def __init__(self, lattice: Lattice, kind: str, degrees, diffs, field=QQ, minimal=False):
@@ -130,7 +131,7 @@ class ScalarComplex:
         self.kind = kind
         self.field = field
         self.degrees = {d: list(v) for d, v in degrees.items() if v}
-        self.diffs = {d: m for d, m in diffs.items()}
+        self.diffs = {d: [[field.of(x) for x in row] for row in m] for d, m in diffs.items()}
         self.minimal = minimal
         self._validate()
 
@@ -180,13 +181,12 @@ def _build_indec_sum(lat: Lattice, labels, kind, field):
         for v in _iter_bits(present[l]):
             alive[v].append(j)
     maps = {}
-    one = field.one
     for (a, b) in lat.covers:
         row = {j: r for r, j in enumerate(alive[b])}
-        m = linalg.zeros(len(alive[b]), len(alive[a]), field)
+        m = linalg.zeros(len(alive[b]), len(alive[a]))
         for c, j in enumerate(alive[a]):
             if j in row:
-                m[row[j]][c] = one
+                m[row[j]][c] = 1
         maps[(a, b)] = m
     return LatticeRep(lat, map(len, alive), maps, field, validate=False), alive
 
@@ -211,7 +211,7 @@ def cohomology(cx: ScalarComplex) -> dict:
             comps = _restrict(cx.diffs[d], alive, sums[d + 1][1])
             cycles = [linalg.kernel_basis(comps[v], term.dims[v], field) for v in range(lat.n)]
         else:
-            cycles = [linalg.identity(term.dims[v], field) for v in range(lat.n)]
+            cycles = [linalg.identity(term.dims[v]) for v in range(lat.n)]
         if d - 1 in sums and d - 1 in cx.diffs:
             src = sums[d - 1][1]
             comps = _restrict(cx.diffs[d - 1], src, alive)
@@ -245,7 +245,7 @@ def _projective_cover(M: LatticeRep):
             if rad_cols
             else []
         )
-        std = linalg.identity(M.dims[a], fieldk)
+        std = linalg.identity(M.dims[a])
         for k in linalg.extend_basis(rad_basis, std, M.dims[a], fieldk):
             gens.append((a, std[k]))
     labels = [a for a, _ in gens]
@@ -264,7 +264,7 @@ def _projective_cover(M: LatticeRep):
 def _scalar_blocks(d: RepMorphism, src_labels, src_alive, tgt_labels, tgt_alive):
     """Extract the scalar of each block of a map between sums of projectives
     and assert the map is exactly its block reconstruction."""
-    mat = linalg.zeros(len(tgt_labels), len(src_labels), d.source.field)
+    mat = linalg.zeros(len(tgt_labels), len(src_labels))
     for j, s in enumerate(src_labels):
         col = src_alive[s].index(j)  # generator of P_s sits at element s
         for r, i in enumerate(tgt_alive[s]):  # exactly the t_i <= s
@@ -318,20 +318,21 @@ def _subsets(k):
 
 
 @functools.lru_cache(maxsize=None)
-def _boundary(k, field):
-    """The signed boundary of the full simplex on a k-set, shared, so read
-    only: entry i maps the i-subsets to the (i-1)-subsets in _subsets order,
-    S to each S - {c} with the sign (-1)^(position of c in S); entry 0 is []."""
+def _boundary(k):
+    """The signed boundary of the full simplex on a k-set, shared by every
+    field, so read only: entry i maps the i-subsets to the (i-1)-subsets in
+    _subsets order, S to each S - {c} with the sign (-1)^(position of c in
+    S); entry 0 is [].  Its entries are the ints +-1, which the linear
+    algebra reduces on entry."""
     by_size = _subsets(k)[0]
     d = [[]]
-    one = field.one
     for i in range(1, k + 1):
         src, tgt = by_size[i], by_size[i - 1]
         row = {t: r for r, t in enumerate(tgt)}
-        mat = linalg.zeros(len(tgt), len(src), field)
+        mat = linalg.zeros(len(tgt), len(src))
         for j, s in enumerate(src):
-            for p, c in enumerate(_iter_bits(s)):
-                mat[row[s ^ (1 << c)]][j] = one if p % 2 == 0 else -one
+            for pos, c in enumerate(_iter_bits(s)):
+                mat[row[s ^ (1 << c)]][j] = 1 if pos % 2 == 0 else -1
         d.append(mat)
     return d
 
@@ -342,7 +343,7 @@ def _koszul(lattice: Lattice, gamma, kind: str, field) -> ScalarComplex:
     gamma(S) per subset S of C, in degree -|S| for 'proj' and |S| for 'inj',
     maps from _boundary, transposed for a coresolution, which runs upward."""
     k = (len(gamma) - 1).bit_length()
-    by_size, d = _subsets(k)[0], _boundary(k, field)
+    by_size, d = _subsets(k)[0], _boundary(k)
     step = -1 if kind == "proj" else 1
     degrees = {step * i: [gamma[s] for s in subs] for i, subs in enumerate(by_size)}
     if kind == "proj":
@@ -526,7 +527,7 @@ def _koszul_image(lat: Lattice, gamma, field):
     dimension vector of each.  A thin stalk in degree -s on an antichain
     module's support is that module when every cover map inside the support
     is nonzero (_projection_rank, once per distinct pair of patterns)."""
-    d = _boundary((len(gamma) - 1).bit_length(), field)
+    d = _boundary((len(gamma) - 1).bit_length())
     pattern = [0] * lat.n
     for s, g in enumerate(gamma):
         for x in _iter_bits(lat.down_mask[g]):

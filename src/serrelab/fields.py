@@ -1,16 +1,21 @@
 """Exact coefficient fields: rationals (default) and prime fields F_p.
 
-Scalars are self-operating objects: a QQ scalar is a Python int, or a
-Fraction once a quotient is not integral; an F_p scalar is an FpElement
-(below).  The linear algebra layer only needs +, -, *, == and truthiness for
-"nonzero", and takes inverses through field.inv; `/` between scalars is
-written only in this module, since int / int would give a float.  No
-floating point anywhere.
+A QQ scalar is a Python int, or a Fraction once a quotient is not integral;
+an F_p scalar is an int in [0, p).  0 and 1 are the same int in every field.
+Arithmetic that can leave a field's scalars is written only here: `/`,
+since int / int would give a float, and `% p`, since an int product or
+difference leaves [0, p).  The linear algebra layer calls a field once per
+matrix it reduces on entry (reduced), once per row operation (scaled,
+minus_multiple) and once per dot product (dot), never once per scalar, and
+inverts pivots through inv.  Other layers may add and multiply scalars as
+ints, as long as the result goes through linear algebra, which reduces
+every matrix on entry.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 
 def _normalized(q: Fraction):
@@ -19,11 +24,10 @@ def _normalized(q: Fraction):
 
 class RationalField:
     """The field of exact rationals; elements are ints, or Fractions when not
-    integral.  Ints and Fractions compare, hash and print alike."""
+    integral.  Ints and Fractions compare, hash and print alike, so the row
+    operations are plain comprehensions."""
 
     name = "rational"
-    zero = 0
-    one = 1
 
     def of(self, x):
         return x if type(x) is int else _normalized(Fraction(x))
@@ -32,6 +36,20 @@ class RationalField:
         if x == 1 or x == -1:
             return int(x)
         return _normalized(Fraction(1, x))
+
+    def reduced(self, A):
+        """A copy of the matrix A in canonical scalars."""
+        return [row[:] for row in A]
+
+    def scaled(self, row, c):
+        return [x * c for x in row]
+
+    def minus_multiple(self, row, f, pivot):
+        """row - f * pivot."""
+        return [x - f * y for x, y in zip(row, pivot)]
+
+    def dot(self, u, v):
+        return sum(map(mul, u, v))
 
     def __repr__(self):
         return "QQ"
@@ -44,72 +62,6 @@ class RationalField:
 
 
 QQ = RationalField()
-
-
-class FpElement:
-    """Element of F_p; PrimeField checks that p is prime."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: int, p: int):
-        self.v = v % p
-        self.p = p
-
-    def _lift(self, other) -> "FpElement":
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise ValueError("mixed characteristics")
-            return other
-        if isinstance(other, int):
-            return FpElement(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return o if o is NotImplemented else FpElement(self.v + o.v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        return o if o is NotImplemented else FpElement(self.v - o.v, self.p)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        return o if o is NotImplemented else FpElement(o.v - self.v, self.p)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return o if o is NotImplemented else FpElement(self.v * o.v, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return o
-        if o.v == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return FpElement(self.v * pow(o.v, self.p - 2, self.p), self.p)
-
-    def __neg__(self):
-        return FpElement(-self.v, self.p)
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __repr__(self):
-        return f"{self.v}@{self.p}"
 
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound, the
@@ -144,27 +96,41 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """F_p with a fixed prime p (default 32003, a standard computer-algebra prime)."""
+    """F_p with a fixed prime p (default 32003, a standard computer-algebra
+    prime); its scalars are the ints in [0, p), and every method returns
+    them so."""
 
     def __init__(self, p: int = 32003):
         if not is_prime(p):
             raise ValueError(f"p={p} is not a prime")
         self.p = p
         self.name = f"fp:{p}"
-        self.zero = FpElement(0, p)
-        self.one = FpElement(1, p)
 
-    def inv(self, x: FpElement) -> FpElement:
-        return self.one / x
-
-    def of(self, x) -> FpElement:
-        if isinstance(x, FpElement):
-            if x.p != self.p:
-                raise ValueError("mixed characteristics")
-            return x
+    def of(self, x) -> int:
         if isinstance(x, Fraction):
-            return FpElement(x.numerator, self.p) / FpElement(x.denominator, self.p)
-        return FpElement(int(x), self.p)
+            return x.numerator * self.inv(x.denominator) % self.p
+        return int(x) % self.p
+
+    def inv(self, x) -> int:
+        if x % self.p == 0:
+            raise ZeroDivisionError("division by zero in F_p")
+        return pow(x, -1, self.p)
+
+    def reduced(self, A):
+        p = self.p
+        return [[x % p for x in row] for row in A]
+
+    def scaled(self, row, c):
+        p = self.p
+        return [x * c % p for x in row]
+
+    def minus_multiple(self, row, f, pivot):
+        """row - f * pivot."""
+        p = self.p
+        return [(x - f * y) % p for x, y in zip(row, pivot)]
+
+    def dot(self, u, v):
+        return sum(map(mul, u, v)) % self.p
 
     def __repr__(self):
         return f"GF({self.p})"

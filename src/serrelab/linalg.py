@@ -4,6 +4,14 @@ Matrices are lists of rows of field scalars.  Shapes with zero rows or
 columns are legal and show up constantly (zero-dimensional stalks), so
 every routine takes explicit column counts where the matrix itself
 cannot carry them.
+
+Arithmetic goes through the field once per matrix reduced, row operation or
+dot product (fields.py), never once per scalar, so over QQ it stays plain
+comprehensions.
+Every matrix is reduced on entry (rref, column_space_basis) or by its dot
+products (mat_mul, mat_vec), so callers may pass raw ints, such as a +-1
+boundary table or an unreduced linear combination, over any field; every
+scalar returned is the field's canonical one.
 """
 
 from __future__ import annotations
@@ -11,14 +19,12 @@ from __future__ import annotations
 from .fields import QQ
 
 
-def zeros(m, n, field=QQ):
-    z = field.zero
-    return [[z for _ in range(n)] for _ in range(m)]
+def zeros(m, n):
+    return [[0] * n for _ in range(m)]
 
 
-def identity(n, field=QQ):
-    z, o = field.zero, field.one
-    return [[o if i == j else z for j in range(n)] for i in range(n)]
+def identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(A, B, field=QQ):
@@ -29,46 +35,23 @@ def mat_mul(A, B, field=QQ):
     k = len(A[0]) if A else 0
     if k != len(B):
         raise ValueError(f"shape mismatch: {m}x{k} times {len(B)}x?")
-    n = len(B[0]) if B else 0
-    z = field.zero
-    out = []
-    for i in range(m):
-        Ai = A[i]
-        row = []
-        for j in range(n):
-            s = z
-            for t in range(k):
-                a = Ai[t]
-                if a:
-                    s = s + a * B[t][j]
-            row.append(s)
-        out.append(row)
-    return out
+    cols = list(zip(*B)) if B else []
+    dot = field.dot
+    return [[dot(row, col) for col in cols] for row in A]
 
 
 def mat_vec(A, v, field=QQ):
-    z = field.zero
-    out = []
-    for row in A:
-        s = z
-        for a, x in zip(row, v):
-            if a and x:
-                s = s + a * x
-        out.append(s)
-    return out
+    dot = field.dot
+    return [dot(row, v) for row in A]
 
 
 def transpose(A, ncols):
     return [[A[i][j] for i in range(len(A))] for j in range(ncols)]
 
 
-def copy(A):
-    return [row[:] for row in A]
-
-
 def rref(A, ncols, field=QQ):
     """Reduced row echelon form; returns (R, pivot_columns)."""
-    R = copy(A)
+    R = field.reduced(A)
     m = len(R)
     pivots = []
     r = 0
@@ -81,12 +64,11 @@ def rref(A, ncols, field=QQ):
         if pr is None:
             continue
         R[r], R[pr] = R[pr], R[r]
-        inv = field.inv(R[r][c])
-        R[r] = [x * inv for x in R[r]]
+        if R[r][c] != 1:
+            R[r] = field.scaled(R[r], field.inv(R[r][c]))
         for i in range(m):
             if i != r and R[i][c]:
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+                R[i] = field.minus_multiple(R[i], R[i][c], R[r])
         pivots.append(c)
         r += 1
         if r == m:
@@ -101,16 +83,18 @@ def rank(A, ncols, field=QQ):
 def kernel_basis(A, ncols, field=QQ):
     """Columns spanning ker(A), in echelon order (one per free column)."""
     R, pivots = rref(A, ncols, field)
+    if len(pivots) == ncols:
+        return []
     pivot_set = set(pivots)
-    z, o = field.zero, field.one
+    negated = [field.scaled(R[r], -1) for r in range(len(pivots))]
     basis = []
     for j in range(ncols):
         if j in pivot_set:
             continue
-        v = [z] * ncols
-        v[j] = o
+        v = [0] * ncols
+        v[j] = 1
         for r, c in enumerate(pivots):
-            v[c] = -R[r][j]
+            v[c] = negated[r][j]
         basis.append(v)
     return basis
 
@@ -121,8 +105,7 @@ def solve(A, b, ncols, field=QQ):
     R, pivots = rref(aug, ncols + 1, field)
     if ncols in pivots:
         return None
-    z = field.zero
-    x = [z] * ncols
+    x = [0] * ncols
     for r, c in enumerate(pivots):
         x[c] = R[r][ncols]
     return x
@@ -131,8 +114,7 @@ def solve(A, b, ncols, field=QQ):
 def column_space_basis(A, ncols, field=QQ):
     """Columns of A forming a basis of the column space (pivot columns)."""
     _, pivots = rref(A, ncols, field)
-    m = len(A)
-    return [[A[i][j] for i in range(m)] for j in pivots]
+    return field.reduced([[row[j] for row in A] for j in pivots])
 
 
 def extend_basis(base_cols, cand_cols, dim, field=QQ):

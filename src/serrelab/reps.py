@@ -3,7 +3,8 @@
 A representation assigns a vector space to each lattice element and a
 matrix to each cover, composing compatibly along all paths.  Matrices
 act on column vectors; composition along a chain a < b < c is the
-product map(b,c) @ map(a,b).
+product map(b,c) @ map(a,b).  Cover maps hold the field's canonical
+scalars (fields.py); the linear algebra layer keeps them so.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from .lattice import Antichain, IntervalRef, Lattice, support_interval
 class LatticeRep:
     """Pointwise vector spaces + cover matrices over a fixed lattice.
 
-    Commutativity is validated at construction by default; internal
-    constructions that are commutative by design pass validate=False.
+    Caller-supplied cover maps are reduced through field.of and their
+    commutativity validated at construction by default; internal
+    constructions, commutative by design and built from canonical scalars,
+    pass validate=False.
     """
 
     def __init__(self, lattice: Lattice, dims, cover_maps, field=QQ, validate=True):
@@ -33,7 +36,9 @@ class LatticeRep:
         for (a, b) in lattice.covers:
             m = cover_maps.get((a, b))
             if m is None:
-                m = linalg.zeros(self.dims[b], self.dims[a], field)
+                m = linalg.zeros(self.dims[b], self.dims[a])
+            elif validate:
+                m = [[field.of(x) for x in row] for row in m]
             if len(m) != self.dims[b] or (m and len(m[0]) != self.dims[a]):
                 raise ValueError(f"cover map {(a, b)} has wrong shape")
             self.maps[(a, b)] = m
@@ -54,7 +59,7 @@ class LatticeRep:
         while (path[-1], b) not in cache:
             x = path[-1]
             if x == b:
-                cache[(b, b)] = linalg.identity(self.dims[b], self.field)
+                cache[(b, b)] = linalg.identity(self.dims[b])
             else:
                 path.append(min(m for m in self.lattice.upper_covers[x] if self.lattice.leq_i(m, b)))
         for x, step in zip(path[-2::-1], path[:0:-1]):
@@ -152,7 +157,7 @@ def zero_rep(lattice: Lattice, field=QQ) -> LatticeRep:
 
 def zero_morphism(source: LatticeRep, target: LatticeRep) -> RepMorphism:
     comps = [
-        linalg.zeros(target.dims[v], source.dims[v], source.field)
+        linalg.zeros(target.dims[v], source.dims[v])
         for v in range(source.lattice.n)
     ]
     return RepMorphism(source, target, comps)
@@ -166,10 +171,9 @@ def support_module(lattice: Lattice, supp_mask: int, field=QQ) -> LatticeRep:
     representation whenever supp_mask is convex."""
     dims = [1 if supp_mask >> i & 1 else 0 for i in range(lattice.n)]
     maps = {}
-    one = field.one
     for (a, b) in lattice.covers:
         if dims[a] and dims[b]:
-            maps[(a, b)] = [[one]]
+            maps[(a, b)] = [[1]]
     return LatticeRep(lattice, dims, maps, field, validate=False)
 
 
@@ -222,7 +226,7 @@ def _hom_system(M: LatticeRep, N: LatticeRep):
     components f_v in element order, row-major."""
     if M.lattice is not N.lattice:
         raise LatticeMismatch("hom endpoints live over different lattices")
-    lat, field = M.lattice, M.field
+    lat = M.lattice
     offs = []
     t = 0
     for v in range(lat.n):
@@ -230,12 +234,11 @@ def _hom_system(M: LatticeRep, N: LatticeRep):
         t += N.dims[v] * M.dims[v]
     nvars = t
     rows = []
-    z = field.zero
     for (a, b) in lat.covers:
         Mab, Nab = M.maps[(a, b)], N.maps[(a, b)]
         for i in range(N.dims[b]):
             for j in range(M.dims[a]):
-                row = [z] * nvars
+                row = [0] * nvars
                 # (f_b Mab)_{ij} - (Nab f_a)_{ij} = 0
                 for l in range(M.dims[b]):
                     if Mab[l][j]:
@@ -295,7 +298,7 @@ def direct_sum(reps, field=None) -> tuple:
         dims = [d + rd for d, rd in zip(dims, r.dims)]
     maps = {}
     for (a, b) in lat.covers:
-        m = linalg.zeros(dims[b], dims[a], field)
+        m = linalg.zeros(dims[b], dims[a])
         for s, r in enumerate(reps):
             rm = r.maps[(a, b)]
             ob, oa = offsets[s][b], offsets[s][a]
@@ -369,7 +372,7 @@ def cokernel(f: RepMorphism):
     """(C, proj) with C = target/im(f) and proj the quotient morphism."""
     N, field = f.target, f.source.field
     im = _image_basis(f)
-    std = [linalg.identity(d, field) for d in N.dims]
+    std = [linalg.identity(d) for d in N.dims]
     C, reps = subquotient(N, std, im)
     # projection at v: coordinates in [im | chosen reps], keep the reps part
     proj_comps = []
@@ -406,7 +409,7 @@ def is_isomorphic(M: LatticeRep, N: LatticeRep) -> bool:
             d = M.dims[v]
             if d == 0:
                 continue
-            comb = linalg.zeros(d, d, field)
+            comb = linalg.zeros(d, d)
             for c, f in zip(coeffs, basis):
                 if not c:
                     continue
@@ -418,11 +421,10 @@ def is_isomorphic(M: LatticeRep, N: LatticeRep) -> bool:
                 return False
         return True
 
-    one = field.one
     m = len(basis)
     for k in range(m):  # single basis elements first
-        coeffs = [field.zero] * m
-        coeffs[k] = one
+        coeffs = [0] * m
+        coeffs[k] = 1
         if invertible(coeffs):
             return True
     grid = dim_total + 1

@@ -20,7 +20,7 @@ from serrelab.derived import (
     serre_orbit,
 )
 from serrelab.errors import NotAComplex
-from serrelab.fields import QQ
+from serrelab.fields import PrimeField
 from serrelab.lattice import (
     Antichain,
     IntervalRef,
@@ -161,10 +161,17 @@ def test_nakayama_canonical_maps():
 
 def test_cohomology_zero_differentials(pentagon):
     a, b = pentagon.index["a"], pentagon.index["b"]
-    cx = ScalarComplex(pentagon, "inj", {0: [a], 1: [b]}, {0: [[QQ.zero]]})
+    cx = ScalarComplex(pentagon, "inj", {0: [a], 1: [b]}, {0: [[0]]})
     H = cohomology(cx)
     assert is_isomorphic(H[0], injective_module(pentagon, "a"))
     assert is_isomorphic(H[1], injective_module(pentagon, "b"))
+    # [[3]] is the zero block over F_3, where a and b have no canonical map
+    fp = PrimeField(3)
+    cx = ScalarComplex(pentagon, "inj", {0: [a], 1: [b]}, {0: [[3]]}, fp)
+    assert cx.diffs == {0: [[0]]}
+    H = cohomology(cx)
+    assert is_isomorphic(H[0], injective_module(pentagon, "a", fp))
+    assert is_isomorphic(H[1], injective_module(pentagon, "b", fp))
 
 
 def test_serre_of_projectives(pentagon, appendix9):

@@ -1,6 +1,8 @@
 """The package promises exact arithmetic: no float literal anywhere in src,
-and no `/` outside fields.py, where QQ turns non-integral quotients of int
-scalars into Fractions (int / int would be a float)."""
+no `/` outside fields.py, where QQ turns non-integral quotients of int
+scalars into Fractions (int / int would be a float), and the modulus of F_p
+read only by fields.py, which reduces F_p scalars (ints in [0, p)) for every
+other layer."""
 
 import ast
 import pathlib
@@ -31,5 +33,18 @@ def test_no_true_division_outside_fields():
         for name, node in _nodes()
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
         and name != "fields.py"
+    ]
+    assert not found, found
+
+
+# geom.py is exempt: its `.p` is the polygon size
+MODULUS_FREE = ("reps.py", "derived.py", "coxeter.py", "lattice.py", "typea.py", "cli.py")
+
+
+def test_modulus_read_only_in_fields():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if isinstance(node, ast.Attribute) and node.attr == "p" and name in MODULUS_FREE
     ]
     assert not found, found

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from serrelab import linalg
-from serrelab.fields import QQ, PrimeField
+from serrelab.fields import QQ, PrimeField, RationalField
 
 
 def F(x):
@@ -65,10 +65,8 @@ def test_prime_field_matches_rationals_on_rank(rows):
     assert linalg.rank(qrows, 2, QQ) == linalg.rank(prow, 2, fp)
 
 
-class _FractionField:
+class _FractionField(RationalField):
     """QQ with every scalar a Fraction, as the rationals were before ints."""
-
-    zero, one = Fraction(0), Fraction(1)
 
     def inv(self, x):
         return Fraction(1) / x
@@ -105,23 +103,121 @@ def test_int_scalars_stay_exact_and_match_fractions(rows):
 
 
 def test_rational_field_keeps_integral_scalars_as_ints():
-    assert (QQ.zero, QQ.one) == (0, 1) and type(QQ.one) is int
     half, third = Fraction(1, 2), Fraction(1, 3)
     assert type(QQ.of(Fraction(6, 3))) is int and QQ.of(half) == half
     assert [QQ.inv(x) for x in (1, -1, Fraction(-1), 2, third, -2 * third)] == [1, -1, -1, half, 3, -3 * half]
     assert all(type(QQ.inv(x)) is int for x in (1, -1, Fraction(-1), third))
-    fp = PrimeField(7)
-    assert fp.inv(fp.of(3)) * fp.of(3) == fp.one
+
+
+def _canonical(values, p):
+    return all(type(x) is int and 0 <= x < p for x in values)
 
 
 def test_prime_field_arithmetic():
+    # an F_p scalar is an int in [0, p), and of and inv return nothing else
+    for p in (2, 3, 7, 32003):
+        fp = PrimeField(p)
+        assert (fp.of(-1), fp.of(p), fp.of(-p), fp.of(2 * p + 1)) == (p - 1, 0, 0, 1)
+        units = [x for x in (1, 2, p - 1, p + 1, -1, -2, 5 * p - 3) if x % p]
+        for x in units:
+            y = fp.inv(x)
+            assert _canonical([y], p) and y * x % p == 1, (p, x)
+        for x in (0, p, -p):
+            with pytest.raises(ZeroDivisionError):
+                fp.inv(x)
     fp = PrimeField(7)
-    a, b = fp.of(3), fp.of(5)
-    assert a + b == fp.of(1)
-    assert a * b == fp.of(1)
-    assert (a / b).v == (3 * pow(5, 5, 7)) % 7
-    assert -a == fp.of(4)
-    assert bool(fp.zero) is False
+    assert fp.of(Fraction(1, 2)) == 4 and fp.of(Fraction(-3, 2)) == 2
+    assert _canonical([fp.of(Fraction(6, 3)), fp.of(Fraction(-1, 3))], 7)
+    with pytest.raises(ZeroDivisionError):
+        fp.of(Fraction(1, 7))
+
+
+class _Fp:
+    """An element of F_p that reduces itself, as F_p scalars were before ints."""
+
+    __slots__ = ("v", "p")
+
+    def __init__(self, v, p):
+        self.v, self.p = v % p, p
+
+    def _lift(self, other):
+        return other.v if isinstance(other, _Fp) else other
+
+    def __add__(self, other):
+        return _Fp(self.v + self._lift(other), self.p)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _Fp(self.v - self._lift(other), self.p)
+
+    def __mul__(self, other):
+        return _Fp(self.v * self._lift(other), self.p)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return _Fp(-self.v, self.p)
+
+    def __bool__(self):
+        return self.v != 0
+
+
+class _BoxedField(RationalField):
+    """F_p on _Fp scalars through QQ's plain row operations, with inverses by
+    Fermat's little theorem: the reference for PrimeField's reductions."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def of(self, x):
+        return x if isinstance(x, _Fp) else _Fp(x, self.p)
+
+    def inv(self, x):
+        return _Fp(pow(x.v, self.p - 2, self.p), self.p)
+
+    def reduced(self, A):
+        return [[self.of(x) for x in row] for row in A]
+
+
+def _unboxed(values):
+    return [x.v if isinstance(x, _Fp) else x for x in values]
+
+
+def _unreduced(p):
+    """Entries k p + r with |k|, |r| <= 2: negative or at least p, mostly."""
+    entry = st.builds(lambda k, r: k * p + r, st.integers(-2, 2), st.integers(-2, 2))
+    return st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=4)
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 32003])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_prime_field_linear_algebra_matches_boxed_reference(p, data):
+    rows = data.draw(_unreduced(p))
+    b = data.draw(st.lists(st.integers(-3 * p, 3 * p), min_size=len(rows), max_size=len(rows)))
+    n = len(rows[0])
+    fp, ref = PrimeField(p), _BoxedField(p)
+    R, pivots = linalg.rref(rows, n, fp)
+    want_R, want_pivots = linalg.rref(rows, n, ref)
+    assert pivots == want_pivots and R == [_unboxed(row) for row in want_R]
+    assert _canonical((x for row in R for x in row), p)
+    assert linalg.rank(rows, n, fp) == linalg.rank(rows, n, ref) == len(pivots)
+    ker = linalg.kernel_basis(rows, n, fp)
+    assert ker == [_unboxed(v) for v in linalg.kernel_basis(rows, n, ref)]
+    assert _canonical((x for v in ker for x in v), p)
+    for v in ker:
+        assert not any(linalg.mat_vec(rows, v, fp))
+    x = linalg.solve(rows, b, n, fp)
+    want_x = linalg.solve(rows, b, n, ref)
+    assert (x is None) == (want_x is None)
+    if x is not None:
+        assert x == _unboxed(want_x) and _canonical(x, p)
+        assert linalg.mat_vec(rows, x, fp) == [y % p for y in b]
+    cols = linalg.column_space_basis(rows, n, fp)
+    assert _canonical((x for c in cols for x in c), p) and len(cols) == len(pivots)
 
 
 def test_is_prime_matches_trial_division():

@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from serrelab.derived import GeneralComplexResult, serre, serre_by_resolution
 from serrelab.errors import LatticeMismatch, SerrelabError
 from serrelab.fields import PrimeField
 from serrelab.lattice import Antichain, IntervalRef, boolean_lattice, chain
@@ -224,6 +225,22 @@ def test_prime_field_modules(pentagon):
     N = interval_module(pentagon, IntervalRef("0", "1"), field=fp)
     assert hom_dim(M, N) == 0
     assert hom_dim(N, M) == 1
+
+
+def test_prime_field_cover_maps_are_reduced_at_construction():
+    # [[3]] is the zero map over F_3: M is the two simples of chain(2), not
+    # the interval [0, 1]; unreduced, it passed for an interval and a stalk
+    fp = PrimeField(3)
+    M = LatticeRep(chain(2), [1, 1], {(0, 1): [[3]]}, fp)
+    assert M.maps[(0, 1)] == [[0]]
+    assert find_interval_iso(M) is None
+    want = {-1: [0, 1], 0: [1, 1]}
+    for res in (serre(M), serre_by_resolution(M)):
+        assert isinstance(res, GeneralComplexResult) and res.cohomology == want
+    zero = LatticeRep(chain(2), [1, 1], {(0, 1): [[0]]}, fp)
+    assert serre(zero).cohomology == want
+    half = LatticeRep(chain(2), [1, 1], {(0, 1): [[Fraction(1, 2)]]}, fp)
+    assert half.maps[(0, 1)] == [[2]]
 
 
 def test_rep_json_dump(pentagon):

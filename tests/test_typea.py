@@ -81,11 +81,11 @@ def _hom_space(q, A, B):
     pos = {v: k for k, v in enumerate(common)}
     rows = []
     for s, t in q.arrows():
-        row = [QQ.zero] * len(common)
+        row = [0] * len(common)
         if A.lo <= s <= A.hi and A.lo <= t <= A.hi and t in pos:
-            row[pos[t]] += QQ.one
+            row[pos[t]] += 1
         if B.lo <= s <= B.hi and B.lo <= t <= B.hi and s in pos:
-            row[pos[s]] -= QQ.one
+            row[pos[s]] -= 1
         if any(row):
             rows.append(row)
     basis = linalg.kernel_basis(rows, len(common), QQ) if rows else linalg.identity(len(common))
