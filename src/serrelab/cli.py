@@ -254,6 +254,7 @@ def cmd_gen(args):
 
 def cmd_typea(args):
     if args.all_orientations:
+        ta.check_rank(args.n)  # before all 2^(n-1) orientations are listed
         orientations = ta.all_orientations(args.n)
     else:
         if args.orientation is None and args.n > 1:

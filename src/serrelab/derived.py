@@ -1,13 +1,15 @@
-"""Minimal projective resolutions, antichain (co)resolutions, the Nakayama
-functor on complexes of projectives, cohomology, and the derived Serre
-functor with orbit bookkeeping.  The Serre functor of an antichain module
+"""Minimal projective resolutions, the Nakayama functor on complexes of
+projectives, cohomology, and the derived Serre functor with orbit
+bookkeeping.  The Serre functor of an antichain module
 with a boolean antichain has a closed form on support bitmasks.  Every other
 small enough antichain module goes through its Koszul resolution, whose
 Nakayama image at an element x is the relative chain complex of the simplicial
 complex Delta_x = {S : x !<= gamma(S)}: ranks of one shared simplex boundary
 are taken once per distinct pattern of summands, with no complex or module
 built; a non-stalk image comes back as dimension vectors, an antichain module
-as a mask.  The minimal resolution is their oracle, and the one fallback.
+as a mask.  The minimal resolution is their oracle, and the one fallback;
+the Koszul (co)resolutions built as complexes are the tests' oracles
+(tests/oracles.py).
 
 Degree convention: projective resolutions live in degrees <= 0 with the
 resolved module in degree 0; a Serre image concentrated in degree -k is
@@ -25,27 +27,15 @@ from .errors import MaxStepsExceeded, NotAComplex, SerrelabError
 from .fields import QQ
 from .lattice import (
     ANTICHAIN_GUARDRAIL,
-    Antichain,
     IntervalRef,
     Lattice,
-    _antichain_gamma,
     _is_boolean,
     _iter_bits,
     _subset_joins,
     support_antichain,
     support_interval,
 )
-from .reps import (
-    LatticeRep,
-    RepMorphism,
-    antichain_module,
-    dual_antichain_module,
-    is_isomorphic,
-    kernel,
-    subquotient,
-    support_module,
-    thin_support,
-)
+from .reps import LatticeRep, RepMorphism, kernel, subquotient, support_module, thin_support
 
 
 class StalkResult:
@@ -71,7 +61,7 @@ class StalkResult:
 
     def dimension_vector(self):
         if self.support is None:
-            return self._rep.dimension_vector()
+            return list(self._rep.dims)
         return [self.support >> v & 1 for v in range(self.lattice.n)]
 
 
@@ -81,9 +71,6 @@ class GeneralComplexResult:
     several degrees (not Serre formal here)."""
 
     cohomology: dict
-
-    def degrees(self):
-        return sorted(self.cohomology)
 
 
 @dataclass
@@ -302,7 +289,7 @@ def projective_resolution(M: LatticeRep) -> ScalarComplex:
     return ScalarComplex(lat, "proj", degrees, diffs, fieldk, minimal=True)
 
 
-# -- antichain (co)resolutions ---------------------------------------------------
+# -- the simplex boundary of the Koszul complexes ---------------------------------
 
 
 @functools.lru_cache(maxsize=None)
@@ -337,48 +324,7 @@ def _boundary(k):
     return d
 
 
-def _koszul(lattice: Lattice, gamma, kind: str, field) -> ScalarComplex:
-    """The Koszul complex on the subset-join table (kind 'proj') or the
-    subset-meet table (kind 'inj') gamma of an antichain C: one summand at
-    gamma(S) per subset S of C, in degree -|S| for 'proj' and |S| for 'inj',
-    maps from _boundary, transposed for a coresolution, which runs upward."""
-    k = (len(gamma) - 1).bit_length()
-    by_size, d = _subsets(k)[0], _boundary(k)
-    step = -1 if kind == "proj" else 1
-    degrees = {step * i: [gamma[s] for s in subs] for i, subs in enumerate(by_size)}
-    if kind == "proj":
-        diffs = {-i: d[i] for i in range(1, k + 1)}
-    else:
-        diffs = {i - 1: linalg.transpose(d[i], len(by_size[i])) for i in range(1, k + 1)}
-    return ScalarComplex(lattice, kind, degrees, diffs, field)
-
-
-def _check_resolves(cx: ScalarComplex, target: LatticeRep, what: str):
-    """The complex is exact away from degree 0, where its cohomology is
-    isomorphic to target."""
-    for d, h in cohomology(cx).items():
-        if d == 0:
-            if not is_isomorphic(h, target):
-                raise SerrelabError(f"{what} does not resolve the module")
-        elif not h.is_zero():
-            raise SerrelabError(f"{what} not exact in degree {d}")
-
-
-def antichain_resolution(lattice: Lattice, ac: Antichain, field=QQ) -> ScalarComplex:
-    """Closed-form Koszul resolution of the antichain module: degree -i holds
-    one P_{join of S} per i-subset S, signs by the Koszul rule."""
-    gamma = _antichain_gamma(lattice, ac, "over", "antichain_resolution")
-    cx = _koszul(lattice, gamma, "proj", field)
-    _check_resolves(cx, antichain_module(lattice, ac, field), "antichain resolution")
-    return cx
-
-
-def antichain_coresolution(lattice: Lattice, ac: Antichain, field=QQ) -> ScalarComplex:
-    """Injective Koszul coresolution of a dual antichain module, degrees 0..|D|."""
-    gamma = _antichain_gamma(lattice, ac, "under", "antichain_coresolution")
-    cx = _koszul(lattice, gamma, "inj", field)
-    _check_resolves(cx, dual_antichain_module(lattice, ac, field), "antichain coresolution")
-    return cx
+# -- the derived Serre functor ----------------------------------------------------
 
 
 def nakayama(cx: ScalarComplex) -> ScalarComplex:
@@ -387,9 +333,6 @@ def nakayama(cx: ScalarComplex) -> ScalarComplex:
     if cx.kind != "proj":
         raise ValueError("nakayama expects a complex of projectives")
     return ScalarComplex(cx.lattice, "inj", cx.degrees, cx.diffs, cx.field, cx.minimal)
-
-
-# -- the derived Serre functor ----------------------------------------------------
 
 
 def serre(M: LatticeRep):
@@ -557,7 +500,7 @@ def serre_by_resolution(M: LatticeRep):
     if len(nonzero) == 1:
         ((d, h),) = nonzero.items()
         return StalkResult(h.lattice, -d, _antichain_support(h), h, h.field)
-    return GeneralComplexResult(cohomology={d: h.dimension_vector() for d, h in nonzero.items()})
+    return GeneralComplexResult(cohomology={d: list(h.dims) for d, h in nonzero.items()})
 
 
 def serre_walk(lattice: Lattice, mask: int, field=QQ):

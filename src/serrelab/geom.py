@@ -10,8 +10,9 @@ A tree or quadrangulation holds its chords as one int, a bitmask over the
 chords of its polygon (_chord_table): lexicographically smaller chords get
 higher bits, so among chord sets of one size, descending mask order is the
 lexicographic order of the sorted chord lists.  Enumeration, rotation,
-Stokes and planar duality work on these masks; `edges` and `diagonals`
-decode them.
+Stokes and planar duality work on these masks; `sorted_edges` and
+`sorted_diagonals` decode them.  Building a tree or quadrangulation from
+chords, with its checks, is the tests' (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from .errors import GuardrailExceeded, InputError, SerrelabError
 from .perm import cycle_decomposition
 
 GEOM_GUARDRAIL = 7
-
-
-def _norm_edges(edges):
-    return frozenset((a, b) if a < b else (b, a) for a, b in edges)
 
 
 class _ChordTable:
@@ -71,17 +68,6 @@ def _chords(p: int, mask: int) -> list:
     return [chord[k] for k in _bits(mask)]
 
 
-def _mask_of(p: int, chords) -> int:
-    """The mask of chords, pairs of distinct vertices of the p-gon."""
-    bit = _chord_table(p).bit
-    mask = 0
-    for a, b in chords:
-        if a == b or not (0 <= a < p and 0 <= b < p):
-            raise ValueError(f"({a}, {b}) is no chord of the {p}-gon")
-        mask |= bit[a][b]
-    return mask
-
-
 def _rotated(p: int, mask: int) -> int:
     """The mask of the chords of mask rotated by +1."""
     rot = _chord_table(p).rot
@@ -96,10 +82,6 @@ class NoncrossingTree:
     p: int  # polygon size n+2
     mask: int  # the edges, as chord bits of the p-gon
 
-    @property
-    def edges(self) -> frozenset:
-        return frozenset(_chords(self.p, self.mask))
-
     def sorted_edges(self):
         return _chords(self.p, self.mask)
 
@@ -109,28 +91,8 @@ class Quadrangulation:
     p: int  # polygon size 2(n+2)
     mask: int  # the diagonals, as chord bits of the p-gon
 
-    @property
-    def diagonals(self) -> frozenset:
-        return frozenset(_chords(self.p, self.mask))
-
     def sorted_diagonals(self):
         return _chords(self.p, self.mask)
-
-
-def chords_noncrossing(edges) -> bool:
-    """No two chords cross strictly inside the polygon; shared endpoints never
-    cross.  One pass over the chords as intervals, by left end and then by
-    decreasing right end: a stack holds the right ends of the chords that
-    contain the current left end, innermost on top."""
-    ends = []
-    for a, b in sorted((a, -b) if a < b else (b, -a) for a, b in edges):
-        b = -b
-        while ends and ends[-1] <= a:
-            ends.pop()
-        if ends and ends[-1] < b:
-            return False
-        ends.append(b)
-    return True
 
 
 def _is_tree(p, edges) -> bool:
@@ -150,18 +112,6 @@ def _is_tree(p, edges) -> bool:
             return False
         parent[ra] = rb
     return True
-
-
-def make_tree(n: int, edges) -> NoncrossingTree:
-    _check_n(n)  # the chord table grows as p^2 ints of up to p^2 / 2 bits
-    p = n + 2
-    es = _norm_edges(edges)
-    mask = _mask_of(p, es)
-    if not chords_noncrossing(es):
-        raise ValueError("edges cross")
-    if not _is_tree(p, es):
-        raise ValueError("edges do not form a spanning tree")
-    return NoncrossingTree(p, mask)
 
 
 def _check_n(n):
@@ -202,23 +152,6 @@ def enumerate_trees(n: int):
     return [NoncrossingTree(p, m) for m in masks]
 
 
-def make_quad(n: int, diagonals) -> Quadrangulation:
-    _check_n(n)
-    p = 2 * (n + 2)
-    ds = _norm_edges(diagonals)
-    mask = _mask_of(p, ds)
-    for a, b in ds:
-        if (b - a) % p in (1, p - 1):
-            raise ValueError("boundary edges are not quadrangulation diagonals")
-        if (a + b) % 2 == 0:
-            raise ValueError("diagonals must connect vertices of opposite parity")
-    if not chords_noncrossing(ds):
-        raise ValueError("diagonals cross")
-    if len(ds) != n:
-        raise ValueError(f"need exactly {n} diagonals")
-    return Quadrangulation(p, mask)
-
-
 def enumerate_quads(n: int):
     """All quadrangulations of the 2(n+2)-gon: maximal noncrossing families of
     parity-mixed non-boundary diagonals, in lexicographic order of their sorted
@@ -254,43 +187,6 @@ def enumerate_quads(n: int):
 def fuss_catalan_geom(n: int) -> int:
     k = n + 2
     return math.comb(3 * k - 3, k - 1) // (2 * k - 1)
-
-
-# -- regions -------------------------------------------------------------------
-
-
-def polygon_regions(p, chords):
-    """Regions of the p-gon cut by noncrossing chords, each region given as
-    the clockwise tuple of its corner vertices, lowest first.  Boundary edges
-    among the chords cut off degenerate 2-gon lunes, which are reported as
-    such.
-
-    One pass over the chords by increasing span.  skip[v] is the next corner
-    after v on the walk around the part not yet cut off: v + 1, or the far end
-    of the widest chord already cut at v.  Chord (a, b) walks a -> b along
-    skip, which is its region, and then sets skip[a] = b; the corners the walk
-    passed are cut off and get skip = p, so that a later walk from or through
-    them overshoots.  A walk that overshoots b means crossing chords.  The
-    outer region is the walk from 0."""
-    skip = list(range(1, p + 1))
-
-    def walk(a, b):
-        region = [a]
-        while region[-1] < b:
-            region.append(skip[region[-1]])
-        if region[-1] != b:
-            raise SerrelabError("chords cross")
-        return tuple(region)
-
-    regions = []
-    for a, b in sorted(_norm_edges(chords), key=lambda e: (e[1] - e[0], e[0])):
-        region = walk(a, b)
-        for v in region[1:-1]:
-            skip[v] = p
-        skip[a] = b
-        regions.append(region)
-    regions.append(walk(0, p - 1))
-    return regions
 
 
 def planar_dual(t: NoncrossingTree) -> NoncrossingTree:
@@ -331,43 +227,40 @@ def planar_dual(t: NoncrossingTree) -> NoncrossingTree:
     return NoncrossingTree(p, dual)
 
 
-def rotate_tree(t: NoncrossingTree, steps: int = 1) -> NoncrossingTree:
-    mask = t.mask
-    for _ in range(steps % t.p):
-        mask = _rotated(t.p, mask)
-    return NoncrossingTree(t.p, mask)
-
-
 def rotate_quad(q: Quadrangulation) -> Quadrangulation:
     return Quadrangulation(q.p, _rotated(q.p, q.mask))
 
 
-def quadrilaterals(q: Quadrangulation):
-    regions = polygon_regions(q.p, q.sorted_diagonals())
-    for r in regions:
-        if len(r) != 4:
-            raise SerrelabError(f"region {r} of a quadrangulation is not a quadrilateral")
-    return regions
+@lru_cache(maxsize=None)
+def _marked_chords(p: int) -> list:
+    """(cross, bit) for each chord of the p-gon joining two even vertices,
+    p even: the mask of the chords crossing it, and the bit of its image, the
+    chord between the halved vertices, in the (p/2)-gon."""
+    table, half = _chord_table(p), _chord_table(p // 2)
+    return [(table.cross[k], half.bit[a // 2][b // 2])
+            for k, (a, b) in enumerate(table.chord) if a % 2 == b % 2 == 0]
 
 
 def stokes(q: Quadrangulation) -> NoncrossingTree:
     """The even-even diagonal of each quadrilateral, as a noncrossing tree of
-    the (n+2)-gon on the even vertices.  An image that crosses or is no
-    spanning tree is a verification failure (SerrelabError), not bad input."""
+    the (n+2)-gon on the even vertices.  Sides join vertices of opposite
+    parity, so the even corners of a quadrilateral are opposite, and an
+    even-even chord lies inside one quadrilateral exactly when it crosses no
+    diagonal: one crossing test per even-even chord.  An image that crosses
+    or is no spanning tree is a verification failure (SerrelabError), not
+    bad input."""
     p = q.p // 2
     table = _chord_table(p)
     mask = 0
-    for quad in quadrilaterals(q):
-        marked = [v for v in quad if v % 2 == 0]
-        if len(marked) != 2:
-            raise SerrelabError("a quadrilateral without exactly one even-even chord")
-        mask |= table.bit[marked[0] // 2][marked[1] // 2]
+    for cross, bit in _marked_chords(q.p):
+        if not cross & q.mask:
+            mask |= bit
     edges = []
     for k in _bits(mask):
-        if table.cross[k] & mask:  # the chords crossing chord k: as chords_noncrossing
+        if table.cross[k] & mask:  # the chords crossing chord k
             raise SerrelabError("Stokes image edges cross")
         edges.append(table.chord[k])
-    if not _is_tree(p, edges):
+    if not _is_tree(p, edges):  # n+1 edges, no cycle
         raise SerrelabError("Stokes image is not a spanning tree")
     return NoncrossingTree(p, mask)
 

@@ -140,18 +140,6 @@ def coordinates(basis_cols, v, dim, field=QQ):
     return solve(A, v, len(basis_cols), field)
 
 
-def mat_eq(A, B):
-    if len(A) != len(B):
-        return False
-    for ra, rb in zip(A, B):
-        if len(ra) != len(rb):
-            return False
-        for a, b in zip(ra, rb):
-            if a != b:
-                return False
-    return True
-
-
 def is_zero(A):
     return all(not x for row in A for x in row)
 

@@ -1,13 +1,15 @@
 """Type-A engine: quiver representations of an oriented A_n quiver, torsion
 classes and the Cambrian lattice tors(Lambda), wide subcategories, mutable
 intervals, the Serre permutation on them, interval mutations, 2-cluster
-triples, and the Tamari / type-I(m) lattice generators.
+triples, the type-A suite, and the Tamari / type-I(m) lattice generators.
 
 Sets of indecomposables are bitmasks over the fixed list of vertex
 intervals [lo, hi], sorted lexicographically.  Everything the engine knows
 about Hom comes from interval arithmetic: Hom(A, B) is zero or spanned by
 A ->> A cap B >-> B.  The torsion classes and their labelled covers come from
 one walk up from 0 (the brute-force definitions check both in the tests).
+The engine works on masks only; the label-level wrappers that read them as
+sets of indecomposables are the tests' (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import GuardrailExceeded, PeriodViolation, RotationViolation, Serre
 from .lattice import (
     IntervalRef,
     Lattice,
+    _check_size,
     _cliques,
     _iter_bits,
     build_lattice,
@@ -64,6 +67,12 @@ class IndecA:
         return f"[{self.lo},{self.hi}]"
 
 
+def check_rank(n):
+    """Rejects a quiver rank past the guardrail, before anything is built."""
+    if n > QUIVER_GUARDRAIL:
+        raise GuardrailExceeded(f"n={n} > {QUIVER_GUARDRAIL}")
+
+
 def all_orientations(n):
     return ["".join(bits) for bits in itertools.product("LR", repeat=max(n - 1, 0))]
 
@@ -85,8 +94,7 @@ def _union(rows, mask):
 
 class _Engine:
     def __init__(self, q: QuiverA):
-        if q.n > QUIVER_GUARDRAIL:
-            raise GuardrailExceeded(f"n={q.n} > {QUIVER_GUARDRAIL}")
+        check_rank(q.n)
         self.q = q
         self.n = q.n
         self.arrows = q.arrows()
@@ -231,9 +239,6 @@ class _Engine:
     def torsion_closed(self, mask):
         return self._close(mask, self.quot_mask, self.mid_pairs)
 
-    def torsionfree_closed(self, mask):
-        return self._close(mask, self.sub_mask, self.mid_pairs)
-
     def filt_closure(self, mask):
         """Extension closure: fixpoint of adding indecomposable middles."""
         return self._close(mask, None, self.mid_pairs)
@@ -286,12 +291,6 @@ class _Engine:
             self.tors_upper[t] = sorted(upper[t], key=lambda e: pos[e[0]])
             for c, label in self.tors_upper[t]:
                 self.tors_lower[c].append((t, label))
-
-    def members(self, mask):
-        return frozenset(self.indecs[i] for i in _iter_bits(mask))
-
-    def mask_of(self, members):
-        return sum(1 << self.idx[x] for x in set(members))
 
     def mask_label(self, mask):
         return "".join("1" if mask >> i & 1 else "0" for i in range(self.N))
@@ -402,9 +401,6 @@ class _Engine:
             k=self.rank_of(w_free),
         )
 
-    def interval_members(self, iv):
-        return [m for m in self.tors_masks if iv.lo & m == iv.lo and m & iv.hi == m]
-
     def serre_perm(self, iv):
         """S(I) = [gen(T_free), gen(lo | W_free)], tabulated for every mutable
         interval on the first call; None marks an image outside the set."""
@@ -424,14 +420,6 @@ class _Engine:
         """The cycles of the Serre permutation, as lists of mutable intervals
         in the order of mutable_intervals(); decomposed once."""
         return cycle_decomposition(self.serre_perm, self.mutable_intervals().values())
-
-    def serre_perm_inverse(self, iv):
-        lo = iv.hi & self.perp_into(iv.w_tors)
-        hi = self.perp_into(iv.t_tors)
-        target = self.mutable_intervals().get((lo, hi))
-        if target is None:
-            raise SerrelabError("inverse Serre permutation left the set of mutable intervals")
-        return target
 
     # ---- interval mutations -----------------------------------------------------------
 
@@ -460,8 +448,8 @@ class _Engine:
         return out
 
     def _member_bits(self, iv):
-        """interval_members(iv) as a bitmask over positions in tors_masks:
-        the classes above iv.lo meet the classes below iv.hi."""
+        """The torsion classes in iv as a bitmask over positions in
+        tors_masks: the classes above iv.lo meet the classes below iv.hi."""
         if self._positions is None:
             tors = self.tors_masks
             above = {m: sum(1 << p for p, t in enumerate(tors) if m & t == m) for m in tors}
@@ -538,43 +526,12 @@ class _Engine:
             raise SerrelabError("interval of a 2-cluster triple is not mutable")
         return iv
 
-    def almost_triples(self):
-        """2-rigid triples with n-1 summands, with supp allowed to be any
-        eligible subset of the right size."""
-        out = set()
-        for t_tors, t_free, size, elig in self._orthogonal_pairs(self.n - 1):
-            for comb in itertools.combinations(_iter_bits(elig), self.n - 1 - size):
-                out.add((t_free, t_tors, sum(1 << p for p in comb)))
-        return sorted(out)
-
-    def completions(self, almost):
-        t_free, t_tors, t_supp = almost
-        found = []
-        for t in self.cluster_triples():
-            if (
-                t.t_free & t_free == t_free
-                and t.t_tors & t_tors == t_tors
-                and t.t_supp & t_supp == t_supp
-            ):
-                extra = (
-                    bin(t.t_free ^ t_free).count("1")
-                    + bin(t.t_tors ^ t_tors).count("1")
-                    + bin(t.t_supp ^ t_supp).count("1")
-                )
-                if extra == 1:
-                    found.append(t)
-        return found
-
 
 @dataclass
 class ClusterTriple:
     t_free: int
     t_tors: int
     t_supp: int
-
-    @property
-    def key(self):
-        return (self.t_free, self.t_tors, self.t_supp)
 
 
 class MutableInterval:
@@ -616,95 +573,12 @@ def _engine(q: QuiverA) -> _Engine:
 # -- public operations ------------------------------------------------------------
 
 
-def indec_rep(q: QuiverA, m: IndecA):
-    """dims per vertex and per-arrow 0/1 scalars of the interval module."""
-    eng = _engine(q)
-    dims = eng.dimvec(m)
-    amaps = {}
-    for k, (s, t) in enumerate(eng.arrows):
-        amaps[k] = 1 if dims[s - 1] and dims[t - 1] else 0
-    return {"dims": dims, "arrows": eng.arrows, "arrow_scalars": amaps}
-
-
-def _as_indices(eng, M):
-    if isinstance(M, IndecA):
-        return [eng.idx[M]]
-    return [eng.idx[m] for m in M]
-
-
-def hom_dim_q(q: QuiverA, M, N) -> int:
-    eng = _engine(q)
-    return sum(eng.h[i][j] for i in _as_indices(eng, M) for j in _as_indices(eng, N))
-
-
-def ext1_dim_q(q: QuiverA, M, N) -> int:
-    eng = _engine(q)
-    return sum(eng.e[i][j] for i in _as_indices(eng, M) for j in _as_indices(eng, N))
-
-
-def quotients_of(q: QuiverA, m: IndecA):
-    eng = _engine(q)
-    return eng.members(eng.quot_mask[eng.idx[m]])
-
-
-def subs_of(q: QuiverA, m: IndecA):
-    eng = _engine(q)
-    return eng.members(eng.sub_mask[eng.idx[m]])
-
-
-def torsion_classes(q: QuiverA):
-    eng = _engine(q)
-    return [eng.members(m) for m in eng.tors_masks]
-
-
 def tors_lattice(q: QuiverA) -> Lattice:
     return _engine(q).tors_lattice()[0]
 
 
-def wide_subcats(q: QuiverA):
-    eng = _engine(q)
-    return [eng.members(m) for m in eng.wide_subcats()]
-
-
-def a_of(q: QuiverA, members):
-    """a(T) of a torsion class, the associated wide subcategory."""
-    eng = _engine(q)
-    mask = eng.mask_of(members)
-    if mask not in eng.tors_set:
-        raise ValueError("a_of expects a torsion class")
-    return eng.members(eng.a_tors(mask))
-
-
-def a_of_torsionfree(q: QuiverA, members):
-    """a(F) of a torsion-free class, the cogen-side dual."""
-    eng = _engine(q)
-    fmask = eng.mask_of(members)
-    tmask = eng.perp_into(fmask)
-    if tmask not in eng.tors_set or eng.perp_from(tmask) != fmask:
-        raise ValueError("a_of_torsionfree expects a torsion-free class")
-    return eng.members(eng.a_free(tmask))
-
-
-def gen(q: QuiverA, members):
-    eng = _engine(q)
-    return eng.members(eng.torsion_closed(eng.mask_of(members)))
-
-
-def cogen(q: QuiverA, members):
-    eng = _engine(q)
-    return eng.members(eng.torsionfree_closed(eng.mask_of(members)))
-
-
 def mutable_intervals(q: QuiverA):
     return list(_engine(q).mutable_intervals().values())
-
-
-def serre_perm(q: QuiverA, iv: MutableInterval) -> MutableInterval:
-    return _engine(q).serre_perm(iv)
-
-
-def serre_perm_inverse(q: QuiverA, iv: MutableInterval) -> MutableInterval:
-    return _engine(q).serre_perm_inverse(iv)
 
 
 def coxeter_number(q: QuiverA) -> int:
@@ -757,25 +631,6 @@ def cluster_triples(q: QuiverA):
 
 def interval_of(q: QuiverA, t: ClusterTriple) -> MutableInterval:
     return _engine(q).interval_of(t)
-
-
-def almost_triples(q: QuiverA):
-    return _engine(q).almost_triples()
-
-
-def completions(q: QuiverA, almost):
-    return _engine(q).completions(almost)
-
-
-def edge_label(q: QuiverA, lo_members, hi_members) -> IndecA:
-    """The unique indecomposable in T^{perp_0} cap T' for a cover T <. T'."""
-    eng = _engine(q)
-    lo = eng.mask_of(lo_members)
-    hi = eng.mask_of(hi_members)
-    cand = eng.perp_from(lo) & hi
-    if bin(cand).count("1") != 1:
-        raise SerrelabError("edge label is not unique")
-    return eng.indecs[cand.bit_length() - 1]
 
 
 def run_typea_suite(q: QuiverA, categorical=True) -> dict:
@@ -918,6 +773,7 @@ def gen_type_i(m: int) -> Lattice:
     m-1 elements, top."""
     if m < 2:
         raise ValueError("m >= 2")
+    _check_size(m + 2)  # before any label is listed
     elements = ["0", "L"] + [f"R{i}" for i in range(1, m)] + ["1"]
     covers = [("0", "L"), ("L", "1"), ("0", "R1"), (f"R{m-1}", "1")]
     covers += [(f"R{i}", f"R{i+1}") for i in range(1, m - 1)]

@@ -1,0 +1,592 @@
+"""Reference implementations that the tests compare serrelab against, and the
+label-level helpers the tests are written in.  No CLI verdict runs any of it:
+the package works on indices, bitmasks and support masks, and these are the
+definitions and the dense linear algebra it is checked against.  The module
+is held to the package's exactness rules (tests/test_exactness.py)."""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+
+from serrelab import linalg
+from serrelab.derived import ScalarComplex, _boundary, _subsets, cohomology
+from serrelab.errors import GuardrailExceeded, LatticeMismatch, SerrelabError
+from serrelab.fields import QQ
+from serrelab.geom import NoncrossingTree, Quadrangulation, _bits, _check_n, _chord_table, _is_tree
+from serrelab.lattice import (
+    Antichain,
+    IntervalRef,
+    Lattice,
+    _antichain_gamma,
+    _cliques,
+    _is_boolean,
+    _iter_bits,
+    build_lattice,
+)
+from serrelab.reps import LatticeRep, RepMorphism, support_module
+from serrelab.typea import IndecA, QuiverA, _engine
+
+# -- lattices -----------------------------------------------------------------
+
+
+def chain(k: int) -> Lattice:
+    """Chain with k elements labelled '0'..'k-1'."""
+    if k < 1:
+        raise ValueError("chain needs at least one element")
+    labels = [str(i) for i in range(k)]
+    return build_lattice(labels, [(labels[i], labels[i + 1]) for i in range(k - 1)])
+
+
+def leq(lat: Lattice, a, b) -> bool:
+    return lat.leq_i(lat.index[a], lat.index[b])
+
+
+def meet(lat: Lattice, a, b):
+    return lat.labels[lat.meet_tab[lat.index[a]][lat.index[b]]]
+
+
+def join(lat: Lattice, a, b):
+    return lat.labels[lat.join_tab[lat.index[a]][lat.index[b]]]
+
+
+def interval_labels(lat: Lattice, ref: IntervalRef):
+    lo, hi = lat.index[ref.lo], lat.index[ref.hi]
+    if not lat.leq_i(lo, hi):
+        raise ValueError(f"not an interval: {ref.lo!r} is not below {ref.hi!r}")
+    return [lat.labels[i] for i in lat.mask_members(lat.interval_mask(lo, hi))]
+
+
+def is_dual_boolean_antichain(lat: Lattice, ac: Antichain) -> bool:
+    """The same test in the order dual, for antichains under a base: subsets
+    go to meets, unions to meets and intersections to joins."""
+    gamma = _antichain_gamma(lat, ac, "under", "is_dual_boolean_antichain")
+    return _is_boolean(gamma, lat.join_tab)
+
+
+def boolean_partner(lat: Lattice, ac: Antichain) -> Antichain:
+    """The paired dual antichain of the boolean sublattice spanned by `ac`:
+    coatom joins under the full join."""
+    gamma = _antichain_gamma(lat, ac, "over", "boolean_partner")
+    full = len(gamma) - 1
+    dual = frozenset(lat.labels[gamma[full ^ (1 << j)]] for j in range(full.bit_length()))
+    return Antichain(dual, lat.labels[gamma[full]], "under")
+
+
+def all_antichains_over(lat: Lattice, base):
+    """Every antichain strictly above `base`, the empty one included: the
+    cliques of the incomparability relation inside up(base) - base."""
+    b = lat.index[base]
+    incomparable = [~(up | down) for up, down in zip(lat.up_mask, lat.down_mask)]
+    return [
+        Antichain(frozenset(lat.labels[c] for c in _iter_bits(mask)), base, "over")
+        for mask in _cliques(incomparable, lat.up_mask[b] & ~(1 << b))
+    ]
+
+
+@dataclass(frozen=True)
+class Classification:
+    is_distributive: bool
+    is_semidistributive: bool
+    is_divisor_lattice: bool
+    is_boolean: bool
+    chain_sizes: tuple  # sizes of chain factors when divisor, else ()
+
+
+def _join_irreducibles(lat: Lattice):
+    return [i for i in range(lat.n) if len(lat.lower_covers[i]) == 1]
+
+
+def _is_distributive(lat: Lattice) -> bool:
+    ji = _join_irreducibles(lat)
+    phi = []
+    for x in range(lat.n):
+        m = 0
+        for k, j in enumerate(ji):
+            if lat.leq_i(j, x):
+                m |= 1 << k
+        phi.append(m)
+    if len(set(phi)) != lat.n:
+        return False
+    for a in range(lat.n):
+        for b in range(a + 1, lat.n):
+            if phi[lat.join_tab[a][b]] != phi[a] | phi[b]:
+                return False
+    return True
+
+
+def _is_semidistributive(lat: Lattice) -> bool:
+    n = lat.n
+    for tab, other in ((lat.meet_tab, lat.join_tab), (lat.join_tab, lat.meet_tab)):
+        for a in range(n):
+            groups = {}
+            for b in range(n):
+                groups.setdefault(tab[a][b], []).append(b)
+            for v, grp in groups.items():
+                for b, c in itertools.combinations(grp, 2):
+                    if tab[a][other[b][c]] != v:
+                        return False
+    return True
+
+
+def _chain_factors(lat: Lattice):
+    """Sizes of the chain factors of a distributive lattice, or None when it is
+    not a product of chains.  By Birkhoff's theorem a distributive lattice is
+    the lattice of down-sets of its join-irreducibles J, so it is a product of
+    chains iff J splits into chains with no comparabilities between them; a
+    chain of length k in J gives a factor of size k + 1."""
+    ji = _join_irreducibles(lat)
+    ji_mask = sum(1 << j for j in ji)
+    members = {}  # elements of J comparable to j -> how many j share that set
+    for j in ji:
+        comparable = (lat.up_mask[j] | lat.down_mask[j]) & ji_mask
+        members[comparable] = members.get(comparable, 0) + 1
+    sizes = {m: bin(m).count("1") for m in members}
+    if any(sizes[m] != k for m, k in members.items()):
+        return None
+    return tuple(sorted(k + 1 for k in sizes.values()))
+
+
+def classify(lat: Lattice) -> Classification:
+    """Structural classification; the divisor test is Birkhoff's criterion on
+    the join-irreducibles."""
+    distr = _is_distributive(lat)
+    semi = _is_semidistributive(lat)
+    # non-distributive lattices are never chain products
+    chain_sizes = _chain_factors(lat) if distr else None
+    divisor = chain_sizes is not None
+    boolean = divisor and all(s == 2 for s in chain_sizes)
+    return Classification(distr, semi, divisor, boolean, chain_sizes or ())
+
+
+# -- representations ----------------------------------------------------------
+
+
+def interval_module(lattice: Lattice, ref: IntervalRef, field=QQ) -> LatticeRep:
+    lo, hi = lattice.index[ref.lo], lattice.index[ref.hi]
+    if not lattice.leq_i(lo, hi):
+        raise ValueError(f"not an interval: {ref.lo!r} !<= {ref.hi!r}")
+    return support_module(lattice, lattice.interval_mask(lo, hi), field)
+
+
+def simple_module(lattice: Lattice, a, field=QQ) -> LatticeRep:
+    return interval_module(lattice, IntervalRef(a, a), field)
+
+
+def projective_module(lattice: Lattice, a, field=QQ) -> LatticeRep:
+    return interval_module(lattice, IntervalRef(a, lattice.top_label), field)
+
+
+def injective_module(lattice: Lattice, a, field=QQ) -> LatticeRep:
+    return interval_module(lattice, IntervalRef(lattice.bottom_label, a), field)
+
+
+def antichain_module(lattice: Lattice, ac: Antichain, field=QQ) -> LatticeRep:
+    """Support {y >= base : c !<= y for all members c}, identity maps."""
+    if ac.mode != "over":
+        raise ValueError("antichain_module expects mode='over'")
+    ac.validate(lattice)
+    supp = lattice.up_mask[lattice.index[ac.base]]
+    for c in ac.members:
+        supp &= ~lattice.up_mask[lattice.index[c]]
+    return support_module(lattice, supp, field)
+
+
+def dual_antichain_module(lattice: Lattice, ac: Antichain, field=QQ) -> LatticeRep:
+    """Support {y <= base : y !<= d for all members d}, identity maps."""
+    if ac.mode != "under":
+        raise ValueError("dual_antichain_module expects mode='under'")
+    ac.validate(lattice)
+    supp = lattice.down_mask[lattice.index[ac.base]]
+    for d in ac.members:
+        supp &= ~lattice.down_mask[lattice.index[d]]
+    return support_module(lattice, supp, field)
+
+
+def validate_morphism(f: RepMorphism):
+    """f commutes with the cover maps of its source and target."""
+    M, N = f.source, f.target
+    for (a, b) in M.lattice.covers:
+        lhs = linalg.mat_mul(f.components[b], M.maps[(a, b)], M.field)
+        rhs = linalg.mat_mul(N.maps[(a, b)], f.components[a], M.field)
+        if lhs != rhs:
+            raise ValueError(f"morphism does not commute over cover {(a, b)}")
+
+
+def _hom_system(M: LatticeRep, N: LatticeRep):
+    """Rows of the commuting-square system; unknowns are the entries of the
+    components f_v in element order, row-major."""
+    if M.lattice is not N.lattice:
+        raise LatticeMismatch("hom endpoints live over different lattices")
+    lat = M.lattice
+    offs = []
+    t = 0
+    for v in range(lat.n):
+        offs.append(t)
+        t += N.dims[v] * M.dims[v]
+    nvars = t
+    rows = []
+    for (a, b) in lat.covers:
+        Mab, Nab = M.maps[(a, b)], N.maps[(a, b)]
+        for i in range(N.dims[b]):
+            for j in range(M.dims[a]):
+                row = [0] * nvars
+                # (f_b Mab)_{ij} - (Nab f_a)_{ij} = 0
+                for l in range(M.dims[b]):
+                    if Mab[l][j]:
+                        row[offs[b] + i * M.dims[b] + l] += Mab[l][j]
+                for k in range(N.dims[a]):
+                    if Nab[i][k]:
+                        row[offs[a] + k * M.dims[a] + j] -= Nab[i][k]
+                rows.append(row)
+    return rows, nvars, offs
+
+
+def hom_basis(M: LatticeRep, N: LatticeRep):
+    """Basis of Hom(M, N) in echelon order."""
+    rows, nvars, offs = _hom_system(M, N)
+    if nvars == 0:
+        return []
+    basis = linalg.kernel_basis(rows, nvars, M.field)
+    lat = M.lattice
+    out = []
+    for vec in basis:
+        comps = []
+        for v in range(lat.n):
+            comp = [
+                [vec[offs[v] + i * M.dims[v] + j] for j in range(M.dims[v])]
+                for i in range(N.dims[v])
+            ]
+            comps.append(comp)
+        out.append(RepMorphism(M, N, comps))
+    return out
+
+
+def hom_dim(M: LatticeRep, N: LatticeRep) -> int:
+    rows, nvars, _ = _hom_system(M, N)
+    if nvars == 0:
+        return 0
+    return nvars - linalg.rank(rows, nvars, M.field)
+
+
+def direct_sum(reps, field=None) -> tuple:
+    """Direct sum; returns (rep, offsets) with offsets[s][v] the coordinate
+    offset of summand s at element v."""
+    reps = list(reps)
+    if not reps:
+        raise ValueError("direct_sum of nothing")
+    lat = reps[0].lattice
+    field = field or reps[0].field
+    n = lat.n
+    offsets = []
+    dims = [0] * n
+    for r in reps:
+        if r.lattice is not lat:
+            raise LatticeMismatch("direct sum over different lattices")
+        offsets.append(dims[:])
+        dims = [d + rd for d, rd in zip(dims, r.dims)]
+    maps = {}
+    for (a, b) in lat.covers:
+        m = linalg.zeros(dims[b], dims[a])
+        for s, r in enumerate(reps):
+            rm = r.maps[(a, b)]
+            ob, oa = offsets[s][b], offsets[s][a]
+            for i in range(r.dims[b]):
+                for j in range(r.dims[a]):
+                    m[ob + i][oa + j] = rm[i][j]
+        maps[(a, b)] = m
+    return LatticeRep(lat, dims, maps, field, validate=False), offsets
+
+
+ISO_GRID_GUARDRAIL = 1_000_000
+
+
+def is_isomorphic(M: LatticeRep, N: LatticeRep) -> bool:
+    """Deterministic isomorphism test via invertible-combination search over
+    a Schwartz-Zippel grid of hom-basis coefficients."""
+    if M.lattice is not N.lattice:
+        raise LatticeMismatch("iso test over different lattices")
+    if M.dims != N.dims:
+        return False
+    if M.is_zero():
+        return True
+    basis = hom_basis(M, N)
+    if not basis:
+        return False
+    field = M.field
+    dim_total = sum(M.dims)
+
+    def invertible(coeffs):
+        for v in range(M.lattice.n):
+            d = M.dims[v]
+            if d == 0:
+                continue
+            comb = linalg.zeros(d, d)
+            for c, f in zip(coeffs, basis):
+                if not c:
+                    continue
+                fv = f.components[v]
+                for i in range(d):
+                    for j in range(d):
+                        comb[i][j] = comb[i][j] + c * fv[i][j]
+            if linalg.rank(comb, d, field) != d:
+                return False
+        return True
+
+    m = len(basis)
+    for k in range(m):  # single basis elements first
+        coeffs = [0] * m
+        coeffs[k] = 1
+        if invertible(coeffs):
+            return True
+    grid = dim_total + 1
+    if grid ** m > ISO_GRID_GUARDRAIL:
+        raise GuardrailExceeded(f"iso search grid {grid}^{m} too large")
+    values = [field.of(t) for t in range(grid)]
+    for coeffs in itertools.product(values, repeat=m):
+        if invertible(coeffs):
+            return True
+    return False
+
+
+# -- Koszul (co)resolutions ------------------------------------------------------
+
+
+def _koszul(lattice: Lattice, gamma, kind: str, field) -> ScalarComplex:
+    """The Koszul complex on the subset-join table (kind 'proj') or the
+    subset-meet table (kind 'inj') gamma of an antichain C: one summand at
+    gamma(S) per subset S of C, in degree -|S| for 'proj' and |S| for 'inj',
+    maps from _boundary, transposed for a coresolution, which runs upward."""
+    k = (len(gamma) - 1).bit_length()
+    by_size, d = _subsets(k)[0], _boundary(k)
+    step = -1 if kind == "proj" else 1
+    degrees = {step * i: [gamma[s] for s in subs] for i, subs in enumerate(by_size)}
+    if kind == "proj":
+        diffs = {-i: d[i] for i in range(1, k + 1)}
+    else:
+        diffs = {i - 1: linalg.transpose(d[i], len(by_size[i])) for i in range(1, k + 1)}
+    return ScalarComplex(lattice, kind, degrees, diffs, field)
+
+
+def _check_resolves(cx: ScalarComplex, target: LatticeRep, what: str):
+    """The complex is exact away from degree 0, where its cohomology is
+    isomorphic to target."""
+    for d, h in cohomology(cx).items():
+        if d == 0:
+            if not is_isomorphic(h, target):
+                raise SerrelabError(f"{what} does not resolve the module")
+        elif not h.is_zero():
+            raise SerrelabError(f"{what} not exact in degree {d}")
+
+
+def antichain_resolution(lattice: Lattice, ac: Antichain, field=QQ) -> ScalarComplex:
+    """Closed-form Koszul resolution of the antichain module: degree -i holds
+    one P_{join of S} per i-subset S, signs by the Koszul rule."""
+    gamma = _antichain_gamma(lattice, ac, "over", "antichain_resolution")
+    cx = _koszul(lattice, gamma, "proj", field)
+    _check_resolves(cx, antichain_module(lattice, ac, field), "antichain resolution")
+    return cx
+
+
+def antichain_coresolution(lattice: Lattice, ac: Antichain, field=QQ) -> ScalarComplex:
+    """Injective Koszul coresolution of a dual antichain module, degrees 0..|D|."""
+    gamma = _antichain_gamma(lattice, ac, "under", "antichain_coresolution")
+    cx = _koszul(lattice, gamma, "inj", field)
+    _check_resolves(cx, dual_antichain_module(lattice, ac, field), "antichain coresolution")
+    return cx
+
+
+# -- type A: the engine's masks read as sets of indecomposables --------------------
+
+
+def members_of(eng, mask):
+    return frozenset(eng.indecs[i] for i in _iter_bits(mask))
+
+
+def mask_of(eng, members):
+    return sum(1 << eng.idx[x] for x in set(members))
+
+
+def torsionfree_closed(eng, mask):
+    return eng._close(mask, eng.sub_mask, eng.mid_pairs)
+
+
+def interval_members(eng, iv):
+    return [m for m in eng.tors_masks if iv.lo & m == iv.lo and m & iv.hi == m]
+
+
+def serre_perm_inverse(eng, iv):
+    lo = iv.hi & eng.perp_into(iv.w_tors)
+    hi = eng.perp_into(iv.t_tors)
+    target = eng.mutable_intervals().get((lo, hi))
+    if target is None:
+        raise SerrelabError("inverse Serre permutation left the set of mutable intervals")
+    return target
+
+
+def almost_triples(eng):
+    """2-rigid triples with n-1 summands, with supp allowed to be any
+    eligible subset of the right size."""
+    out = set()
+    for t_tors, t_free, size, elig in eng._orthogonal_pairs(eng.n - 1):
+        for comb in itertools.combinations(_iter_bits(elig), eng.n - 1 - size):
+            out.add((t_free, t_tors, sum(1 << p for p in comb)))
+    return sorted(out)
+
+
+def completions(eng, almost):
+    t_free, t_tors, t_supp = almost
+    found = []
+    for t in eng.cluster_triples():
+        if (
+            t.t_free & t_free == t_free
+            and t.t_tors & t_tors == t_tors
+            and t.t_supp & t_supp == t_supp
+        ):
+            extra = (
+                bin(t.t_free ^ t_free).count("1")
+                + bin(t.t_tors ^ t_tors).count("1")
+                + bin(t.t_supp ^ t_supp).count("1")
+            )
+            if extra == 1:
+                found.append(t)
+    return found
+
+
+def indec_rep(q: QuiverA, m: IndecA):
+    """dims per vertex and per-arrow 0/1 scalars of the interval module."""
+    eng = _engine(q)
+    dims = eng.dimvec(m)
+    amaps = {}
+    for k, (s, t) in enumerate(eng.arrows):
+        amaps[k] = 1 if dims[s - 1] and dims[t - 1] else 0
+    return {"dims": dims, "arrows": eng.arrows, "arrow_scalars": amaps}
+
+
+def _as_indices(eng, M):
+    if isinstance(M, IndecA):
+        return [eng.idx[M]]
+    return [eng.idx[m] for m in M]
+
+
+def hom_dim_q(q: QuiverA, M, N) -> int:
+    eng = _engine(q)
+    return sum(eng.h[i][j] for i in _as_indices(eng, M) for j in _as_indices(eng, N))
+
+
+def ext1_dim_q(q: QuiverA, M, N) -> int:
+    eng = _engine(q)
+    return sum(eng.e[i][j] for i in _as_indices(eng, M) for j in _as_indices(eng, N))
+
+
+def quotients_of(q: QuiverA, m: IndecA):
+    eng = _engine(q)
+    return members_of(eng, eng.quot_mask[eng.idx[m]])
+
+
+def subs_of(q: QuiverA, m: IndecA):
+    eng = _engine(q)
+    return members_of(eng, eng.sub_mask[eng.idx[m]])
+
+
+def torsion_classes(q: QuiverA):
+    eng = _engine(q)
+    return [members_of(eng, m) for m in eng.tors_masks]
+
+
+def wide_subcats(q: QuiverA):
+    eng = _engine(q)
+    return [members_of(eng, m) for m in eng.wide_subcats()]
+
+
+def a_of(q: QuiverA, members):
+    """a(T) of a torsion class, the associated wide subcategory."""
+    eng = _engine(q)
+    mask = mask_of(eng, members)
+    if mask not in eng.tors_set:
+        raise ValueError("a_of expects a torsion class")
+    return members_of(eng, eng.a_tors(mask))
+
+
+def a_of_torsionfree(q: QuiverA, members):
+    """a(F) of a torsion-free class, the cogen-side dual."""
+    eng = _engine(q)
+    fmask = mask_of(eng, members)
+    tmask = eng.perp_into(fmask)
+    if tmask not in eng.tors_set or eng.perp_from(tmask) != fmask:
+        raise ValueError("a_of_torsionfree expects a torsion-free class")
+    return members_of(eng, eng.a_free(tmask))
+
+
+def gen(q: QuiverA, members):
+    eng = _engine(q)
+    return members_of(eng, eng.torsion_closed(mask_of(eng, members)))
+
+
+def cogen(q: QuiverA, members):
+    eng = _engine(q)
+    return members_of(eng, torsionfree_closed(eng, mask_of(eng, members)))
+
+
+def edge_label(q: QuiverA, lo_members, hi_members) -> IndecA:
+    """The unique indecomposable in T^{perp_0} cap T' for a cover T <. T'."""
+    eng = _engine(q)
+    lo = mask_of(eng, lo_members)
+    hi = mask_of(eng, hi_members)
+    cand = eng.perp_from(lo) & hi
+    if bin(cand).count("1") != 1:
+        raise SerrelabError("edge label is not unique")
+    return eng.indecs[cand.bit_length() - 1]
+
+
+# -- polygons: chord sets checked and turned into masks ------------------------------
+
+
+def _norm_edges(edges):
+    return frozenset((a, b) if a < b else (b, a) for a, b in edges)
+
+
+def _mask_of(p: int, chords) -> int:
+    """The mask of chords, pairs of distinct vertices of the p-gon."""
+    bit = _chord_table(p).bit
+    mask = 0
+    for a, b in chords:
+        if a == b or not (0 <= a < p and 0 <= b < p):
+            raise ValueError(f"({a}, {b}) is no chord of the {p}-gon")
+        mask |= bit[a][b]
+    return mask
+
+
+def noncrossing(p: int, mask: int) -> bool:
+    """No two chords of mask cross: no chord's crossing mask meets mask."""
+    cross = _chord_table(p).cross
+    return not any(cross[k] & mask for k in _bits(mask))
+
+
+def make_tree(n: int, edges) -> NoncrossingTree:
+    _check_n(n)  # the chord table grows as p^2 ints of up to p^2 / 2 bits
+    p = n + 2
+    es = _norm_edges(edges)
+    mask = _mask_of(p, es)
+    if not noncrossing(p, mask):
+        raise ValueError("edges cross")
+    if not _is_tree(p, es):
+        raise ValueError("edges do not form a spanning tree")
+    return NoncrossingTree(p, mask)
+
+
+def make_quad(n: int, diagonals) -> Quadrangulation:
+    _check_n(n)
+    p = 2 * (n + 2)
+    ds = _norm_edges(diagonals)
+    mask = _mask_of(p, ds)
+    for a, b in ds:
+        if (b - a) % p in (1, p - 1):
+            raise ValueError("boundary edges are not quadrangulation diagonals")
+        if (a + b) % 2 == 0:
+            raise ValueError("diagonals must connect vertices of opposite parity")
+    if not noncrossing(p, mask):
+        raise ValueError("diagonals cross")
+    if len(ds) != n:
+        raise ValueError(f"need exactly {n} diagonals")
+    return Quadrangulation(p, mask)

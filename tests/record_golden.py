@@ -45,8 +45,13 @@ CASES = {
 
 
 def run_case(name):
-    """(exit code, stdout) of one case, run through ``cli.main`` from the repo
-    root: reports hold input paths as given on the command line."""
+    """(exit code, stdout) of one case."""
+    return run_request(CASES[name])
+
+
+def run_request(args):
+    """(exit code, stdout) of CLI arguments, run through ``cli.main`` from the
+    repo root: reports hold input paths as given on the command line."""
     from serrelab import cli
 
     out = io.StringIO()
@@ -54,7 +59,7 @@ def run_case(name):
     os.chdir(ROOT)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(shlex.split(CASES[name]))
+            code = cli.main(shlex.split(args))
     finally:
         os.chdir(cwd)
     return code, out.getvalue()

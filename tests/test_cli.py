@@ -111,6 +111,22 @@ def test_resource_exhaustion_is_one_line_not_a_traceback(exc, monkeypatch, capsy
     assert [l for l in lines if not l.startswith("elapsed: ")] == lines[:1]
 
 
+def test_guardrails_reject_before_listing_anything(monkeypatch, capsys):
+    # past the rank cap no orientation is listed, past the size cap no label:
+    # both used to be built in full (2^(n-1) strings, m + 2 labels) first
+    from serrelab import lattice, typea
+
+    def too_late(*args):
+        raise AssertionError(f"built past the guardrail: {args}")
+
+    monkeypatch.setattr(typea, "all_orientations", too_late)
+    monkeypatch.setattr(typea, "build_lattice", too_late)
+    assert cli.main(["typea", "--n", str(typea.QUIVER_GUARDRAIL + 1), "--all-orientations"]) == 1
+    m = lattice.SIZE_GUARDRAIL - 1
+    assert cli.main(["check", "--gen", "typeI", str(m)]) == 1
+    assert capsys.readouterr().err.count(f"> {lattice.SIZE_GUARDRAIL}") == 1
+
+
 def test_reports_are_byte_identical():
     a = run_cli("check", fixture_path("appendix9.json")).stdout
     b = run_cli("check", fixture_path("appendix9.json")).stdout

@@ -2,17 +2,20 @@
 no `/` outside fields.py, where QQ turns non-integral quotients of int
 scalars into Fractions (int / int would be a float), and the modulus of F_p
 read only by fields.py, which reduces F_p scalars (ints in [0, p)) for every
-other layer."""
+other layer.  tests/oracles.py, the reference implementations the package is
+checked against, is held to the same rules."""
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "serrelab"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "serrelab"
 
 
 def _nodes():
     paths = sorted(SRC.glob("*.py"))
     assert paths, SRC
+    paths.append(TESTS / "oracles.py")
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             yield path.name, node
@@ -38,7 +41,7 @@ def test_no_true_division_outside_fields():
 
 
 # geom.py is exempt: its `.p` is the polygon size
-MODULUS_FREE = ("reps.py", "derived.py", "coxeter.py", "lattice.py", "typea.py", "cli.py")
+MODULUS_FREE = ("reps.py", "derived.py", "coxeter.py", "lattice.py", "typea.py", "cli.py", "oracles.py")
 
 
 def test_modulus_read_only_in_fields():

@@ -10,23 +10,17 @@ from serrelab.geom import (
     _chord_table,
     _chords,
     _is_tree,
-    _mask_of,
-    _norm_edges,
     _rotated,
-    chords_noncrossing,
     enumerate_quads,
     enumerate_trees,
     fuss_catalan_geom,
-    make_quad,
-    make_tree,
     planar_dual,
-    polygon_regions,
-    quadrilaterals,
     rotate_quad,
-    rotate_tree,
     run_geom_suite,
     stokes,
 )
+
+from oracles import _mask_of, _norm_edges, make_quad, make_tree, noncrossing
 
 
 def _unchecked(cls, p, chords):
@@ -121,7 +115,7 @@ def _edge_side(e, ref):
 def tree_region_arcs(t):
     """Partition of the boundary arcs (i, i+1) into the tree's regions; arc i
     means the arc from vertex i to i+1 mod p."""
-    edges = sorted(t.edges)
+    edges = t.sorted_edges()
     sig = {}
     for arc in range(t.p):
         sig.setdefault(tuple(_arc_side(e, arc) for e in edges), []).append(arc)
@@ -132,7 +126,7 @@ def shielding_dual(t):
     """Region-adjacency dual: on each side of an edge, the first boundary arc
     that no other edge shields from it."""
     p = t.p
-    edges = sorted(t.edges)
+    edges = t.sorted_edges()
     if len(tree_region_arcs(t)) != p:
         raise SerrelabError("tree regions do not match boundary arcs one to one")
     dual_edges = []
@@ -182,16 +176,6 @@ def split_regions(p, chords):
     return split(list(range(p)), chords)
 
 
-def _lowest_first(region):
-    k = region.index(min(region))
-    return region[k:] + region[:k]
-
-
-def _assert_regions_match_split(p, chords):
-    want = sorted(_lowest_first(r) for r in split_regions(p, chords))
-    assert sorted(polygon_regions(p, chords)) == want, chords
-
-
 def test_enumerators_match_brute_force():
     # same objects in the same (lexicographic) order
     for n in range(1, 6):
@@ -230,9 +214,9 @@ def test_crossing_masks_match_pairwise():
 
 def test_mask_objects_keep_their_chord_sets():
     t = make_tree(3, [(4, 3), (4, 1), (2, 1), (1, 0)])
-    assert t.edges == frozenset({(0, 1), (1, 2), (1, 4), (3, 4)})
-    assert t == _unchecked(NoncrossingTree, 5, t.edges)
-    assert hash(t) == hash(_unchecked(NoncrossingTree, 5, t.edges))
+    assert t.sorted_edges() == [(0, 1), (1, 2), (1, 4), (3, 4)]
+    assert t == _unchecked(NoncrossingTree, 5, t.sorted_edges())
+    assert hash(t) == hash(_unchecked(NoncrossingTree, 5, t.sorted_edges()))
     with pytest.raises(ValueError):
         make_tree(3, [(0, 5), (0, 1), (1, 2), (2, 3)])  # no chord of the pentagon
 
@@ -270,9 +254,9 @@ def test_stack_noncrossing_matches_pairwise():
         for size in range(6):
             for es in itertools.combinations(chords, size):
                 want = pairwise_noncrossing(es)
-                assert chords_noncrossing(es) == want, es
+                assert noncrossing(p, _mask_of(p, es)) == want, es
                 flipped = [(b, a) for a, b in es]
-                assert chords_noncrossing(flipped) == want, es
+                assert noncrossing(p, _mask_of(p, flipped)) == want, es
                 checked += 2
     assert checked == 67102
 
@@ -311,85 +295,54 @@ def test_quad_validation():
     with pytest.raises(ValueError):
         make_quad(1, [(0, 1)])  # boundary edge
     q = make_quad(1, [(1, 4)])
-    assert len(quadrilaterals(q)) == 2
+    assert len(split_regions(q.p, q.sorted_diagonals())) == 2
 
 
 def test_star_tree_dual():
     # star at one vertex of the square maps to a boundary path
     t = make_tree(2, [(0, 1), (0, 2), (0, 3)])
     d = planar_dual(t)
-    assert d.edges == frozenset({(1, 2), (2, 3), (0, 3)})
+    assert d.sorted_edges() == [(0, 3), (1, 2), (2, 3)]
 
 
 def test_figure_fixture_pentagon_dual():
     # hand-checked region-adjacency dual of the tree {43,41,21,10}
     t = make_tree(3, [(4, 3), (4, 1), (2, 1), (1, 0)])
     d = planar_dual(t)
-    assert d.edges == frozenset({(0, 1), (0, 3), (2, 3), (3, 4)})
+    assert d.sorted_edges() == [(0, 1), (0, 3), (2, 3), (3, 4)]
 
 
 def test_double_dual_is_rotation():
     for n in (1, 2, 3):
         for t in enumerate_trees(n):
-            assert planar_dual(planar_dual(t)) == rotate_tree(t, 1)
-
-
-def test_regions_match_recursive_split():
-    checked = 0
-    for n in range(1, 6):
-        for q in enumerate_quads(n):
-            _assert_regions_match_split(q.p, q.diagonals)
-            checked += 1
-        for t in enumerate_trees(n):  # boundary edges cut off 2-gon lunes
-            _assert_regions_match_split(t.p, t.edges)
-            checked += 1
-    assert checked == 2 * (3 + 12 + 55 + 273 + 1428)
-
-
-def test_regions_reject_crossing_chords():
-    with pytest.raises(SerrelabError):
-        polygon_regions(6, [(0, 2), (1, 3)])  # 1 cut off before the walk from it
-    with pytest.raises(SerrelabError):
-        polygon_regions(6, [(0, 3), (2, 5)])  # the walk from 0 overshoots 3
-    # every set of up to 4 chords on 2- to 7-gons, in reversed endpoint order
-    counts = [0, 0]
-    for p in range(2, 8):
-        chords = [(a, b) for a in range(p) for b in range(a + 1, p)]
-        for size in range(5):
-            for es in itertools.combinations(chords, size):
-                flipped = [(b, a) for a, b in es]
-                crosses = not chords_noncrossing(es)
-                counts[crosses] += 1
-                if crosses:
-                    with pytest.raises(SerrelabError):
-                        polygon_regions(p, flipped)
-                else:
-                    _assert_regions_match_split(p, flipped)
-    assert counts == [4625, 5316]
-
-
-def test_regions_partition_polygon():
-    q = make_quad(3, [(9, 2), (8, 5), (5, 2)])
-    regions = polygon_regions(q.p, q.diagonals)
-    assert len(regions) == 4
-    assert sorted(len(r) for r in regions) == [4, 4, 4, 4]
+            assert planar_dual(planar_dual(t)) == NoncrossingTree(t.p, _rotated(t.p, t.mask))
 
 
 def test_stokes_figure_fixture():
     q = make_quad(3, [(9, 2), (8, 5), (5, 2)])
     s = stokes(q)
-    assert s.edges == frozenset({(0, 1), (1, 2), (1, 4), (3, 4)})
+    assert s.sorted_edges() == [(0, 1), (1, 2), (1, 4), (3, 4)]
     rq = rotate_quad(q)
-    assert rq.diagonals == frozenset({(0, 3), (6, 9), (3, 6)})
+    assert rq.sorted_diagonals() == [(0, 3), (3, 6), (6, 9)]
     assert stokes(rq) == planar_dual(s)
 
 
-def test_each_quadrilateral_has_one_marked_chord():
-    for n in (1, 2, 3):
+def _stokes_by_regions(q):
+    """The Stokes image from its definition: the even-even diagonal of each
+    region of q, the regions cut by split_regions."""
+    bit = _chord_table(q.p // 2).bit
+    mask = 0
+    for region in split_regions(q.p, q.sorted_diagonals()):
+        marked = [v // 2 for v in region if v % 2 == 0]
+        assert len(region) == 4 and len(marked) == 2, region
+        mask |= bit[marked[0]][marked[1]]
+    return NoncrossingTree(q.p // 2, mask)
+
+
+def test_stokes_matches_region_oracle():
+    for n in range(1, 6):
         for q in enumerate_quads(n):
-            for quad in quadrilaterals(q):
-                marked = [v for v in quad if v % 2 == 0]
-                assert len(marked) == 2
+            assert stokes(q) == _stokes_by_regions(q)
 
 
 def test_stokes_bijectivity():
@@ -438,20 +391,21 @@ def test_missing_rotation_fails_equivariance(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "broken",
+    "image",
     [
-        # even-even chords (0, 4), (2, 6), (4, 8), (6, 8): a spanning tree of
-        # the pentagon whose edges (0, 2) and (1, 3) cross
-        lambda q: [(0, 1, 4, 5), (2, 3, 6, 7), (4, 5, 8, 9), (6, 7, 8, 9)],
-        # one quadrilateral dropped: three edges span no pentagon
-        lambda q: polygon_regions(q.p, q.diagonals)[1:],
+        # a spanning tree of the pentagon whose edges (0, 2) and (1, 3) cross
+        [(0, 2), (1, 3), (2, 4), (3, 4)],
+        # one quadrilateral's chord missing: three edges span no pentagon
+        [(1, 3), (2, 4), (3, 4)],
     ],
     ids=["crossing", "not-spanning"],
 )
-def test_bad_stokes_image_is_a_verification_failure(monkeypatch, broken):
+def test_bad_stokes_image_is_a_verification_failure(monkeypatch, image):
     from serrelab import cli, geom
 
-    monkeypatch.setattr(geom, "quadrilaterals", broken)
+    # every chord of image crosses no diagonal, so all of them are taken
+    bit = _chord_table(5).bit
+    monkeypatch.setattr(geom, "_marked_chords", lambda p: [(0, bit[a][b]) for a, b in image])
     with pytest.raises(SerrelabError):
         stokes(enumerate_quads(3)[0])
     # the suite's own construction failed: exit 2, not malformed input (exit 1)

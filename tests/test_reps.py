@@ -5,36 +5,34 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from serrelab import linalg
 from serrelab.derived import GeneralComplexResult, serre, serre_by_resolution
 from serrelab.errors import LatticeMismatch, SerrelabError
 from serrelab.fields import PrimeField
-from serrelab.lattice import Antichain, IntervalRef, boolean_lattice, chain
-from serrelab.reps import (
-    LatticeRep,
+from serrelab.lattice import Antichain, IntervalRef, boolean_lattice
+from serrelab.reps import LatticeRep, find_interval_iso, kernel, subquotient
+
+from conftest import boolean_sublattice
+from oracles import (
     antichain_module,
-    cokernel,
+    chain,
     direct_sum,
     dual_antichain_module,
-    find_interval_iso,
     hom_basis,
     hom_dim,
-    image,
     injective_module,
     interval_module,
     is_isomorphic,
-    kernel,
+    leq,
     projective_module,
     simple_module,
-    subquotient,
-    zero_rep,
+    validate_morphism,
 )
-
-from conftest import boolean_sublattice
 
 
 def all_intervals(lat):
     for lo, hi in itertools.product(lat.labels, repeat=2):
-        if lat.leq(lo, hi):
+        if leq(lat, lo, hi):
             yield IntervalRef(lo, hi)
 
 
@@ -57,9 +55,9 @@ def test_antichain_module_supports(pentagon):
     assert m2.dims == simple_module(pentagon, "0").dims
     # direct support computation for C = {c} over 0: up(0) minus up(c)
     m3 = antichain_module(pentagon, Antichain(frozenset({"c"}), "0", "over"))
-    assert [pentagon.labels[i] for i in m3.support()] == ["0", "a", "b"]
+    assert [pentagon.labels[i] for i, d in enumerate(m3.dims) if d] == ["0", "a", "b"]
     d = dual_antichain_module(pentagon, Antichain(frozenset({"a", "b"}), "1", "under"))
-    assert [pentagon.labels[i] for i in d.support()] == ["c", "1"]
+    assert [pentagon.labels[i] for i, d in enumerate(d.dims) if d] == ["c", "1"]
 
 
 def test_commutativity_validation():
@@ -79,14 +77,14 @@ def test_hom_closed_form_rule_exhaustive(pentagon, appendix9):
             for J in all_intervals(lat):
                 N = interval_module(lat, J)
                 expected = int(
-                    lat.leq(J.lo, I.lo) and lat.leq(I.lo, J.hi) and lat.leq(J.hi, I.hi)
+                    leq(lat, J.lo, I.lo) and leq(lat, I.lo, J.hi) and leq(lat, J.hi, I.hi)
                 )
                 assert hom_dim(M, N) == expected
 
 
 def test_hom_projectives(pentagon):
     for a, b in itertools.product(pentagon.labels, repeat=2):
-        expected = int(pentagon.leq(b, a))
+        expected = int(leq(pentagon, b, a))
         assert hom_dim(projective_module(pentagon, a), projective_module(pentagon, b)) == expected
 
 
@@ -111,7 +109,7 @@ def _interval_homs(lat):
     """A nonzero map M_I -> M_J for every pair of intervals with one."""
     for I in all_intervals(lat):
         for J in all_intervals(lat):
-            if lat.leq(J.lo, I.lo) and lat.leq(I.lo, J.hi) and lat.leq(J.hi, I.hi):
+            if leq(lat, J.lo, I.lo) and leq(lat, I.lo, J.hi) and leq(lat, J.hi, I.hi):
                 (f,) = hom_basis(interval_module(lat, I), interval_module(lat, J))
                 yield f
 
@@ -123,40 +121,26 @@ def test_kernel_cokernel_image(pentagon, appendix9):
     (f,) = hom_basis(P0, S0)
     K, incl = kernel(f)
     assert K.dims == (0, 1)  # rad P_0 = P_1
-    Im, _ = image(f)
-    C, proj = cokernel(f)
-    for v in range(c2.n):
-        assert Im.dims[v] + K.dims[v] == P0.dims[v]
-    assert C.dims == (0, 0)
-    # kernel of the identity is zero, cokernel of 0 -> M is M
+    # kernel of the identity is zero
     idm = hom_basis(P0, P0)[0]
     assert kernel(idm)[0].is_zero()
-    z = zero_rep(c2)
-    from serrelab.reps import zero_morphism
-
-    CK, _ = cokernel(zero_morphism(z, P0))
-    assert CK.dims == P0.dims
-    # rank-nullity pointwise, and 0 -> K -> M -> N -> C -> 0 composes to zero
+    # rank-nullity pointwise against the rank of each component, and
+    # 0 -> K -> M -> N composes to zero
     for lat in (pentagon, appendix9):
         for f in _interval_homs(lat):
             K, k_incl = kernel(f)
-            Im, i_incl = image(f)
-            C, proj = cokernel(f)
             for v in range(lat.n):
-                assert K.dims[v] + Im.dims[v] == f.source.dims[v]
-                assert Im.dims[v] + C.dims[v] == f.target.dims[v]
-            for g in (k_incl, i_incl, proj):
-                g.validate()
-            assert f.compose(k_incl).is_zero()
-            assert proj.compose(i_incl).is_zero()
+                rank = linalg.rank(f.components[v], f.source.dims[v], f.source.field)
+                assert K.dims[v] + rank == f.source.dims[v]
+            validate_morphism(k_incl)
+            assert all(linalg.is_zero(c) for c in f.compose(k_incl).components)
 
 
 def test_kernel_cokernel_induced_maps_commute(pentagon, appendix9):
     checked = 0
     for lat in (pentagon, appendix9):
         for f in _interval_homs(lat):
-            for sub, _ in (kernel(f), cokernel(f), image(f)):
-                sub.validate_commutes()
+            kernel(f)[0].validate_commutes()
             checked += 1
     assert checked > 50
 
@@ -243,13 +227,6 @@ def test_prime_field_cover_maps_are_reduced_at_construction():
     assert half.maps[(0, 1)] == [[2]]
 
 
-def test_rep_json_dump(pentagon):
-    M = interval_module(pentagon, IntervalRef("0", "c"))
-    data = M.to_json_dict()
-    assert data["dims"]["a"] == 1 and data["dims"]["b"] == 0
-    assert all(row == ["1"] for cov in data["cover_maps"] for row in cov["matrix"])
-
-
 # the closed-form hom rule holds on arbitrary sublattices of B4 as well
 @settings(max_examples=25, deadline=None)
 @given(st.sets(st.integers(0, 15), min_size=1, max_size=6))
@@ -259,5 +236,5 @@ def test_hom_rule_on_random_sublattices(seed):
         M = interval_module(lat, I)
         for J in all_intervals(lat):
             N = interval_module(lat, J)
-            expected = int(lat.leq(J.lo, I.lo) and lat.leq(I.lo, J.hi) and lat.leq(J.hi, I.hi))
+            expected = int(leq(lat, J.lo, I.lo) and leq(lat, I.lo, J.hi) and leq(lat, J.hi, I.hi))
             assert hom_dim(M, N) == expected

@@ -3,42 +3,47 @@ import pytest
 from serrelab import linalg
 from serrelab.errors import GuardrailExceeded, SerrelabError
 from serrelab.fields import QQ
-from serrelab.lattice import classify, poset_isomorphism
+from serrelab.lattice import poset_isomorphism
 from serrelab.typea import (
     QUIVER_GUARDRAIL,
     ClusterTriple,
     IndecA,
     QuiverA,
-    a_of,
     all_orientations,
-    almost_triples,
     cluster_triples,
-    cogen,
-    completions,
-    edge_label,
-    ext1_dim_q,
     fuss_catalan_count,
-    gen,
     gen_tamari,
     gen_type_i,
-    hom_dim_q,
-    indec_rep,
     interval_mutations,
     interval_of,
     linear_quiver,
     mutable_intervals,
-    quotients_of,
     rotation_check,
     serre_orbit_stats,
-    serre_perm,
-    serre_perm_inverse,
-    subs_of,
     tamari_rotation_lattice,
     tors_lattice,
+)
+from serrelab.typea import _Engine, _engine
+
+from oracles import (
+    a_of,
+    a_of_torsionfree,
+    almost_triples,
+    classify,
+    cogen,
+    completions,
+    edge_label,
+    ext1_dim_q,
+    gen,
+    hom_dim_q,
+    indec_rep,
+    interval_members,
+    quotients_of,
+    serre_perm_inverse,
+    subs_of,
     torsion_classes,
     wide_subcats,
 )
-from serrelab.typea import _Engine, _engine
 
 
 def masks(eng, *pairs):
@@ -246,8 +251,6 @@ def test_a_gen_inverse_bijection():
 
 
 def test_cogen_side():
-    from serrelab.typea import a_of_torsionfree
-
     q = QuiverA(2, "L")
     eng = _engine(q)
     for T in torsion_classes(q):
@@ -320,9 +323,10 @@ def test_delta_ranks_sum():
 def test_serre_perm_inverse_roundtrip():
     for o in all_orientations(3):
         q = QuiverA(3, o)
+        eng = _engine(q)
         for iv in mutable_intervals(q):
-            assert serre_perm_inverse(q, serre_perm(q, iv)).key == iv.key
-            assert serre_perm(q, serre_perm_inverse(q, iv)).key == iv.key
+            assert serre_perm_inverse(eng, eng.serre_perm(iv)).key == iv.key
+            assert eng.serre_perm(serre_perm_inverse(eng, iv)).key == iv.key
 
 
 def test_serre_perm_simple_interval_alternative():
@@ -403,7 +407,7 @@ def test_serre_table_matches_formula():
     for q in _orientations_up_to_a4():
         eng = _engine(q)
         for iv in mutable_intervals(q):
-            assert serre_perm(q, iv) is _serre_formula(eng, iv)
+            assert eng.serre_perm(iv) is _serre_formula(eng, iv)
             checked += 1
     assert checked == 1 * 3 + 2 * 12 + 4 * 55 + 8 * 273
 
@@ -445,9 +449,9 @@ def test_interval_mutation_counts_and_structure():
         assert 3 * len(muts) == n * len(ivs)
         eng = _engine(q)
         for m in muts:
-            mi = set(eng.interval_members(m.I))
-            ma = set(eng.interval_members(m.A))
-            mb = set(eng.interval_members(m.B))
+            mi = set(interval_members(eng, m.I))
+            ma = set(interval_members(eng, m.A))
+            mb = set(interval_members(eng, m.B))
             assert ma | mb == mi and not (ma & mb)
             assert m.A.lo == m.I.lo and m.B.hi == m.I.hi
 
@@ -496,13 +500,14 @@ def test_all_projectives_triple():
 def test_almost_triples_have_three_completions():
     for n, o in [(2, "L"), (3, "LL")]:
         q = QuiverA(n, o)
-        alm = almost_triples(q)
+        eng = _engine(q)
+        alm = almost_triples(eng)
         assert len(alm) == len(interval_mutations(q))
         mutsets = {
             frozenset((m.B.key, m.I.key, m.A.key)) for m in interval_mutations(q)
         }
         for a in alm:
-            comps = completions(q, a)
+            comps = completions(eng, a)
             assert len(comps) == 3
             image = frozenset(interval_of(q, t).key for t in comps)
             assert image in mutsets
