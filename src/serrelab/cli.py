@@ -186,30 +186,26 @@ def _derived_orbits(lat, starts, field, max_steps):
     return orbits, failures
 
 
+def _report(args, input_info, ok, body) -> int:
+    """Emit body inside the envelope every report shares (schema_version,
+    command, input, ok); the exit code, 0 if ok else 2."""
+    report = {"schema_version": SCHEMA_VERSION, "command": args.command, "input": input_info}
+    _emit({**report, **body, "ok": ok}, args.json)
+    return 0 if ok else 2
+
+
 def cmd_check(args):
     lat, input_info = _resolve_input(args.lattice, args.gen)
     field = parse_field(args.field)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "check",
-        "input": input_info,
-        "checks": [],
-    }
     rep = combinatorial_serre_check(lat, max_steps=args.max_steps)
-    report["checks"].append(
-        {
-            "name": "combinatorial-serre-formal",
-            "ok": rep.is_serre_formal,
-            "report": rep.to_json_dict(),
-        }
-    )
     ok = rep.is_serre_formal
+    checks = [{"name": "combinatorial-serre-formal", "ok": ok, "report": rep.to_json_dict()}]
     if args.derived:
         orbits, failures = _derived_orbits(lat, lat.labels, field, args.max_steps)
         complete = [o for o in orbits if o.failure is None]
         pair = _fcy_pair(complete) if len(complete) == lat.n else None
         derived_ok = not failures and len(complete) == lat.n
-        report["checks"].append(
+        checks.append(
             {
                 "name": "derived-serre-orbits",
                 "ok": derived_ok,
@@ -219,9 +215,7 @@ def cmd_check(args):
             }
         )
         ok = ok and derived_ok
-    report["ok"] = ok
-    _emit(report, args.json)
-    return 0 if ok else 2
+    return _report(args, input_info, ok, {"checks": checks})
 
 
 def cmd_orbit(args):
@@ -232,17 +226,8 @@ def cmd_orbit(args):
         if s not in lat.index:
             raise ValueError(f"unknown element {s!r}")
     orbits, failures = _derived_orbits(lat, starts, field, args.max_steps)
-    ok = not failures
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "orbit",
-        "input": input_info,
-        "orbits": [o.to_json_dict() for o in orbits],
-        "failures": failures,
-        "ok": ok,
-    }
-    _emit(report, args.json)
-    return 0 if ok else 2
+    body = {"orbits": [o.to_json_dict() for o in orbits], "failures": failures}
+    return _report(args, input_info, not failures, body)
 
 
 def cmd_gen(args):
@@ -260,33 +245,15 @@ def cmd_typea(args):
         if args.orientation is None and args.n > 1:
             raise ValueError("give --orientation or --all-orientations")
         orientations = [args.orientation or ""]
-    runs = []
-    ok = True
-    for o in orientations:
-        suite = ta.run_typea_suite(ta.QuiverA(args.n, o), categorical=not args.fast)
-        runs.append(suite)
-        ok = ok and suite["ok"]
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "typea",
-        "input": {"kind": "quiver", "detail": f"n={args.n}", "fingerprint": ""},
-        "runs": runs,
-        "ok": ok,
-    }
-    _emit(report, args.json)
-    return 0 if ok else 2
+    runs = [ta.run_typea_suite(ta.QuiverA(args.n, o), categorical=not args.fast) for o in orientations]
+    input_info = {"kind": "quiver", "detail": f"n={args.n}", "fingerprint": ""}
+    return _report(args, input_info, all(suite["ok"] for suite in runs), {"runs": runs})
 
 
 def cmd_geom(args):
     suite = geom_mod.run_geom_suite(args.n)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "geom",
-        "input": {"kind": "generator", "detail": f"geom n={args.n}", "fingerprint": ""},
-        **suite,
-    }
-    _emit(report, args.json)
-    return 0 if suite["ok"] else 2
+    input_info = {"kind": "generator", "detail": f"geom n={args.n}", "fingerprint": ""}
+    return _report(args, input_info, suite["ok"], suite)
 
 
 def cmd_crosscheck(args):
@@ -298,15 +265,7 @@ def cmd_crosscheck(args):
     except Disagreement as exc:
         ok = False
         payload = {"agree": False, "disagreement": str(exc)}
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "crosscheck",
-        "input": input_info,
-        "result": payload,
-        "ok": ok,
-    }
-    _emit(report, args.json)
-    return 0 if ok else 2
+    return _report(args, input_info, ok, {"result": payload})
 
 
 def _add_lattice_source(p):

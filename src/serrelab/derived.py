@@ -8,7 +8,9 @@ complex Delta_x = {S : x !<= gamma(S)}: ranks of one shared simplex boundary
 are taken once per distinct pattern of summands, with no complex or module
 built; a non-stalk image comes back as dimension vectors, an antichain module
 as a mask.  The minimal resolution is their oracle, and the one fallback;
-the Koszul (co)resolutions built as complexes are the tests' oracles
+it works in the coordinates of its projective sums, so its syzygies are
+subspaces and its generators are the columns of its differentials.  The
+Koszul (co)resolutions built as complexes are the tests' oracles
 (tests/oracles.py).
 
 Degree convention: projective resolutions live in degrees <= 0 with the
@@ -35,7 +37,7 @@ from .lattice import (
     support_antichain,
     support_interval,
 )
-from .reps import LatticeRep, RepMorphism, kernel, subquotient, support_module, thin_support
+from .reps import LatticeRep, subquotient, support_module, thin_support
 
 
 class StalkResult:
@@ -212,81 +214,68 @@ def cohomology(cx: ScalarComplex) -> dict:
 # -- projective resolutions -----------------------------------------------------
 
 
-def _projective_cover(M: LatticeRep):
-    """(labels, phi, alive) with phi a projective cover sum(P_l) ->> M and
-    alive the summands of sum(P_l) present at each element."""
-    lat, fieldk = M.lattice, M.field
-    gens = []  # (element index, generating vector in M_a)
-    for a in range(lat.n):
-        if M.dims[a] == 0:
-            continue
-        rad_cols = []
-        for b in lat.lower_covers[a]:
-            mat = M.maps[(b, a)]
-            for j in range(M.dims[b]):
-                rad_cols.append([mat[i][j] for i in range(M.dims[a])])
-        rad_basis = (
-            linalg.column_space_basis(
-                [[col[i] for col in rad_cols] for i in range(M.dims[a])], len(rad_cols), fieldk
-            )
-            if rad_cols
-            else []
-        )
-        std = linalg.identity(M.dims[a])
-        for k in linalg.extend_basis(rad_basis, std, M.dims[a], fieldk):
-            gens.append((a, std[k]))
-    labels = [a for a, _ in gens]
-    P, alive = _indec_sum(lat, labels, "proj", fieldk)
-    images = [  # at v, the images of the generators of the summands present there
-        [linalg.mat_vec(M.canonical_map(labels[j], v), gens[j][1], fieldk) for j in alive[v]]
-        for v in range(lat.n)
-    ]
-    phi = RepMorphism(P, M, [linalg.transpose(cols, M.dims[v]) for v, cols in enumerate(images)])
-    for v in range(lat.n):  # cover must be onto
-        if linalg.rank(phi.components[v], P.dims[v], fieldk) != M.dims[v]:
+def _syzygy(lat: Lattice, labels, image, target_dims, field):
+    """The kernel of the cover sum(P_l) ->> N that sends the generator of
+    summand j to image(j, v) at each element v, as K_v in k^len(labels): the
+    coordinates of the summands absent at v are 0.  Checks the cover is onto,
+    N_v of dimension target_dims[v]."""
+    spaces = []
+    for v in range(lat.n):
+        alive = [j for j, l in enumerate(labels) if lat.leq_i(l, v)]
+        cols = [image(j, v) for j in alive]
+        kernel = linalg.kernel_basis(linalg.transpose(cols, len(cols[0]) if cols else 0), len(alive), field)
+        if len(alive) - len(kernel) != target_dims[v]:
             raise SerrelabError("projective cover is not surjective")
-    return labels, phi, alive
-
-
-def _scalar_blocks(d: RepMorphism, src_labels, src_alive, tgt_labels, tgt_alive):
-    """Extract the scalar of each block of a map between sums of projectives
-    and assert the map is exactly its block reconstruction."""
-    mat = linalg.zeros(len(tgt_labels), len(src_labels))
-    for j, s in enumerate(src_labels):
-        col = src_alive[s].index(j)  # generator of P_s sits at element s
-        for r, i in enumerate(tgt_alive[s]):  # exactly the t_i <= s
-            mat[i][j] = d.components[s][r][col]
-    if _restrict(mat, src_alive, tgt_alive) != d.components:
-        raise SerrelabError("map between projective sums is not block-scalar")
-    return mat
+        space = []
+        for u in kernel:
+            vec = [0] * len(labels)
+            for j, x in zip(alive, u):
+                vec[j] = x
+            space.append(vec)
+        spaces.append(space)
+    return spaces
 
 
 def projective_resolution(M: LatticeRep) -> ScalarComplex:
     """Minimal projective resolution via iterated projective covers; lives in
-    degrees -len..0."""
+    degrees -len..0.
+
+    Each syzygy is kept as the subspace K_v of k^m at each element v, inside
+    the sum of m projectives before it, where every cover map is the
+    identity.  So the radical of the syzygy at a is the span of the K_b over
+    the lower covers b of a, its generators at a are vectors of K_a outside
+    that span, and each generator is a column of the next differential.  Only
+    degree 0 reads M's cover maps."""
     if M.is_zero():
         raise ValueError("projective_resolution of the zero module")
-    lat, fieldk = M.lattice, M.field
-    degrees = {}
-    diffs = {}
-    current = M
-    prev_incl = None
-    prev_labels = prev_alive = None
+    lat, field = M.lattice, M.field
+    gens = []  # degree 0: (element a, vector of M_a outside the image of the lower covers)
+    for a in range(lat.n):
+        rad = [col for b in lat.lower_covers[a] for col in zip(*M.maps[(b, a)])]
+        std = linalg.identity(M.dims[a])
+        gens += [(a, std[k]) for k in linalg.extend_basis(rad, std, M.dims[a], field)]
+    labels = [a for a, _ in gens]
+    degrees, diffs = {0: labels}, {}
+    spaces = _syzygy(
+        lat, labels, lambda j, v: linalg.mat_vec(M.canonical_map(labels[j], v), gens[j][1], field),
+        M.dims, field,
+    )
     step = 0
-    while not current.is_zero():
-        labels, phi, alive = _projective_cover(current)
-        degrees[-step] = labels
-        if prev_incl is not None:
-            d = prev_incl.compose(phi)
-            diffs[-step] = _scalar_blocks(d, labels, alive, prev_labels, prev_alive)
-        K, incl = kernel(phi)
-        prev_incl = incl
-        prev_labels, prev_alive = labels, alive
-        current = K
+    while any(spaces):
         step += 1
         if step > 2 * lat.n + 4:
             raise SerrelabError("projective resolution did not terminate")
-    return ScalarComplex(lat, "proj", degrees, diffs, fieldk, minimal=True)
+        m = len(labels)
+        cols, labels = [], []
+        for a in range(lat.n):
+            rad = [u for b in lat.lower_covers[a] for u in spaces[b]]
+            for k in linalg.extend_basis(rad, spaces[a], m, field):
+                cols.append(spaces[a][k])
+                labels.append(a)
+        degrees[-step] = labels
+        diffs[-step] = linalg.transpose(cols, m)
+        spaces = _syzygy(lat, labels, lambda j, v: cols[j], [len(s) for s in spaces], field)
+    return ScalarComplex(lat, "proj", degrees, diffs, field, minimal=True)
 
 
 # -- the simplex boundary of the Koszul complexes ---------------------------------

@@ -239,19 +239,21 @@ def chain_product(sizes) -> Lattice:
     """Product of chains C_{s} for s in sizes (a divisor lattice), labelled
     'e0'..: element i has the mixed-radix digits of i as coordinates, the
     first size most significant, and its upper covers in coordinate order."""
-    sizes = list(sizes)
-    if not sizes:
+    taken, n = [], 1
+    for s in sizes:  # checked as the product grows: a long list is never multiplied out
+        if s < 1:
+            raise ValueError("chain sizes must be positive")
+        n *= s
+        _check_size(n)
+        taken.append(s)
+    if not taken:
         raise ValueError("chain_product needs at least one chain size")
-    if any(s < 1 for s in sizes):
-        raise ValueError("chain sizes must be positive")
-    n = math.prod(sizes)
-    _check_size(n)
-    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+    strides = [math.prod(taken[k + 1:]) for k in range(len(taken))]
     labels = [f"e{i}" for i in range(n)]
     covers = [
         (labels[i], labels[i + stride])
         for i in range(n)
-        for s, stride in zip(sizes, strides)
+        for s, stride in zip(taken, strides)
         if i // stride % s < s - 1
     ]
     return build_lattice(labels, covers)
@@ -261,7 +263,7 @@ def boolean_lattice(k: int) -> Lattice:
     """B_k as a product of k two-element chains."""
     if k < 1:
         raise ValueError(f"boolean lattice needs k >= 1, got k={k}")
-    return chain_product([2] * k)
+    return chain_product(itertools.repeat(2, k))
 
 
 def product(l1: Lattice, l2: Lattice) -> Lattice:

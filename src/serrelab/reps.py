@@ -6,16 +6,17 @@ act on column vectors; composition along a chain a < b < c is the
 product map(b,c) @ map(a,b).  Cover maps hold the field's canonical
 scalars (fields.py); the linear algebra layer keeps them so.
 
-What a verdict needs: support-mask modules, kernels through one subquotient
-construction, and the thin-support test behind the Serre dispatch.  The
-standard modules, hom spaces, direct sums and the isomorphism test are the
-tests' oracles (tests/oracles.py).
+What a verdict needs: support-mask modules, the subquotient construction
+behind cohomology, and the thin-support test behind the Serre dispatch.
+Morphisms, the standard modules, hom spaces, direct sums and the isomorphism
+test are the tests' oracles (tests/oracles.py); the minimal resolution works
+in the coordinates of its projective sums and builds no module (derived.py).
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .errors import LatticeMismatch, SerrelabError
+from .errors import SerrelabError
 from .fields import QQ
 from .lattice import Lattice, support_interval
 
@@ -66,7 +67,10 @@ class LatticeRep:
             else:
                 path.append(min(m for m in self.lattice.upper_covers[x] if self.lattice.leq_i(m, b)))
         for x, step in zip(path[-2::-1], path[:0:-1]):
-            cache[(x, b)] = linalg.mat_mul(cache[(step, b)], self.maps[(x, step)], self.field)
+            if self.dims[step]:
+                cache[(x, b)] = linalg.mat_mul(cache[(step, b)], self.maps[(x, step)], self.field)
+            else:  # through a zero space; mat_mul cannot read the width off an empty factor
+                cache[(x, b)] = linalg.zeros(self.dims[b], self.dims[x])
         return cache[(a, b)]
 
     def validate_commutes(self):
@@ -95,30 +99,6 @@ class LatticeRep:
         return f"LatticeRep(dims={list(self.dims)})"
 
 
-class RepMorphism:
-    """Componentwise linear map between representations of one lattice."""
-
-    def __init__(self, source: LatticeRep, target: LatticeRep, components):
-        if source.lattice is not target.lattice:
-            raise LatticeMismatch("morphism endpoints live over different lattices")
-        self.source = source
-        self.target = target
-        self.components = list(components)
-
-    def compose(self, other: "RepMorphism") -> "RepMorphism":
-        """self after other."""
-        if other.target is not self.source:
-            raise LatticeMismatch("composition endpoints do not match")
-        comps = [
-            linalg.mat_mul(self.components[v], other.components[v], self.source.field)
-            for v in range(self.source.lattice.n)
-        ]
-        return RepMorphism(other.source, self.target, comps)
-
-    def __repr__(self):
-        return f"RepMorphism({self.source!r} -> {self.target!r})"
-
-
 def support_module(lattice: Lattice, supp_mask: int, field=QQ) -> LatticeRep:
     """1 on every element of supp_mask, identity maps inside it; a
     representation whenever supp_mask is convex."""
@@ -130,7 +110,7 @@ def support_module(lattice: Lattice, supp_mask: int, field=QQ) -> LatticeRep:
     return LatticeRep(lattice, dims, maps, field, validate=False)
 
 
-# -- subquotients and kernels ----------------------------------------------------
+# -- subquotients ------------------------------------------------------------------
 
 
 def subquotient(N: LatticeRep, sub, quo):
@@ -160,22 +140,6 @@ def subquotient(N: LatticeRep, sub, quo):
             cols.append(coords[skip:])
         maps[(a, b)] = linalg.transpose(cols, dims[b])
     return LatticeRep(lat, dims, maps, field, validate=False), basis
-
-
-def _inclusion(S: LatticeRep, N: LatticeRep, basis) -> RepMorphism:
-    """S -> N sending the i-th basis vector of S_v to basis[v][i]."""
-    return RepMorphism(S, N, [linalg.transpose(basis[v], N.dims[v]) for v in range(N.lattice.n)])
-
-
-def kernel(f: RepMorphism):
-    """(K, incl) with K the pointwise kernel carrying induced cover maps."""
-    M, field = f.source, f.source.field
-    kbasis = [
-        linalg.kernel_basis(f.components[v], M.dims[v], field) if M.dims[v] else []
-        for v in range(M.lattice.n)
-    ]
-    K, kbasis = subquotient(M, kbasis, [[] for _ in kbasis])
-    return K, _inclusion(K, M, kbasis)
 
 
 def thin_support(M: LatticeRep):

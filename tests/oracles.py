@@ -24,7 +24,7 @@ from serrelab.lattice import (
     _iter_bits,
     build_lattice,
 )
-from serrelab.reps import LatticeRep, RepMorphism, support_module
+from serrelab.reps import LatticeRep, support_module
 from serrelab.typea import IndecA, QuiverA, _engine
 
 # -- lattices -----------------------------------------------------------------
@@ -203,14 +203,13 @@ def dual_antichain_module(lattice: Lattice, ac: Antichain, field=QQ) -> LatticeR
     return support_module(lattice, supp, field)
 
 
-def validate_morphism(f: RepMorphism):
-    """f commutes with the cover maps of its source and target."""
-    M, N = f.source, f.target
-    for (a, b) in M.lattice.covers:
-        lhs = linalg.mat_mul(f.components[b], M.maps[(a, b)], M.field)
-        rhs = linalg.mat_mul(N.maps[(a, b)], f.components[a], M.field)
-        if lhs != rhs:
-            raise ValueError(f"morphism does not commute over cover {(a, b)}")
+@dataclass
+class RepMorphism:
+    """Componentwise linear map between representations of one lattice."""
+
+    source: LatticeRep
+    target: LatticeRep
+    components: list
 
 
 def _hom_system(M: LatticeRep, N: LatticeRep):

@@ -124,7 +124,12 @@ def test_guardrails_reject_before_listing_anything(monkeypatch, capsys):
     assert cli.main(["typea", "--n", str(typea.QUIVER_GUARDRAIL + 1), "--all-orientations"]) == 1
     m = lattice.SIZE_GUARDRAIL - 1
     assert cli.main(["check", "--gen", "typeI", str(m)]) == 1
-    assert capsys.readouterr().err.count(f"> {lattice.SIZE_GUARDRAIL}") == 1
+    # B_20000 is rejected at its 14th doubling, not after 2^20000 is
+    # multiplied out and formatted past Python's int-to-str digit limit
+    assert cli.main(["check", "--gen", "boolean", "20000"]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"> {lattice.SIZE_GUARDRAIL}") == 2
+    assert "16384 elements > 10000" in err
 
 
 def test_reports_are_byte_identical():

@@ -18,11 +18,12 @@ from serrelab.derived import (
     serre_orbit,
 )
 from serrelab.errors import NotAComplex
-from serrelab.fields import PrimeField
+from serrelab.fields import QQ, PrimeField
 from serrelab.lattice import Antichain, IntervalRef, boolean_lattice, chain_product, is_boolean_antichain
 from serrelab.typea import gen_type_i
 
 from oracles import (
+    _check_resolves,
     all_antichains_over,
     antichain_coresolution,
     antichain_module,
@@ -69,10 +70,21 @@ def test_resolution_matches_antichain_resolution_on_b2():
         assert sorted(res.degrees[d]) == sorted(ac.degrees[d])
 
 
-def test_resolution_minimality_flag(pentagon):
-    for lo, hi in itertools.product(pentagon.labels, repeat=2):
-        if leq(pentagon, lo, hi):
-            res = projective_resolution(interval_module(pentagon, IntervalRef(lo, hi)))
+def test_resolution_minimality_flag(pentagon, appendix9):
+    # every interval module, and every direct sum of two, so that degree 0
+    # also meets dimensions 2 and generators at one element, over QQ and
+    # F_3: each resolution is exact, resolves its module and splits off no
+    # summand
+    for lat, field in itertools.product((pentagon, appendix9), (QQ, PrimeField(3))):
+        intervals = [
+            interval_module(lat, IntervalRef(lo, hi), field)
+            for lo, hi in itertools.product(lat.labels, repeat=2)
+            if leq(lat, lo, hi)
+        ]
+        sums = [direct_sum(pair)[0] for pair in itertools.combinations_with_replacement(intervals, 2)]
+        for M in intervals + sums:
+            res = projective_resolution(M)
+            _check_resolves(res, M, "minimal resolution")
             assert res.minimal
             for d, mat in res.diffs.items():
                 src = res.degrees[d]

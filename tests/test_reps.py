@@ -5,12 +5,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serrelab import linalg
 from serrelab.derived import GeneralComplexResult, serre, serre_by_resolution
 from serrelab.errors import LatticeMismatch, SerrelabError
 from serrelab.fields import PrimeField
 from serrelab.lattice import Antichain, IntervalRef, boolean_lattice
-from serrelab.reps import LatticeRep, find_interval_iso, kernel, subquotient
+from serrelab.reps import LatticeRep, find_interval_iso, subquotient
 
 from conftest import boolean_sublattice
 from oracles import (
@@ -18,7 +17,6 @@ from oracles import (
     chain,
     direct_sum,
     dual_antichain_module,
-    hom_basis,
     hom_dim,
     injective_module,
     interval_module,
@@ -26,7 +24,6 @@ from oracles import (
     leq,
     projective_module,
     simple_module,
-    validate_morphism,
 )
 
 
@@ -105,46 +102,6 @@ def test_hom_mismatch_raises(pentagon):
         hom_dim(simple_module(pentagon, "0"), simple_module(other, "0"))
 
 
-def _interval_homs(lat):
-    """A nonzero map M_I -> M_J for every pair of intervals with one."""
-    for I in all_intervals(lat):
-        for J in all_intervals(lat):
-            if leq(lat, J.lo, I.lo) and leq(lat, I.lo, J.hi) and leq(lat, J.hi, I.hi):
-                (f,) = hom_basis(interval_module(lat, I), interval_module(lat, J))
-                yield f
-
-
-def test_kernel_cokernel_image(pentagon, appendix9):
-    c2 = chain(2)
-    P0 = projective_module(c2, "0")
-    S0 = simple_module(c2, "0")
-    (f,) = hom_basis(P0, S0)
-    K, incl = kernel(f)
-    assert K.dims == (0, 1)  # rad P_0 = P_1
-    # kernel of the identity is zero
-    idm = hom_basis(P0, P0)[0]
-    assert kernel(idm)[0].is_zero()
-    # rank-nullity pointwise against the rank of each component, and
-    # 0 -> K -> M -> N composes to zero
-    for lat in (pentagon, appendix9):
-        for f in _interval_homs(lat):
-            K, k_incl = kernel(f)
-            for v in range(lat.n):
-                rank = linalg.rank(f.components[v], f.source.dims[v], f.source.field)
-                assert K.dims[v] + rank == f.source.dims[v]
-            validate_morphism(k_incl)
-            assert all(linalg.is_zero(c) for c in f.compose(k_incl).components)
-
-
-def test_kernel_cokernel_induced_maps_commute(pentagon, appendix9):
-    checked = 0
-    for lat in (pentagon, appendix9):
-        for f in _interval_homs(lat):
-            kernel(f)[0].validate_commutes()
-            checked += 1
-    assert checked > 50
-
-
 def test_subquotient_whole_module_and_ill_defined_map():
     c2 = chain(2)
     P0 = projective_module(c2, "0")
@@ -160,6 +117,18 @@ def test_canonical_map_on_a_long_chain():
     lat = chain(1500)
     M = interval_module(lat, IntervalRef("0", "1499"))
     assert M.canonical_map(0, 1499) == [[Fraction(1)]]
+
+
+def test_canonical_map_through_a_zero_space():
+    # the path 0 < 1 < 2 < 3 crosses M_2 = 0: the composite is a zero matrix
+    # of the right shape, where it used to come out 1 x 0 and the next cover
+    # down raised a shape mismatch, in serre(M) too
+    lat = chain(4)
+    M, _ = direct_sum([interval_module(lat, IntervalRef("0", "1")), simple_module(lat, "3")])
+    assert M.canonical_map(1, 3) == [[0]] and M.canonical_map(0, 3) == [[0]]
+    res = serre(M)  # the sum of the images: M_[1,2] in degree -1 and P_0 in degree 0
+    assert isinstance(res, GeneralComplexResult)
+    assert res.cohomology == {-1: [0, 1, 1, 0], 0: [1, 1, 1, 1]}
 
 
 def test_find_interval_iso(pentagon):
