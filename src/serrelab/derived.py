@@ -1,15 +1,17 @@
 """Minimal projective resolutions, the Nakayama functor on complexes of
 projectives, cohomology, and the derived Serre functor with orbit
-bookkeeping.  The Serre functor of an antichain module
-with a boolean antichain has a closed form on support bitmasks.  Every other
-small enough antichain module goes through its Koszul resolution, whose
-Nakayama image at an element x is the relative chain complex of the simplicial
-complex Delta_x = {S : x !<= gamma(S)}: ranks of one shared simplex boundary
-are taken once per distinct pattern of summands, with no complex or module
+bookkeeping.  The Serre functor of an antichain module with a boolean
+antichain has a closed form on support bitmasks.  Every other small enough
+antichain module goes through its Koszul resolution, whose Nakayama image at
+an element x is the relative chain complex of the simplicial complex
+Delta_x = {S : x !<= gamma(S)}: ranks of one shared simplex boundary are
+taken once per distinct pattern of summands, with no complex or module
 built; a non-stalk image comes back as dimension vectors, an antichain module
-as a mask.  The minimal resolution is their oracle, and the one fallback;
-it works in the coordinates of its projective sums, so its syzygies are
-subspaces and its generators are the columns of its differentials.  The
+as a mask.  The minimal resolution is their oracle, and the one fallback.
+It works in the coordinates of its projective sums: its syzygies are
+subspaces, its generators the columns of its differentials, and the
+cohomology of its Nakayama image reads each term at v as the summands
+present there, with cover maps that reindex; no term module is built.  The
 Koszul (co)resolutions built as complexes are the tests' oracles
 (tests/oracles.py).
 
@@ -37,7 +39,7 @@ from .lattice import (
     support_antichain,
     support_interval,
 )
-from .reps import LatticeRep, subquotient, support_module, thin_support
+from .reps import LatticeRep, support_module, thin_support
 
 
 class StalkResult:
@@ -151,33 +153,15 @@ class ScalarComplex:
                     raise NotAComplex(f"d o d != 0 between degrees {d} and {d + 2}")
 
 
-def _indec_sum(lat: Lattice, labels, kind, field):
-    """Direct sum of P_l / I_l for l in labels; returns (rep, alive) with
-    alive[v] the positions of the summands present at element v, in
-    coordinate order.  Memoized in a dict the lattice owns, so that it dies
-    with the lattice; callers only read the pair."""
-    memo = lat.__dict__.setdefault("_indec_sums", {})
-    key = (tuple(labels), kind, field)
-    if key not in memo:
-        memo[key] = _build_indec_sum(lat, labels, kind, field)
-    return memo[key]
-
-
-def _build_indec_sum(lat: Lattice, labels, kind, field):
+def _alive(lat: Lattice, labels, kind):
+    """alive[v]: the positions j of the summands present at element v, in
+    order; P_l is present when l <= v (kind 'proj'), I_l when v <= l."""
     present = lat.up_mask if kind == "proj" else lat.down_mask
     alive = [[] for _ in range(lat.n)]
     for j, l in enumerate(labels):
         for v in _iter_bits(present[l]):
             alive[v].append(j)
-    maps = {}
-    for (a, b) in lat.covers:
-        row = {j: r for r, j in enumerate(alive[b])}
-        m = linalg.zeros(len(alive[b]), len(alive[a]))
-        for c, j in enumerate(alive[a]):
-            if j in row:
-                m[row[j]][c] = 1
-        maps[(a, b)] = m
-    return LatticeRep(lat, map(len, alive), maps, field, validate=False), alive
+    return alive
 
 
 def _restrict(mat, src_alive, tgt_alive):
@@ -190,24 +174,43 @@ def _restrict(mat, src_alive, tgt_alive):
 
 
 def cohomology(cx: ScalarComplex) -> dict:
-    """Pointwise ker/im quotients with induced cover maps, per degree, read
-    off the scalar blocks restricted to the summands present at each element."""
+    """Pointwise ker/im quotients with induced cover maps, per degree.  The
+    term at v is the list of the summands present there and the
+    differentials are the scalar blocks restricted to them.  Every cover map
+    of a sum of P_l or of I_l is the identity on the summands present at both
+    ends, so along a cover a < b a cycle at a is reindexed: summand j keeps
+    its coordinate when present at a and is 0 otherwise."""
     lat, field = cx.lattice, cx.field
-    sums = {d: _indec_sum(lat, labels, cx.kind, field) for d, labels in cx.degrees.items()}
+    alive = {d: _alive(lat, labels, cx.kind) for d, labels in cx.degrees.items()}
     out = {}
-    for d, (term, alive) in sorted(sums.items()):
-        if d + 1 in sums and d in cx.diffs:
-            comps = _restrict(cx.diffs[d], alive, sums[d + 1][1])
-            cycles = [linalg.kernel_basis(comps[v], term.dims[v], field) for v in range(lat.n)]
+    for d, here in sorted(alive.items()):
+        dims = list(map(len, here))
+        if d + 1 in alive and d in cx.diffs:
+            comps = _restrict(cx.diffs[d], here, alive[d + 1])
+            cycles = [linalg.kernel_basis(comps[v], dims[v], field) for v in range(lat.n)]
         else:
-            cycles = [linalg.identity(term.dims[v]) for v in range(lat.n)]
-        if d - 1 in sums and d - 1 in cx.diffs:
-            src = sums[d - 1][1]
-            comps = _restrict(cx.diffs[d - 1], src, alive)
-            bounds = [linalg.column_space_basis(comps[v], len(src[v]), field) for v in range(lat.n)]
+            cycles = [linalg.identity(k) for k in dims]
+        if d - 1 in alive and d - 1 in cx.diffs:
+            comps = _restrict(cx.diffs[d - 1], alive[d - 1], here)
+            bounds = [linalg.column_space_basis(c, len(s), field) for c, s in zip(comps, alive[d - 1])]
         else:
             bounds = [[] for _ in range(lat.n)]
-        out[d] = subquotient(term, cycles, bounds)[0]
+        basis = [
+            [z[k] for k in linalg.extend_basis(q, z, n, field)] if q else z
+            for z, q, n in zip(cycles, bounds, dims)
+        ]
+        maps = {}
+        for (a, b) in lat.covers:
+            pos = {j: c for c, j in enumerate(here[a])}
+            cols = []
+            for vec in basis[a]:
+                img = [vec[pos[j]] if j in pos else 0 for j in here[b]]
+                coords = linalg.coordinates(bounds[b] + basis[b], img, dims[b], field)
+                if coords is None:
+                    raise SerrelabError("cycles not closed under cover maps; induced map ill-defined")
+                cols.append(coords[len(bounds[b]):])
+            maps[(a, b)] = linalg.transpose(cols, len(basis[b]))
+        out[d] = LatticeRep(lat, map(len, basis), maps, field, validate=False)
     return out
 
 
@@ -220,8 +223,7 @@ def _syzygy(lat: Lattice, labels, image, target_dims, field):
     coordinates of the summands absent at v are 0.  Checks the cover is onto,
     N_v of dimension target_dims[v]."""
     spaces = []
-    for v in range(lat.n):
-        alive = [j for j, l in enumerate(labels) if lat.leq_i(l, v)]
+    for v, alive in enumerate(_alive(lat, labels, "proj")):
         cols = [image(j, v) for j in alive]
         kernel = linalg.kernel_basis(linalg.transpose(cols, len(cols[0]) if cols else 0), len(alive), field)
         if len(alive) - len(kernel) != target_dims[v]:
@@ -332,23 +334,22 @@ def serre(M: LatticeRep):
     serre_on_support take over on its support mask and antichain, found once.
     Every other input goes to serre_by_resolution, the oracle.
     """
-    mask = thin_support(M)
-    ac = None if mask is None else support_antichain(M.lattice, mask)
-    if ac is None:
+    found = _antichain_support(M)
+    if found is None:
         return serre_by_resolution(M)
-    return _serre_on_antichain(M.lattice, mask, ac, M.field)
+    return _serre_on_antichain(M.lattice, *found, M.field)
 
 
 def _antichain_support(M: LatticeRep):
-    """The support mask of M when M is an antichain module: M is thin, its
-    support has a minimum lo and is up(lo) minus the up-set of an antichain,
-    and every cover map inside the support is nonzero.  Rescaling by the
-    composites from lo then makes every such map the identity, so M is
-    isomorphic to support_module on that mask.  Else None."""
+    """(mask, ac) when M is an antichain module: M is thin with support mask,
+    the support has a minimum lo and is up(lo) minus the up-set of an
+    antichain, ac = support_antichain(lat, mask), and every cover map inside
+    the support is nonzero.  Rescaling by the composites from lo then makes
+    every such map the identity, so M is isomorphic to support_module on that
+    mask.  Else None."""
     mask = thin_support(M)
-    if mask is None or support_antichain(M.lattice, mask) is None:
-        return None
-    return mask
+    ac = None if mask is None else support_antichain(M.lattice, mask)
+    return None if ac is None else (mask, ac)
 
 
 def serre_support(lat: Lattice, gamma):
@@ -488,7 +489,8 @@ def serre_by_resolution(M: LatticeRep):
     nonzero = {d: h for d, h in H.items() if not h.is_zero()}
     if len(nonzero) == 1:
         ((d, h),) = nonzero.items()
-        return StalkResult(h.lattice, -d, _antichain_support(h), h, h.field)
+        found = _antichain_support(h)
+        return StalkResult(h.lattice, -d, None if found is None else found[0], h, h.field)
     return GeneralComplexResult(cohomology={d: list(h.dims) for d, h in nonzero.items()})
 
 

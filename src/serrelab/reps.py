@@ -6,17 +6,17 @@ act on column vectors; composition along a chain a < b < c is the
 product map(b,c) @ map(a,b).  Cover maps hold the field's canonical
 scalars (fields.py); the linear algebra layer keeps them so.
 
-What a verdict needs: support-mask modules, the subquotient construction
-behind cohomology, and the thin-support test behind the Serre dispatch.
-Morphisms, the standard modules, hom spaces, direct sums and the isomorphism
-test are the tests' oracles (tests/oracles.py); the minimal resolution works
-in the coordinates of its projective sums and builds no module (derived.py).
+What a verdict needs: support-mask modules and the thin-support test behind
+the Serre dispatch.  Morphisms, the standard modules, hom spaces, direct sums
+and the isomorphism test are the tests' oracles (tests/oracles.py); the
+minimal resolution and the cohomology of its Nakayama image work in the
+coordinates of their projective and injective sums and build no term module
+(derived.py).
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .errors import SerrelabError
 from .fields import QQ
 from .lattice import Lattice, support_interval
 
@@ -108,38 +108,6 @@ def support_module(lattice: Lattice, supp_mask: int, field=QQ) -> LatticeRep:
         if dims[a] and dims[b]:
             maps[(a, b)] = [[1]]
     return LatticeRep(lattice, dims, maps, field, validate=False)
-
-
-# -- subquotients ------------------------------------------------------------------
-
-
-def subquotient(N: LatticeRep, sub, quo):
-    """(S, basis) with S_v = span(sub[v]) / span(quo[v]) carrying the cover
-    maps of N induced; span(quo[v]) must lie in span(sub[v]).
-
-    basis[v] lists the vectors of sub[v] that extend quo[v] to a basis of
-    span(sub[v]), in order; sub[v] itself when quo[v] is empty, so sub[v]
-    must then be independent.  Raises SerrelabError when a cover map of N
-    does not carry the subquotient into itself.
-    """
-    lat, field = N.lattice, N.field
-    basis = [
-        [sub[v][k] for k in linalg.extend_basis(quo[v], sub[v], N.dims[v], field)] if quo[v] else sub[v]
-        for v in range(lat.n)
-    ]
-    dims = [len(bv) for bv in basis]
-    maps = {}
-    for (a, b) in lat.covers:
-        span_b, skip = quo[b] + basis[b], len(quo[b])
-        cols = []
-        for vec in basis[a]:
-            img = linalg.mat_vec(N.maps[(a, b)], vec, field)
-            coords = linalg.coordinates(span_b, img, N.dims[b], field)
-            if coords is None:
-                raise SerrelabError("subquotient not closed under cover maps; induced map ill-defined")
-            cols.append(coords[skip:])
-        maps[(a, b)] = linalg.transpose(cols, dims[b])
-    return LatticeRep(lat, dims, maps, field, validate=False), basis
 
 
 def thin_support(M: LatticeRep):

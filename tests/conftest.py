@@ -38,6 +38,25 @@ def boolean_sublattice(seed):
     return build_lattice([str(x) for x in elems], covers), elems
 
 
+def constructed(monkeypatch, *classes):
+    """Counts the instances of each of classes constructed, by class name."""
+    counts = {}
+
+    def count(cls):
+        init = cls.__init__
+        counts[cls.__name__] = 0
+
+        def counted_init(self, *args, **kwargs):
+            counts[cls.__name__] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+
+    for cls in classes:
+        count(cls)
+    return counts
+
+
 @pytest.fixture(scope="session")
 def pentagon():
     return build_lattice(

@@ -8,7 +8,7 @@ from serrelab.derived import (
     GeneralComplexResult,
     ScalarComplex,
     StalkResult,
-    _indec_sum,
+    _alive,
     _restrict,
     cohomology,
     nakayama,
@@ -17,11 +17,21 @@ from serrelab.derived import (
     serre_by_resolution,
     serre_orbit,
 )
-from serrelab.errors import NotAComplex
+from serrelab.errors import NotAComplex, SerrelabError
 from serrelab.fields import QQ, PrimeField
-from serrelab.lattice import Antichain, IntervalRef, boolean_lattice, chain_product, is_boolean_antichain
+from serrelab.lattice import (
+    Antichain,
+    IntervalRef,
+    boolean_lattice,
+    build_lattice,
+    chain_product,
+    is_boolean_antichain,
+    order_dual,
+)
+from serrelab.reps import LatticeRep
 from serrelab.typea import gen_type_i
 
+from conftest import constructed
 from oracles import (
     _check_resolves,
     all_antichains_over,
@@ -115,21 +125,26 @@ def test_antichain_resolution_koszul_signs():
     assert all(abs(int(x)) == 1 for row in d1 for x in row)
 
 
-def test_antichain_resolution_exactness_everywhere(pentagon, appendix9):
-    for lat in (pentagon, appendix9):
+def test_antichain_resolution_exactness_everywhere(pentagon, appendix9, kite):
+    # cohomology reindexes cycles upward along the covers of sums of projectives
+    for lat, field in itertools.product((pentagon, appendix9, kite), (QQ, PrimeField(3))):
         for base in lat.labels:
             for ac in all_antichains_over(lat, base):
-                cx = antichain_resolution(lat, ac)  # constructor validates homology
+                cx = antichain_resolution(lat, ac, field)  # constructor validates homology
                 assert cx is not None
 
 
-def test_antichain_coresolution(pentagon):
-    ac = Antichain(frozenset({"a", "b"}), "1", "under")
-    cx = antichain_coresolution(pentagon, ac)
-    H = cohomology(cx)
-    target = dual_antichain_module(pentagon, ac)
-    assert is_isomorphic(H[0], target)
-    assert all(h.is_zero() for d, h in H.items() if d != 0)
+def test_antichain_coresolution(pentagon, appendix9, kite):
+    # every antichain under every base: the antichains over it in the order
+    # dual; cohomology reindexes cycles downward along sums of injectives
+    for lat, field in itertools.product((pentagon, appendix9, kite), (QQ, PrimeField(3))):
+        dual = order_dual(lat)
+        for base in lat.labels:
+            for over in all_antichains_over(dual, base):
+                ac = Antichain(over.members, base, "under")
+                H = cohomology(antichain_coresolution(lat, ac, field))
+                assert is_isomorphic(H[0], dual_antichain_module(lat, ac, field)), (lat.labels, ac)
+                assert all(h.is_zero() for d, h in H.items() if d != 0), (lat.labels, ac)
 
 
 def test_not_a_complex():
@@ -165,6 +180,33 @@ def test_nakayama_canonical_maps():
     H = cohomology(naka)
     assert H[-1].dims == (0, 1)
     assert H[0].is_zero()
+
+
+def test_cohomology_builds_no_term_module_and_leaves_the_lattice(monkeypatch):
+    # one module per degree, the cohomology itself, and nothing stored on
+    # a fresh lattice
+    lat = build_lattice(
+        ["0", "a", "b", "c", "1"],
+        [("0", "a"), ("0", "b"), ("a", "c"), ("b", "1"), ("c", "1")],
+    )
+    M = simple_module(lat, "0")
+    before = dict(vars(lat))
+    built = constructed(monkeypatch, LatticeRep)
+    cx = nakayama(projective_resolution(M))
+    H = cohomology(cx)
+    assert len(cx.degrees) > 1 and set(H) == set(cx.degrees)
+    assert built == {"LatticeRep": len(cx.degrees)}
+    assert vars(lat) == before
+
+
+def test_cohomology_raises_on_an_ill_defined_cover_map():
+    # a block P_0 -> P_1 on the chain 0 < 1, where no canonical map exists:
+    # the cycle at 0 reaches 1, where the differential kills nothing
+    c2 = chain(2)
+    cx = ScalarComplex(c2, "proj", {0: [0], 1: [1]}, {0: [[0]]})
+    cx.diffs = {0: [[1]]}
+    with pytest.raises(SerrelabError, match="ill-defined"):
+        cohomology(cx)
 
 
 def test_cohomology_zero_differentials(pentagon):
@@ -407,8 +449,8 @@ def test_block_realization_matches_explicit_rule(pentagon, appendix9, kite):
             for kind in ("proj", "inj"):
                 want = _explicit_realization(res, kind)
                 for d, mat in res.diffs.items():
-                    src = _indec_sum(lat, res.degrees[d], kind, res.field)[1]
-                    tgt = _indec_sum(lat, res.degrees[d + 1], kind, res.field)[1]
+                    src = _alive(lat, res.degrees[d], kind)
+                    tgt = _alive(lat, res.degrees[d + 1], kind)
                     assert _restrict(mat, src, tgt) == want[d], (lat.labels, lo, hi, kind, d)
                     checked += 1
     assert checked > 100

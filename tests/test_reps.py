@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from serrelab.derived import GeneralComplexResult, serre, serre_by_resolution
-from serrelab.errors import LatticeMismatch, SerrelabError
+from serrelab.errors import LatticeMismatch
 from serrelab.fields import PrimeField
 from serrelab.lattice import Antichain, IntervalRef, boolean_lattice
-from serrelab.reps import LatticeRep, find_interval_iso, subquotient
+from serrelab.reps import LatticeRep, find_interval_iso
 
 from conftest import boolean_sublattice
 from oracles import (
@@ -100,17 +100,6 @@ def test_hom_mismatch_raises(pentagon):
     other = chain(2)
     with pytest.raises(LatticeMismatch):
         hom_dim(simple_module(pentagon, "0"), simple_module(other, "0"))
-
-
-def test_subquotient_whole_module_and_ill_defined_map():
-    c2 = chain(2)
-    P0 = projective_module(c2, "0")
-    whole, basis = subquotient(P0, [[[Fraction(1)]], [[Fraction(1)]]], [[], []])
-    assert whole.dims == P0.dims and whole.maps == P0.maps
-    assert basis == [[[Fraction(1)]], [[Fraction(1)]]]
-    # the cover map 0 -> 1 of P_0 leaves span(sub) at element 1
-    with pytest.raises(SerrelabError):
-        subquotient(P0, [[[Fraction(1)]], []], [[], []])
 
 
 def test_canonical_map_on_a_long_chain():

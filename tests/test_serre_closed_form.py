@@ -29,7 +29,7 @@ from serrelab.lattice import (
 from serrelab.reps import LatticeRep, support_module
 from serrelab.typea import QuiverA, all_orientations, gen_tamari, run_typea_suite, tors_lattice
 
-from conftest import FIXTURES, boolean_sublattice, fixture_path, routed_to_oracle
+from conftest import FIXTURES, boolean_sublattice, constructed, fixture_path, routed_to_oracle
 from oracles import (
     all_antichains_over,
     antichain_module,
@@ -55,25 +55,6 @@ def _counted(monkeypatch, name):
 
     monkeypatch.setattr(derived, name, counted)
     return calls
-
-
-def _constructed(monkeypatch, *classes):
-    """Counts the instances of each of classes constructed, by class name."""
-    counts = {}
-
-    def count(cls):
-        init = cls.__init__
-        counts[cls.__name__] = 0
-
-        def counted_init(self, *args, **kwargs):
-            counts[cls.__name__] += 1
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counted_init)
-
-    for cls in classes:
-        count(cls)
-    return counts
 
 
 @pytest.fixture
@@ -254,7 +235,7 @@ def test_product_request_builds_no_minimal_resolution(appendix9, resolutions, ko
     # all 34 images are read off the simplex boundary at one rank per
     # element pattern
     cohomologies = _counted(monkeypatch, "cohomology")
-    built = _constructed(monkeypatch, Antichain, LatticeRep, derived.ScalarComplex)
+    built = constructed(monkeypatch, Antichain, LatticeRep, derived.ScalarComplex)
     orbits = [serre_orbit(lat, a) for a in lat.labels]
     assert sum(len(o.steps) for o in orbits) == 322
     assert (len(resolutions), len(koszul)) == (0, 34)
@@ -270,7 +251,7 @@ def test_kite_product_orbits_build_nothing_and_match_the_oracle(kite, pentagon, 
     for lat in (product(kite, kite), product(pentagon, kite)):
         with pytest.MonkeyPatch.context() as mp:
             called = [_counted(mp, name) for name in ("cohomology", "projective_resolution")]
-            built = _constructed(mp, LatticeRep, derived.ScalarComplex)
+            built = constructed(mp, LatticeRep, derived.ScalarComplex)
             fast = {a: serre_orbit(lat, a, field=field) for a in lat.labels}
         assert called == [[], []] and built == {"LatticeRep": 0, "ScalarComplex": 0}
         with routed_to_oracle():
