@@ -7,29 +7,14 @@ input); human-oriented progress and timing go to stderr.  Exit codes:
 resource (recursion depth or memory).
 """
 
-from __future__ import annotations
-
 import argparse
-import hashlib
-import json
-import math
 import sys
 import time
 
-from . import geom as geom_mod
-from . import typea as ta
-from .coxeter import combinatorial_serre_check, cross_check
-from .derived import serre_orbit
 from .errors import Disagreement, MaxStepsExceeded, SerrelabError
-from .fields import parse_field
-from .lattice import (
-    Lattice,
-    boolean_lattice,
-    chain_product,
-    lattice_to_json_dict,
-    load_lattice,
-    product,
-)
+
+# Each command and each generator imports the layers it runs, so that an
+# import of this module costs only argparse and the errors module.
 
 SCHEMA_VERSION = 1
 
@@ -40,17 +25,47 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _gen_tamari(args):
+    from .typea import gen_tamari
+
+    return gen_tamari(int(args[0]))
+
+
+def _gen_type_i(args):
+    from .typea import gen_type_i
+
+    return gen_type_i(int(args[0]))
+
+
+def _gen_boolean(args):
+    from .lattice import boolean_lattice
+
+    return boolean_lattice(int(args[0]))
+
+
+def _gen_chainprod(args):
+    from .lattice import chain_product
+
+    return chain_product([int(x) for x in args])
+
+
+def _gen_product(args):
+    from .lattice import load_lattice, product
+
+    return product(load_lattice(args[0]), load_lattice(args[1]))
+
+
 # kind -> (usage, number of arguments or None for one or more, builder)
 GENERATORS = {
-    "tamari": ("tamari N", 1, lambda a: ta.gen_tamari(int(a[0]))),
-    "typeI": ("typeI M", 1, lambda a: ta.gen_type_i(int(a[0]))),
-    "boolean": ("boolean K", 1, lambda a: boolean_lattice(int(a[0]))),
-    "chainprod": ("chainprod A B ...", None, lambda a: chain_product([int(x) for x in a])),
-    "product": ("product F1 F2", 2, lambda a: product(load_lattice(a[0]), load_lattice(a[1]))),
+    "tamari": ("tamari N", 1, _gen_tamari),
+    "typeI": ("typeI M", 1, _gen_type_i),
+    "boolean": ("boolean K", 1, _gen_boolean),
+    "chainprod": ("chainprod A B ...", None, _gen_chainprod),
+    "product": ("product F1 F2", 2, _gen_product),
 }
 
 
-def _generator_lattice(spec) -> Lattice:
+def _generator_lattice(spec):
     kind, args = spec[0], spec[1:]
     if kind not in GENERATORS:
         raise ValueError(f"unknown generator {kind!r}")
@@ -68,6 +83,11 @@ def _positive_int(text):
 
 
 def _resolve_input(path, gen):
+    import hashlib
+    import json
+
+    from .lattice import lattice_to_json_dict, load_lattice
+
     if (path is None) == (gen is None):
         raise ValueError("give exactly one of a lattice file or --gen")
     if path is not None:
@@ -83,7 +103,7 @@ def _resolve_input(path, gen):
     return lat, {"kind": kind, "detail": detail, "fingerprint": fp}
 
 
-_encode_str = json.encoder.encode_basestring_ascii
+_encode_str = None  # json's string encoder, bound by _report_chunks on first use
 
 
 def _scalar_text(obj):
@@ -146,6 +166,9 @@ def _report_chunks(report) -> list:
     pure-Python encoder that json selects for any indent is never run.  Keys
     must be str and values str, int, bool, None, dict, list or tuple, else
     TypeError before any chunk is returned."""
+    global _encode_str
+    if _encode_str is None:
+        from json.encoder import encode_basestring_ascii as _encode_str
     out = []
     _append_chunks(report, "\n", out)
     return out
@@ -161,6 +184,8 @@ def _emit(report, json_path):
 
 def _fcy_pair(orbits):
     """(total_shift, power) uniform over all injective orbits, or None."""
+    import math
+
     periods = [o.period for o in orbits]
     if any(p is None for p in periods):
         return None
@@ -172,6 +197,8 @@ def _fcy_pair(orbits):
 
 
 def _derived_orbits(lat, starts, field, max_steps):
+    from .derived import serre_orbit
+
     orbits = []
     failures = []
     for a in starts:
@@ -195,6 +222,9 @@ def _report(args, input_info, ok, body) -> int:
 
 
 def cmd_check(args):
+    from .coxeter import combinatorial_serre_check
+    from .fields import parse_field
+
     lat, input_info = _resolve_input(args.lattice, args.gen)
     field = parse_field(args.field)
     rep = combinatorial_serre_check(lat, max_steps=args.max_steps)
@@ -219,6 +249,8 @@ def cmd_check(args):
 
 
 def cmd_orbit(args):
+    from .fields import parse_field
+
     lat, input_info = _resolve_input(args.lattice, args.gen)
     field = parse_field(args.field)
     starts = [args.start] if args.start is not None else list(lat.labels)
@@ -231,6 +263,8 @@ def cmd_orbit(args):
 
 
 def cmd_gen(args):
+    from .lattice import lattice_to_json_dict
+
     lat = _generator_lattice(args.gen)
     report = lattice_to_json_dict(lat)
     _emit(report, args.json)
@@ -238,6 +272,8 @@ def cmd_gen(args):
 
 
 def cmd_typea(args):
+    from . import typea as ta
+
     if args.all_orientations:
         ta.check_rank(args.n)  # before all 2^(n-1) orientations are listed
         orientations = ta.all_orientations(args.n)
@@ -251,12 +287,17 @@ def cmd_typea(args):
 
 
 def cmd_geom(args):
-    suite = geom_mod.run_geom_suite(args.n)
+    from .geom import run_geom_suite
+
+    suite = run_geom_suite(args.n)
     input_info = {"kind": "generator", "detail": f"geom n={args.n}", "fingerprint": ""}
     return _report(args, input_info, suite["ok"], suite)
 
 
 def cmd_crosscheck(args):
+    from .coxeter import cross_check
+    from .fields import parse_field
+
     lat, input_info = _resolve_input(args.lattice, args.gen)
     try:
         cc = cross_check(lat, max_steps=args.max_steps, field=parse_field(args.field))
@@ -329,7 +370,7 @@ def main(argv=None):
     t0 = time.monotonic()
     try:
         code = args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SerrelabError as exc:

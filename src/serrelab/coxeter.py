@@ -8,7 +8,6 @@ All matrices act on dimension vectors written in input element order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .derived import GeneralComplexResult, default_max_steps, serre_walk
 from .errors import Disagreement, MaxStepsExceeded, SerrelabError
@@ -17,16 +16,20 @@ from .lattice import IntervalRef, Lattice
 from .perm import cycle_decomposition
 
 
-@dataclass
 class CartanMatrix:
-    matrix: list  # Omega[i][j] = [j <= i], the transposed zeta matrix
-    inverse: list  # the transposed Moebius-function matrix of the poset
+    __slots__ = ("matrix", "inverse")
+
+    def __init__(self, matrix, inverse):
+        self.matrix = matrix  # Omega[i][j] = [j <= i], the transposed zeta matrix
+        self.inverse = inverse  # the transposed Moebius-function matrix of the poset
 
 
-@dataclass
 class CoxeterMatrix:
-    matrix: list
-    cartan: CartanMatrix
+    __slots__ = ("matrix", "cartan")
+
+    def __init__(self, matrix, cartan):
+        self.matrix = matrix
+        self.cartan = cartan
 
 
 def _inj_vector(lat: Lattice, i: int):
@@ -106,29 +109,35 @@ def coxeter_matrix(lat: Lattice) -> CoxeterMatrix:
     return CoxeterMatrix(matrix=C, cartan=cart)
 
 
-@dataclass
 class Trajectory:
-    element: object
-    vectors: list  # [I_i], C[I_i], ..., up to +-[P_target] or the failure point
-    steps: int | None  # n_i when found
-    sign: int | None  # +1 / -1 at termination
-    target: object | None  # pi(element)
-    failed: str | None  # 'mixed-sign' when a vector is not weakly signed
-    # pi(element) under the strict reading, which accepts +[P_j] only; None
-    # once that reading has failed here or on an earlier element
-    strict_target: object | None = None
+    __slots__ = ("element", "vectors", "steps", "sign", "target", "failed", "strict_target")
+
+    def __init__(self, element, vectors, steps, sign, target, failed, strict_target=None):
+        self.element = element
+        self.vectors = vectors  # [I_i], C[I_i], ..., up to +-[P_target] or the failure point
+        self.steps = steps  # n_i when found, else None
+        self.sign = sign  # +1 / -1 at termination, else None
+        self.target = target  # pi(element), else None
+        self.failed = failed  # 'mixed-sign' when a vector is not weakly signed, else None
+        # pi(element) under the strict reading, which accepts +[P_j] only; None
+        # once that reading has failed here or on an earlier element
+        self.strict_target = strict_target
 
 
-@dataclass
 class SerreFormalReport:
-    lattice: Lattice
-    coxeter: CoxeterMatrix
-    trajectories: dict
-    is_serre_formal: bool
-    permutation: dict | None  # element -> pi(element)
-    cycles: list | None
-    lcm_period: int | None
-    strict_sign_differs: bool
+    __slots__ = ("lattice", "coxeter", "trajectories", "is_serre_formal", "permutation", "cycles",
+                 "lcm_period", "strict_sign_differs")
+
+    def __init__(self, lattice, coxeter, trajectories, is_serre_formal, permutation, cycles,
+                 lcm_period, strict_sign_differs):
+        self.lattice = lattice
+        self.coxeter = coxeter
+        self.trajectories = trajectories
+        self.is_serre_formal = is_serre_formal
+        self.permutation = permutation  # element -> pi(element), or None
+        self.cycles = cycles  # None when permutation is
+        self.lcm_period = lcm_period  # None when permutation is
+        self.strict_sign_differs = strict_sign_differs
 
     @property
     def classification(self) -> str:
@@ -254,12 +263,14 @@ def combinatorial_serre_check(lat: Lattice, max_steps=None) -> SerreFormalReport
     )
 
 
-@dataclass
 class CrossCheck:
-    lattice: Lattice
-    ok: bool
-    per_element: dict
-    combinatorial: SerreFormalReport
+    __slots__ = ("lattice", "ok", "per_element", "combinatorial")
+
+    def __init__(self, lattice, ok, per_element, combinatorial):
+        self.lattice = lattice
+        self.ok = ok
+        self.per_element = per_element
+        self.combinatorial = combinatorial
 
     def to_json_dict(self):
         return {

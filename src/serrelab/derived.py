@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from . import linalg
 from .errors import MaxStepsExceeded, NotAComplex, SerrelabError
@@ -69,22 +68,26 @@ class StalkResult:
         return [self.support >> v & 1 for v in range(self.lattice.n)]
 
 
-@dataclass
 class GeneralComplexResult:
     """The dimension vector of each nonzero degree of an image spread over
     several degrees (not Serre formal here)."""
 
-    cohomology: dict
+    __slots__ = ("cohomology",)
+
+    def __init__(self, cohomology):
+        self.cohomology = cohomology
 
 
-@dataclass
 class SerreOrbit:
-    start: object
-    start_interval: IntervalRef
-    steps: list
-    period: int | None
-    total_shift: int | None
-    failure: GeneralComplexResult | None = None
+    __slots__ = ("start", "start_interval", "steps", "period", "total_shift", "failure")
+
+    def __init__(self, start, start_interval, steps, period, total_shift, failure=None):
+        self.start = start
+        self.start_interval = start_interval
+        self.steps = steps
+        self.period = period  # None when the orbit fails
+        self.total_shift = total_shift  # None when the orbit fails
+        self.failure = failure  # the GeneralComplexResult that stopped the orbit, or None
 
     def to_json_dict(self):
         return {

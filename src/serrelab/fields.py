@@ -14,11 +14,18 @@ every matrix on entry.  No floating point anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
+_Fraction = None  # fractions.Fraction, bound by _normalized on first use
 
-def _normalized(q: Fraction):
+
+def _normalized(*args):
+    """Fraction(*args), or its numerator when it is integral.  Only a
+    non-integral quotient needs fractions, so it is imported here, once."""
+    global _Fraction
+    if _Fraction is None:
+        from fractions import Fraction as _Fraction
+    q = _Fraction(*args)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -30,12 +37,12 @@ class RationalField:
     name = "rational"
 
     def of(self, x):
-        return x if type(x) is int else _normalized(Fraction(x))
+        return x if type(x) is int else _normalized(x)
 
     def inv(self, x):
         if x == 1 or x == -1:
             return int(x)
-        return _normalized(Fraction(1, x))
+        return _normalized(1, x)
 
     def reduced(self, A):
         """A copy of the matrix A in canonical scalars."""
@@ -107,9 +114,10 @@ class PrimeField:
         self.name = f"fp:{p}"
 
     def of(self, x) -> int:
-        if isinstance(x, Fraction):
-            return x.numerator * self.inv(x.denominator) % self.p
-        return int(x) % self.p
+        if type(x) is int:
+            return x % self.p
+        q = _normalized(x)  # an int or a Fraction, both with a numerator and a denominator
+        return q.numerator * self.inv(q.denominator) % self.p
 
     def inv(self, x) -> int:
         if x % self.p == 0:

@@ -18,7 +18,6 @@ chords, with its checks, is the tests' (tests/oracles.py).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import typea
@@ -77,19 +76,38 @@ def _rotated(p: int, mask: int) -> int:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class NoncrossingTree:
-    p: int  # polygon size n+2
-    mask: int  # the edges, as chord bits of the p-gon
+class _ChordSet:
+    """A set of chords of the p-gon, as its mask of chord bits; equal to a
+    chord set of the same class with the same p and mask."""
+
+    __slots__ = ("p", "mask")
+
+    def __init__(self, p: int, mask: int):
+        self.p = p
+        self.mask = mask
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.mask == other.mask
+
+    def __hash__(self):
+        return hash((self.p, self.mask))
+
+
+class NoncrossingTree(_ChordSet):
+    """The edges of a tree on the p = n+2 vertices of the polygon."""
+
+    __slots__ = ()
 
     def sorted_edges(self):
         return _chords(self.p, self.mask)
 
 
-@dataclass(frozen=True, slots=True)
-class Quadrangulation:
-    p: int  # polygon size 2(n+2)
-    mask: int  # the diagonals, as chord bits of the p-gon
+class Quadrangulation(_ChordSet):
+    """The diagonals of a quadrangulation of the p = 2(n+2)-gon."""
+
+    __slots__ = ()
 
     def sorted_diagonals(self):
         return _chords(self.p, self.mask)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 
 from .errors import CycleDetected, GuardrailExceeded, NotALattice, RedundantCover
 
@@ -164,21 +163,44 @@ class Lattice(Poset):
         return f"Lattice({self.n} elements, bottom={self.bottom_label!r}, top={self.top_label!r})"
 
 
-@dataclass(frozen=True)
 class IntervalRef:
     """A closed interval [lo, hi] of a lattice, referenced by labels."""
 
-    lo: object
-    hi: object
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        self.lo = lo
+        self.hi = hi
+
+    def __eq__(self, other):
+        if other.__class__ is not IntervalRef:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):  # a crosscheck disagreement reports it
+        return f"IntervalRef(lo={self.lo!r}, hi={self.hi!r})"
 
 
-@dataclass(frozen=True)
 class Antichain:
     """An antichain over (mode='over') or under (mode='under') a base element."""
 
-    members: frozenset
-    base: object
-    mode: str  # 'over' | 'under'
+    __slots__ = ("members", "base", "mode")
+
+    def __init__(self, members: frozenset, base, mode: str):
+        self.members = members
+        self.base = base
+        self.mode = mode  # 'over' | 'under'
+
+    def __eq__(self, other):
+        if other.__class__ is not Antichain:
+            return NotImplemented
+        return self.members == other.members and self.base == other.base and self.mode == other.mode
+
+    def __hash__(self):
+        return hash((self.members, self.base, self.mode))
 
     def validate(self, lattice: Lattice):
         if self.mode not in ("over", "under"):

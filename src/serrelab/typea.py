@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .derived import StalkResult, serre_on_support
@@ -36,19 +35,27 @@ from .perm import cycle_decomposition
 QUIVER_GUARDRAIL = 5
 
 
-@dataclass(frozen=True)
 class QuiverA:
     """Oriented A_n quiver; orientation[k] = 'L' points the edge between
     vertices k+1 and k+2 at the lower vertex, 'R' at the higher one."""
 
-    n: int
-    orientation: str = ""
+    __slots__ = ("n", "orientation")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, orientation: str = ""):
+        if n < 1:
             raise ValueError("quiver needs at least one vertex")
-        if len(self.orientation) != self.n - 1 or set(self.orientation) - {"L", "R"}:
+        if len(orientation) != n - 1 or set(orientation) - {"L", "R"}:
             raise ValueError("orientation must be 'L'/'R' per edge")
+        self.n = n
+        self.orientation = orientation
+
+    def __eq__(self, other):  # the engine cache is keyed on the quiver
+        if other.__class__ is not QuiverA:
+            return NotImplemented
+        return self.n == other.n and self.orientation == other.orientation
+
+    def __hash__(self):
+        return hash((self.n, self.orientation))
 
     def arrows(self):
         out = []
@@ -58,10 +65,25 @@ class QuiverA:
         return out
 
 
-@dataclass(frozen=True, order=True)
 class IndecA:
-    lo: int
-    hi: int
+    """The interval module of the vertices lo..hi."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int, hi: int):
+        self.lo = lo
+        self.hi = hi
+
+    def __eq__(self, other):
+        if other.__class__ is not IndecA:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __lt__(self, other):  # the engine sorts its indecomposables
+        return (self.lo, self.hi) < (other.lo, other.hi)
 
     def __repr__(self):
         return f"[{self.lo},{self.hi}]"
@@ -527,11 +549,13 @@ class _Engine:
         return iv
 
 
-@dataclass
 class ClusterTriple:
-    t_free: int
-    t_tors: int
-    t_supp: int
+    __slots__ = ("t_free", "t_tors", "t_supp")
+
+    def __init__(self, t_free: int, t_tors: int, t_supp: int):
+        self.t_free = t_free
+        self.t_tors = t_tors
+        self.t_supp = t_supp
 
 
 class MutableInterval:
@@ -557,12 +581,14 @@ class MutableInterval:
         return f"MutableInterval({e.mask_label(self.lo)} <= {e.mask_label(self.hi)}, k={self.k})"
 
 
-@dataclass
 class IntervalMutation:
-    B: MutableInterval
-    I: MutableInterval
-    A: MutableInterval
-    x: IndecA
+    __slots__ = ("B", "I", "A", "x")
+
+    def __init__(self, B, I, A, x):  # three MutableIntervals and an IndecA
+        self.B = B
+        self.I = I
+        self.A = A
+        self.x = x
 
 
 @lru_cache(maxsize=None)

@@ -102,7 +102,9 @@ def test_resource_exhaustion_is_one_line_not_a_traceback(exc, monkeypatch, capsy
     def exhausted(*args, **kwargs):
         raise exc("exhausted")
 
-    monkeypatch.setattr(cli, "combinatorial_serre_check", exhausted)
+    from serrelab import coxeter  # cmd_check imports the check from its layer
+
+    monkeypatch.setattr(coxeter, "combinatorial_serre_check", exhausted)
     assert cli.main(["check", fixture_path("pentagon.json")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

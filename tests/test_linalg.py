@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -130,6 +132,35 @@ def test_prime_field_arithmetic():
     assert _canonical([fp.of(Fraction(6, 3)), fp.of(Fraction(-1, 3))], 7)
     with pytest.raises(ZeroDivisionError):
         fp.of(Fraction(1, 7))
+
+
+# Each runs in a fresh interpreter after int scalars alone, which leave
+# fractions unimported; fields imports it on its first non-integral quotient.
+_FIRST_FRACTION = {
+    "qq-inv": "third = QQ.inv(3)\nfrom fractions import Fraction\nassert third == Fraction(1, 3)",
+    "qq-of": "from fractions import Fraction\ntwo = QQ.of(Fraction(4, 2))\nassert type(two) is int and two == 2",
+    "fp-of": "from fractions import Fraction\nassert PrimeField(7).of(Fraction(1, 3)) == 5",
+    "fp-zero-pivot": "from fractions import Fraction\nassert raises_zero_division(PrimeField(7).of, Fraction(1, 7))",
+}
+_CHILD = """
+import sys
+from serrelab.fields import QQ, PrimeField
+assert (QQ.of(6), QQ.inv(-1), PrimeField(7).of(-1), PrimeField(7).inv(3)) == (6, -1, 6, 5)
+assert "fractions" not in sys.modules
+def raises_zero_division(f, x):
+    try:
+        f(x)
+    except ZeroDivisionError:
+        return True
+    return False
+"""
+
+
+@pytest.mark.parametrize("case", sorted(_FIRST_FRACTION))
+def test_fractions_are_imported_on_the_first_non_integral_quotient(case):
+    proc = subprocess.run([sys.executable, "-c", _CHILD + _FIRST_FRACTION[case]],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class _Fp:
