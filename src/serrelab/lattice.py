@@ -27,10 +27,11 @@ def _check_size(n: int):
 
 def _iter_bits(mask: int):
     """Indices of the set bits of mask, lowest first: the shared bit walk.
-    Some hot loops walk bits themselves instead (geom._bits, typea's closure
-    and interval mutations, support_antichain, coxeter._moebius).  Private
-    because perfbench's tracer wraps every public function of a layer in a
-    span, and a span per walk would distort the layers' self times."""
+    Some hot loops walk bits themselves instead (geom._bits, typea's
+    perpendiculars and interval mutations, support_antichain,
+    coxeter._moebius).  Private because perfbench's tracer wraps every
+    public function of a layer in a span, and a span per walk would distort
+    the layers' self times."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -3,13 +3,15 @@ classes and the Cambrian lattice tors(Lambda), wide subcategories, mutable
 intervals, the Serre permutation on them, interval mutations, 2-cluster
 triples, the type-A suite, and the Tamari / type-I(m) lattice generators.
 
-Sets of indecomposables are bitmasks over the fixed list of vertex
-intervals [lo, hi], sorted lexicographically.  Everything the engine knows
-about Hom comes from interval arithmetic: Hom(A, B) is zero or spanned by
-A ->> A cap B >-> B.  The torsion classes and their labelled covers come from
-one walk up from 0 (the brute-force definitions check both in the tests).
-The engine works on masks only; the label-level wrappers that read them as
-sets of indecomposables are the tests' (tests/oracles.py).
+Sets of indecomposables are bitmasks over the vertex intervals [lo, hi] in
+(lo, hi) order.  The engine reads three things off the quiver: that list, the
+dimension vectors and the Euler form of the orientation.  Hom and Ext^1
+between indecomposables come from the sign of the Euler form, and every
+torsion and wide closure is a double perpendicular.  The
+torsion classes and their labelled covers come from one walk up from 0 (the
+brute-force definitions check the tables, the closures and the walk in the
+tests).  The engine works on masks only; the label-level wrappers that read
+them as sets of indecomposables are the tests' (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import itertools
 import math
 from functools import cached_property, lru_cache
 
-from .derived import StalkResult, serre_on_support
 from .errors import GuardrailExceeded, PeriodViolation, RotationViolation, SerrelabError
 from .lattice import (
     IntervalRef,
@@ -64,6 +65,22 @@ class QuiverA:
             out.append((hi, lo) if d == "L" else (lo, hi))
         return out
 
+    # the engine reads these three and nothing else about the type
+
+    def indecs(self):
+        """The interval modules, in (lo, hi) order."""
+        return [IndecA(lo, hi) for lo in range(1, self.n + 1) for hi in range(lo, self.n + 1)]
+
+    def dimvec(self, m: IndecA):
+        return tuple(1 if m.lo <= v <= m.hi else 0 for v in range(1, self.n + 1))
+
+    def _euler(self, d, e):
+        """The Euler form <d, e> = sum d_v e_v - sum over arrows s -> t of d_s e_t."""
+        s = sum(a * b for a, b in zip(d, e))
+        for (src, tgt) in self.arrows():
+            s -= d[src - 1] * e[tgt - 1]
+        return s
+
 
 class IndecA:
     """The interval module of the vertices lo..hi."""
@@ -81,9 +98,6 @@ class IndecA:
 
     def __hash__(self):
         return hash((self.lo, self.hi))
-
-    def __lt__(self, other):  # the engine sorts its indecomposables
-        return (self.lo, self.hi) < (other.lo, other.hi)
 
     def __repr__(self):
         return f"[{self.lo},{self.hi}]"
@@ -106,11 +120,26 @@ def linear_quiver(n):
 # -- the engine -----------------------------------------------------------------
 
 
+# The perpendiculars are the engine's hot loop: _union and _meet walk the bits
+# themselves rather than through _iter_bits.
+
+
 def _union(rows, mask):
     """OR of rows[i] over the members i of mask."""
     out = 0
-    for i in _iter_bits(mask):
-        out |= rows[i]
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _meet(rows, mask, out):
+    """AND of out and rows[i] over the members i of mask."""
+    while mask:
+        low = mask & -mask
+        out &= rows[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
@@ -119,156 +148,52 @@ class _Engine:
         check_rank(q.n)
         self.q = q
         self.n = q.n
-        self.arrows = q.arrows()
-        self.indecs = [IndecA(lo, hi) for lo in range(1, q.n + 1) for hi in range(lo, q.n + 1)]
-        self.indecs.sort()
+        self.indecs = q.indecs()
         self.N = len(self.indecs)
         self.idx = {m: i for i, m in enumerate(self.indecs)}
         self.full_mask = (1 << self.N) - 1
         self._tables()
-        self._structure_masks()
         self._walk_torsion()
         self._a_tors_cache = {}
         self._a_free_cache = {}
-        self._wide_cache = {}
         self._intervals = None
         self._serre = None
         self._positions = None
         self._mutations = None
         self._triples = None
 
-    # ---- Hom and Ext by interval arithmetic ------------------------------------
-
-    def dimvec(self, m: IndecA):
-        return tuple(1 if m.lo <= v <= m.hi else 0 for v in range(1, self.n + 1))
-
-    def _hom_nonzero(self, A: IndecA, B: IndecA):
-        """Hom(A, B) != 0 exactly when C = A cap B is nonempty, no arrow runs
-        from A - C into C (C is a quotient of A) and none from C into B - C
-        (C is a submodule of B); Hom(A, B) is then spanned by A ->> C >-> B."""
-        lo, hi = max(A.lo, B.lo), min(A.hi, B.hi)
-        if lo > hi:
-            return False
-        for s, t in self.arrows:
-            if lo <= t <= hi and not lo <= s <= hi and A.lo <= s <= A.hi:
-                return False
-            if lo <= s <= hi and not lo <= t <= hi and B.lo <= t <= B.hi:
-                return False
-        return True
-
-    def _runs_outside(self, X: IndecA, Y: IndecA):
-        """Mask of the maximal runs of the vertices of X outside Y."""
-        out = 0
-        if X.lo < Y.lo:
-            out |= 1 << self.idx[IndecA(X.lo, min(X.hi, Y.lo - 1))]
-        if X.hi > Y.hi:
-            out |= 1 << self.idx[IndecA(max(X.lo, Y.hi + 1), X.hi)]
-        return out
-
-    def _euler(self, d, e):
-        s = sum(a * b for a, b in zip(d, e))
-        for (src, tgt) in self.arrows:
-            s -= d[src - 1] * e[tgt - 1]
-        return s
+    # ---- Hom and Ext from the sign of the Euler form ------------------------------
 
     def _tables(self):
+        """Between indecomposables of a Dynkin quiver Hom and Ext^1 are never
+        both nonzero, so the sign of <x, y> = dim Hom(x, y) - dim Ext^1(x, y)
+        decides both.  hom_out[i] holds the j with Hom(i, j) != 0 and hom_in[j]
+        the i; ext_* (Ext^1 != 0) and orth_* (both zero) alike."""
         N = self.N
-        self.h = [[0] * N for _ in range(N)]
-        self.e = [[0] * N for _ in range(N)]
-        # hom_out[i]: the j with Hom(i, j) != 0; hom_in[j]: the i; ext_* alike
-        self.hom_out, self.hom_in, self.ext_out, self.ext_in = ([0] * N for _ in range(4))
-        # quot_mask[i]: the quotients of i; sub_mask[j]: the submodules of j
-        self.quot_mask, self.sub_mask = [0] * N, [0] * N
-        # the runs of the kernel and the cokernel of the basis hom i -> j
-        self.kerdec, self.cokerdec = {}, {}
-        for i, A in enumerate(self.indecs):
-            for j, B in enumerate(self.indecs):
-                d = self.h[i][j] = int(self._hom_nonzero(A, B))
-                if d:
-                    self.hom_out[i] |= 1 << j
-                    self.hom_in[j] |= 1 << i
-                    ker = self.kerdec[(i, j)] = self._runs_outside(A, B)
-                    coker = self.cokerdec[(i, j)] = self._runs_outside(B, A)
-                    if not coker:
-                        self.quot_mask[i] |= 1 << j
-                    if not ker:
-                        self.sub_mask[j] |= 1 << i
-                ext = d - self._euler(self.dimvec(A), self.dimvec(B))
-                if ext < 0:
-                    raise SerrelabError("negative Ext dimension")
-                self.e[i][j] = ext
-                if ext:
-                    self.ext_out[i] |= 1 << j
-                    self.ext_in[j] |= 1 << i
+        dims = [self.q.dimvec(m) for m in self.indecs]
+        self.hom_out, self.hom_in, self.ext_out, self.ext_in, self.orth_out, self.orth_in = (
+            [0] * N for _ in range(6)
+        )
+        for i, x in enumerate(dims):
+            for j, y in enumerate(dims):
+                s = self.q._euler(x, y)
+                out, into = (
+                    (self.hom_out, self.hom_in) if s > 0
+                    else (self.ext_out, self.ext_in) if s < 0
+                    else (self.orth_out, self.orth_in)
+                )
+                out[i] |= 1 << j
+                into[j] |= 1 << i
+        self.proj_mask = sum(1 << i for i in range(N) if not self.ext_out[i])
+        # below[x]: the other y with Hom(y, x) != 0 and dim y <= dim x, which
+        # in a wide subcategory holding both makes y a proper subobject of x
+        self.below = [
+            sum(1 << j for j in _iter_bits(self.hom_in[i] & ~(1 << i))
+                if all(a <= b for a, b in zip(dims[j], dims[i])))
+            for i in range(N)
+        ]
 
-    # ---- structural masks -----------------------------------------------------
-
-    def _structure_masks(self):
-        # the projective at v spans the vertices reachable from v along the arrows
-        fwd = {v: [] for v in range(1, self.n + 1)}
-        for (s, t) in self.arrows:
-            fwd[s].append(t)
-        self.proj_mask = 0
-        for v in range(1, self.n + 1):
-            seen = {v}
-            stack = [v]
-            while stack:
-                for y in fwd[stack.pop()]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            self.proj_mask |= 1 << self.idx[IndecA(min(seen), max(seen))]
-        # mid_pairs[s]: (q, E) per indecomposable middle of 0 -> S -> E -> Q -> 0;
-        # wide_pairs[s] adds the kernel and cokernel summands of the basis hom
-        self.mid_pairs = [[] for _ in range(self.N)]
-        self.wide_pairs = [[] for _ in range(self.N)]
-        for si, S in enumerate(self.indecs):
-            for qi, Qm in enumerate(self.indecs):
-                mid = 0
-                if S.hi + 1 == Qm.lo or Qm.hi + 1 == S.lo:
-                    ei = self.idx[IndecA(min(S.lo, Qm.lo), max(S.hi, Qm.hi))]
-                    if self.h[si][ei]:  # S lies inside E: a nonzero hom is injective
-                        mid = 1 << ei
-                if mid:
-                    self.mid_pairs[si].append((qi, mid))
-                wide = mid | self.kerdec.get((si, qi), 0) | self.cokerdec.get((si, qi), 0)
-                if wide:
-                    self.wide_pairs[si].append((qi, wide))
-
-    # ---- closures ---------------------------------------------------------------
-
-    def _close(self, mask, unary, pairs):
-        """Least superset of mask holding unary[i] (unless unary is None) for
-        every member i, and r for every member pair (i, j) with (j, r) in
-        pairs[i]."""
-        m = mask
-        while True:
-            x = m
-            bits = m
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                i = low.bit_length() - 1
-                if unary is not None:
-                    x |= unary[i]
-                for j, r in pairs[i]:
-                    if m >> j & 1:
-                        x |= r
-            if x == m:
-                return m
-            m = x
-
-    def torsion_closed(self, mask):
-        return self._close(mask, self.quot_mask, self.mid_pairs)
-
-    def filt_closure(self, mask):
-        """Extension closure: fixpoint of adding indecomposable middles."""
-        return self._close(mask, None, self.mid_pairs)
-
-    def wide_closure(self, mask):
-        if mask not in self._wide_cache:
-            self._wide_cache[mask] = self._close(mask, None, self.wide_pairs)
-        return self._wide_cache[mask]
+    # ---- closures: double perpendiculars -----------------------------------------
 
     def perp_from(self, mask):
         """mask^{perp_0}: objects receiving no hom from mask (torsion-free side)."""
@@ -278,16 +203,26 @@ class _Engine:
         """^{perp_0}mask: objects with no hom into mask (a torsion class)."""
         return self.full_mask & ~_union(self.hom_in, mask)
 
+    def torsion_closed(self, mask):
+        """The least torsion class holding mask, ^{perp_0}(mask^{perp_0})."""
+        return self.perp_into(self.perp_from(mask))
+
+    def wide_closure(self, mask):
+        """The least wide subcategory holding mask: the left perpendicular of
+        its right perpendicular under <x, y> = 0 (Hom = Ext^1 = 0)."""
+        return _meet(self.orth_in, _meet(self.orth_out, mask, self.full_mask), self.full_mask)
+
     # ---- torsion classes ---------------------------------------------------------
 
     def _walk_torsion(self):
         """Torsion classes and their labelled covers, walking up from 0.
 
         Every cover T <. T' has a unique brick label B in T^{perp_0} cap T',
-        and T' = gen(T | B); every type-A indecomposable is a brick.  So the
-        upper covers of T are the minimal classes among gen(T | x) for x in
-        T^{perp_0}.  tors_masks is sorted by (size, mask), and tors_lower /
-        tors_upper list each class's covers as (class, label) in that order."""
+        and T' = gen(T | B); every indecomposable of a Dynkin quiver is a
+        brick.  So the upper covers of T are the minimal classes among
+        gen(T | x) = ^{perp_0}((T | x)^{perp_0}) for x in T^{perp_0}.
+        tors_masks is sorted by (size, mask), and tors_lower / tors_upper
+        list each class's covers as (class, label) in that order."""
         upper = {}
         todo = [0]
         while todo:
@@ -318,23 +253,23 @@ class _Engine:
         return "".join("1" if mask >> i & 1 else "0" for i in range(self.N))
 
     def a_tors(self, mask):
-        """a(T) for a torsion class: extension closure of the lower-cover
-        edge labels (these are exactly the simple objects of a(T))."""
+        """a(T) for a torsion class: the wide closure of the lower-cover edge
+        labels (these are exactly the simple objects of a(T))."""
         if mask not in self._a_tors_cache:
             labels = 0
             for _, lab in self.tors_lower[mask]:
                 labels |= lab
-            self._a_tors_cache[mask] = self.filt_closure(labels)
+            self._a_tors_cache[mask] = self.wide_closure(labels)
         return self._a_tors_cache[mask]
 
     def a_free(self, mask):
-        """a(F) for the torsion-free class F = T^{perp_0}: extension closure
-        of the upper-cover edge labels of T."""
+        """a(F) for the torsion-free class F = T^{perp_0}: the wide closure of
+        the upper-cover edge labels of T."""
         if mask not in self._a_free_cache:
             labels = 0
             for _, lab in self.tors_upper[mask]:
                 labels |= lab
-            self._a_free_cache[mask] = self.filt_closure(labels)
+            self._a_free_cache[mask] = self.wide_closure(labels)
         return self._a_free_cache[mask]
 
     def tors_lattice(self) -> tuple:
@@ -351,17 +286,17 @@ class _Engine:
     # ---- wide subcategories and the Ingalls-Thomas maps ----------------------------
 
     def simples_of(self, wide_mask):
-        """Members with no proper submodule in wide_mask."""
-        return sum(1 << x for x in _iter_bits(wide_mask) if not wide_mask & self.sub_mask[x] & ~(1 << x))
+        """Members with no proper subobject in wide_mask."""
+        return sum(1 << x for x in _iter_bits(wide_mask) if not wide_mask & self.below[x])
 
     def rank_of(self, wide_mask):
         return self.simples_of(wide_mask).bit_count()
 
     def wide_subcats(self):
-        """Wide subcategories as extension closures of semibricks (sets of
+        """Wide subcategories as wide closures of semibricks (sets of
         pairwise hom-orthogonal indecomposables)."""
         compat = [self.full_mask & ~(self.hom_out[i] | self.hom_in[i]) for i in range(self.N)]
-        out = {self.filt_closure(m) for m in _cliques(compat, self.full_mask)}
+        out = {self.wide_closure(m) for m in _cliques(compat, self.full_mask)}
         return sorted(out, key=lambda m: (m.bit_count(), m))
 
     def ext_injectives_in(self, mask):
@@ -716,6 +651,8 @@ def run_typea_suite(q: QuiverA, categorical=True) -> dict:
         for cyc in eng.serre_cycles
     ]
     if categorical:
+        from .derived import StalkResult, serre_on_support
+
         bad = []
         for iv in ivs:
             lo, hi = lat.index[eng.mask_label(iv.lo)], lat.index[eng.mask_label(iv.hi)]

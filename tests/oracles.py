@@ -6,6 +6,7 @@ is held to the package's exactness rules (tests/test_exactness.py)."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -395,7 +396,147 @@ def antichain_coresolution(lattice: Lattice, ac: Antichain, field=QQ) -> ScalarC
     return cx
 
 
-# -- type A: the engine's masks read as sets of indecomposables --------------------
+# -- type A: Hom, Ext and the structure tables from their definitions ---------------
+
+
+def _hom_space(q: QuiverA, A: IndecA, B: IndecA):
+    """(dim, witness) for Hom(A, B) by a linear solve over QQ: the scalars f_v
+    on the common vertices with f_t a_st = b_st f_s on every arrow s -> t.
+    witness maps each common vertex to the scalar of a basis morphism."""
+    common = [v for v in range(1, q.n + 1) if A.lo <= v <= A.hi and B.lo <= v <= B.hi]
+    if not common:
+        return 0, None
+    pos = {v: k for k, v in enumerate(common)}
+    rows = []
+    for s, t in q.arrows():
+        row = [0] * len(common)
+        if A.lo <= s <= A.hi and A.lo <= t <= A.hi and t in pos:
+            row[pos[t]] += 1
+        if B.lo <= s <= B.hi and B.lo <= t <= B.hi and s in pos:
+            row[pos[s]] -= 1
+        if any(row):
+            rows.append(row)
+    basis = linalg.kernel_basis(rows, len(common), QQ) if rows else linalg.identity(len(common))
+    if len(basis) > 1:
+        raise SerrelabError("hom space between type-A indecomposables exceeds dimension 1")
+    if not basis:
+        return 0, None
+    return 1, {v: basis[0][pos[v]] for v in common}
+
+
+class QuiverTables:
+    """The indecomposables of q in (lo, hi) order and the tables between them,
+    from their definitions: Hom by a linear solve per pair, Ext^1 from it and
+    the Euler form, and quotients, submodules, kernels and cokernels from the
+    image of the basis hom.
+
+    h[i][j], e[i][j]: dim Hom(i, j) and dim Ext^1(i, j).
+    quot_mask[i]: the quotients of i; sub_mask[j]: the submodules of j.
+    kerdec[(i, j)], cokerdec[(i, j)]: the summands of the kernel and the
+    cokernel of the basis hom i -> j.
+    mid_pairs[s]: (q, E) per indecomposable middle of 0 -> S -> E -> Q -> 0.
+    wide_pairs[s]: mid_pairs[s] with the kernel and cokernel summands added.
+    proj_mask: the projectives."""
+
+    def __init__(self, q: QuiverA):
+        self.n = q.n
+        self.indecs = [IndecA(lo, hi) for lo in range(1, q.n + 1) for hi in range(lo, q.n + 1)]
+        self.idx = {m: i for i, m in enumerate(self.indecs)}
+        N = self.N = len(self.indecs)
+        self.h = [[0] * N for _ in range(N)]
+        self.e = [[0] * N for _ in range(N)]
+        witness = {}
+        for i, A in enumerate(self.indecs):
+            for j, B in enumerate(self.indecs):
+                self.h[i][j], w = _hom_space(q, A, B)
+                if w is not None:
+                    witness[(i, j)] = w
+                euler = sum(1 for v in range(A.lo, A.hi + 1) if B.lo <= v <= B.hi)
+                euler -= sum(1 for s, t in q.arrows() if A.lo <= s <= A.hi and B.lo <= t <= B.hi)
+                self.e[i][j] = self.h[i][j] - euler
+                if self.e[i][j] < 0:
+                    raise SerrelabError("negative Ext dimension")
+        self.quot_mask, self.sub_mask, self.kerdec, self.cokerdec = [0] * N, [0] * N, {}, {}
+        for (i, j), w in witness.items():
+            A, B = self.indecs[i], self.indecs[j]
+            supp_a, supp_b = set(range(A.lo, A.hi + 1)), set(range(B.lo, B.hi + 1))
+            image = {v for v in supp_a & supp_b if w[v]}
+            if image == supp_b:
+                self.quot_mask[i] |= 1 << j
+            if image == supp_a:
+                self.sub_mask[j] |= 1 << i
+            self.kerdec[(i, j)] = self._runs(supp_a - image)
+            self.cokerdec[(i, j)] = self._runs(supp_b - image)
+        # 0 -> S -> E -> Q -> 0 with E indecomposable: S and Q adjacent runs of E
+        # and the basis hom S -> E injective
+        self.mid_pairs = [[] for _ in range(N)]
+        self.wide_pairs = [[] for _ in range(N)]
+        for si, S in enumerate(self.indecs):
+            for qi, Qm in enumerate(self.indecs):
+                mid = 0
+                if S.hi + 1 == Qm.lo or Qm.hi + 1 == S.lo:
+                    ei = self.idx[IndecA(min(S.lo, Qm.lo), max(S.hi, Qm.hi))]
+                    w = witness.get((si, ei))
+                    if w is not None and all(w[v] for v in range(S.lo, S.hi + 1)):
+                        mid = 1 << ei
+                        self.mid_pairs[si].append((qi, mid))
+                wide = mid | self.kerdec.get((si, qi), 0) | self.cokerdec.get((si, qi), 0)
+                if wide:
+                    self.wide_pairs[si].append((qi, wide))
+        # the projective at v spans the vertices reachable from v along the arrows
+        fwd = {v: [] for v in range(1, q.n + 1)}
+        for s, t in q.arrows():
+            fwd[s].append(t)
+        self.proj_mask = 0
+        for v in range(1, q.n + 1):
+            seen, stack = {v}, [v]
+            while stack:
+                for y in fwd[stack.pop()]:
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            self.proj_mask |= 1 << self.idx[IndecA(min(seen), max(seen))]
+
+    def _runs(self, vertex_set):
+        """Mask of the maximal runs of a vertex set."""
+        out, run = 0, None
+        for v in range(1, self.n + 2):
+            if v <= self.n and v in vertex_set:
+                run = v if run is None else run
+            elif run is not None:
+                out |= 1 << self.idx[IndecA(run, v - 1)]
+                run = None
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def quiver_tables(q: QuiverA) -> QuiverTables:
+    return QuiverTables(q)
+
+
+def close(mask, unary, pairs):
+    """Least superset of mask holding unary[i] (unless unary is None) for
+    every member i, and r for every member pair (i, j) with (j, r) in
+    pairs[i]: with QuiverTables' tables the torsion (quot_mask, mid_pairs),
+    torsion-free (sub_mask, mid_pairs) and wide (None, wide_pairs) closures."""
+    m = mask
+    while True:
+        x = m
+        for i in _iter_bits(m):
+            if unary is not None:
+                x |= unary[i]
+            for j, r in pairs[i]:
+                if m >> j & 1:
+                    x |= r
+        if x == m:
+            return m
+        m = x
+
+
+# -- type A: masks read as sets of indecomposables ------------------------------------
+#
+# eng is an engine or a QuiverTables: both list the indecomposables in the
+# same (lo, hi) order, so their masks agree.
 
 
 def members_of(eng, mask):
@@ -404,10 +545,6 @@ def members_of(eng, mask):
 
 def mask_of(eng, members):
     return sum(1 << eng.idx[x] for x in set(members))
-
-
-def torsionfree_closed(eng, mask):
-    return eng._close(mask, eng.sub_mask, eng.mid_pairs)
 
 
 def interval_members(eng, iv):
@@ -454,38 +591,38 @@ def completions(eng, almost):
 
 def indec_rep(q: QuiverA, m: IndecA):
     """dims per vertex and per-arrow 0/1 scalars of the interval module."""
-    eng = _engine(q)
-    dims = eng.dimvec(m)
+    dims = q.dimvec(m)
+    arrows = q.arrows()
     amaps = {}
-    for k, (s, t) in enumerate(eng.arrows):
+    for k, (s, t) in enumerate(arrows):
         amaps[k] = 1 if dims[s - 1] and dims[t - 1] else 0
-    return {"dims": dims, "arrows": eng.arrows, "arrow_scalars": amaps}
+    return {"dims": dims, "arrows": arrows, "arrow_scalars": amaps}
 
 
-def _as_indices(eng, M):
+def _as_indices(tab, M):
     if isinstance(M, IndecA):
-        return [eng.idx[M]]
-    return [eng.idx[m] for m in M]
+        return [tab.idx[M]]
+    return [tab.idx[m] for m in M]
 
 
 def hom_dim_q(q: QuiverA, M, N) -> int:
-    eng = _engine(q)
-    return sum(eng.h[i][j] for i in _as_indices(eng, M) for j in _as_indices(eng, N))
+    tab = quiver_tables(q)
+    return sum(tab.h[i][j] for i in _as_indices(tab, M) for j in _as_indices(tab, N))
 
 
 def ext1_dim_q(q: QuiverA, M, N) -> int:
-    eng = _engine(q)
-    return sum(eng.e[i][j] for i in _as_indices(eng, M) for j in _as_indices(eng, N))
+    tab = quiver_tables(q)
+    return sum(tab.e[i][j] for i in _as_indices(tab, M) for j in _as_indices(tab, N))
 
 
 def quotients_of(q: QuiverA, m: IndecA):
-    eng = _engine(q)
-    return members_of(eng, eng.quot_mask[eng.idx[m]])
+    tab = quiver_tables(q)
+    return members_of(tab, tab.quot_mask[tab.idx[m]])
 
 
 def subs_of(q: QuiverA, m: IndecA):
-    eng = _engine(q)
-    return members_of(eng, eng.sub_mask[eng.idx[m]])
+    tab = quiver_tables(q)
+    return members_of(tab, tab.sub_mask[tab.idx[m]])
 
 
 def torsion_classes(q: QuiverA):
@@ -523,8 +660,9 @@ def gen(q: QuiverA, members):
 
 
 def cogen(q: QuiverA, members):
-    eng = _engine(q)
-    return members_of(eng, torsionfree_closed(eng, mask_of(eng, members)))
+    """The least torsion-free class holding members."""
+    tab = quiver_tables(q)
+    return members_of(tab, close(mask_of(tab, members), tab.sub_mask, tab.mid_pairs))
 
 
 def edge_label(q: QuiverA, lo_members, hi_members) -> IndecA:

@@ -69,6 +69,12 @@ def test_quiver_and_polygon_requests_load_no_coxeter_or_hashlib(loaded, argv):
     assert not mods & {"serrelab.coxeter", "hashlib", "_hashlib"}
 
 
+def test_fast_typea_loads_no_derived_layer(loaded):
+    mods = loaded("typea --n 4 --all-orientations --fast".split())
+    assert "serrelab.typea" in mods
+    assert not mods & {"serrelab.derived", "serrelab.reps", "serrelab.linalg", "serrelab.fields"}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_no_golden_request_loads_dataclasses(loaded, name):
     assert "dataclasses" not in loaded(shlex.split(CASES[name]), EXIT_CODES[name])

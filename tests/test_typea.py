@@ -1,9 +1,7 @@
 import pytest
 
-from serrelab import linalg
 from serrelab.errors import GuardrailExceeded, SerrelabError
-from serrelab.fields import QQ
-from serrelab.lattice import poset_isomorphism
+from serrelab.lattice import _cliques, poset_isomorphism
 from serrelab.typea import (
     QUIVER_GUARDRAIL,
     ClusterTriple,
@@ -30,6 +28,7 @@ from oracles import (
     a_of_torsionfree,
     almost_triples,
     classify,
+    close,
     cogen,
     completions,
     edge_label,
@@ -38,6 +37,7 @@ from oracles import (
     hom_dim_q,
     indec_rep,
     interval_members,
+    quiver_tables,
     quotients_of,
     serre_perm_inverse,
     subs_of,
@@ -76,81 +76,13 @@ def test_indec_rep_and_count():
 # -- the engine against the brute-force definitions ---------------------------
 
 
-def _hom_space(q, A, B):
-    """(dim, witness) for Hom(A, B) by a linear solve over QQ: the scalars f_v
-    on the common vertices with f_t a_st = b_st f_s on every arrow s -> t.
-    witness maps each common vertex to the scalar of a basis morphism."""
-    common = [v for v in range(1, q.n + 1) if A.lo <= v <= A.hi and B.lo <= v <= B.hi]
-    if not common:
-        return 0, None
-    pos = {v: k for k, v in enumerate(common)}
-    rows = []
-    for s, t in q.arrows():
-        row = [0] * len(common)
-        if A.lo <= s <= A.hi and A.lo <= t <= A.hi and t in pos:
-            row[pos[t]] += 1
-        if B.lo <= s <= B.hi and B.lo <= t <= B.hi and s in pos:
-            row[pos[s]] -= 1
-        if any(row):
-            rows.append(row)
-    basis = linalg.kernel_basis(rows, len(common), QQ) if rows else linalg.identity(len(common))
-    assert len(basis) <= 1, "hom space between type-A indecomposables exceeds dimension 1"
-    if not basis:
-        return 0, None
-    return 1, {v: basis[0][pos[v]] for v in common}
-
-
-def _runs(eng, vertex_set):
-    """Mask of the maximal runs of a vertex set."""
-    out, run = 0, None
-    for v in range(1, eng.n + 2):
-        if v <= eng.n and v in vertex_set:
-            run = v if run is None else run
-        elif run is not None:
-            out |= 1 << eng.idx[IndecA(run, v - 1)]
-            run = None
-    return out
-
-
-def _oracle(eng):
-    """The engine's Hom, Ext, structural and torsion-class tables from their
-    definitions: a linear solve per pair of indecomposables, every one of the
-    2^N sets tested for closure, and covers found by testing every triple of
-    torsion classes."""
-    q, N, indecs = eng.q, eng.N, eng.indecs
-    h = [[0] * N for _ in range(N)]
-    e = [[0] * N for _ in range(N)]
-    witness = {}
-    for i, A in enumerate(indecs):
-        for j, B in enumerate(indecs):
-            h[i][j], w = _hom_space(q, A, B)
-            if w is not None:
-                witness[(i, j)] = w
-            euler = sum(1 for v in range(A.lo, A.hi + 1) if B.lo <= v <= B.hi)
-            euler -= sum(1 for s, t in q.arrows() if A.lo <= s <= A.hi and B.lo <= t <= B.hi)
-            e[i][j] = h[i][j] - euler
-            assert e[i][j] >= 0
-    quot, sub, kerdec, cokerdec = [0] * N, [0] * N, {}, {}
-    for (i, j), w in witness.items():
-        A, B = indecs[i], indecs[j]
-        supp_a, supp_b = set(range(A.lo, A.hi + 1)), set(range(B.lo, B.hi + 1))
-        image = {v for v in supp_a & supp_b if w[v]}
-        if image == supp_b:
-            quot[i] |= 1 << j
-        if image == supp_a:
-            sub[j] |= 1 << i
-        kerdec[(i, j)] = _runs(eng, supp_a - image)
-        cokerdec[(i, j)] = _runs(eng, supp_b - image)
-    # 0 -> S -> E -> Q -> 0 with E indecomposable: S and Q adjacent runs of E
-    # and the basis hom S -> E injective
-    mid = [[] for _ in range(N)]
-    for si, S in enumerate(indecs):
-        for qi, Qm in enumerate(indecs):
-            if S.hi + 1 == Qm.lo or Qm.hi + 1 == S.lo:
-                ei = eng.idx[IndecA(min(S.lo, Qm.lo), max(S.hi, Qm.hi))]
-                w = witness.get((si, ei))
-                if w is not None and all(w[v] for v in range(S.lo, S.hi + 1)):
-                    mid[si].append((qi, 1 << ei))
+def _oracle(q):
+    """The engine's torsion classes and their labelled covers from their
+    definitions: every one of the 2^N sets tested for closure under the
+    linear-solve quotients and extension middles, and covers found by
+    testing every triple of torsion classes."""
+    tab = quiver_tables(q)
+    N, quot, mid = tab.N, tab.quot_mask, tab.mid_pairs
 
     def closed(mask):
         return all(
@@ -160,7 +92,7 @@ def _oracle(eng):
         )
 
     tors = sorted((m for m in range(1 << N) if closed(m)), key=lambda m: (m.bit_count(), m))
-    hom_out = [sum(1 << j for j in range(N) if h[i][j]) for i in range(N)]
+    hom_out = [sum(1 << j for j in range(N) if tab.h[i][j]) for i in range(N)]
     lower, upper = {m: [] for m in tors}, {m: [] for m in tors}
     for ma in tors:
         perp = (1 << N) - 1
@@ -174,11 +106,11 @@ def _oracle(eng):
                     assert label.bit_count() == 1, "cover edge label is not unique"
                     lower[mb].append((ma, label))
                     upper[ma].append((mb, label))
-    return {
-        "h": h, "e": e, "quot_mask": quot, "sub_mask": sub, "kerdec": kerdec,
-        "cokerdec": cokerdec, "mid_pairs": mid, "tors_masks": tors,
-        "tors_lower": lower, "tors_upper": upper,
-    }
+    return {"tors_masks": tors, "tors_lower": lower, "tors_upper": upper}
+
+
+def _bit(mask, i):
+    return mask >> i & 1 == 1
 
 
 def test_engine_matches_brute_force_on_every_quiver():
@@ -186,8 +118,34 @@ def test_engine_matches_brute_force_on_every_quiver():
     assert len(quivers) == 31
     for q in quivers:
         eng = _Engine(q)
-        for name, want in _oracle(eng).items():
+        tab = quiver_tables(q)
+        N, full = eng.N, eng.full_mask
+        assert eng.indecs == tab.indecs, q
+        # the Euler-sign tables against the linear-solve Hom and Ext
+        for i in range(N):
+            for j in range(N):
+                hom, ext = tab.h[i][j] != 0, tab.e[i][j] != 0
+                assert _bit(eng.hom_out[i], j) == _bit(eng.hom_in[j], i) == hom, (q, i, j)
+                assert _bit(eng.ext_out[i], j) == _bit(eng.ext_in[j], i) == ext, (q, i, j)
+                assert _bit(eng.orth_out[i], j) == _bit(eng.orth_in[j], i) == (not hom and not ext)
+        assert eng.proj_mask == tab.proj_mask, q
+        for name, want in _oracle(q).items():
             assert getattr(eng, name) == want, (q, name)
+        # the torsion closure against the quotient and extension fixpoint
+        small = [0] + [1 << i | 1 << j for i in range(N) for j in range(i, N)]
+        for mask in small:
+            assert eng.torsion_closed(mask) == close(mask, tab.quot_mask, tab.mid_pairs), (q, mask)
+        # the wide closure of every semibrick against the extension, kernel
+        # and cokernel fixpoint, and the simples of every wide subcategory
+        compat = [full & ~sum(1 << j for j in range(N) if tab.h[i][j] or tab.h[j][i]) for i in range(N)]
+        wides = set()
+        for mask in _cliques(compat, full):
+            wide = close(mask, None, tab.wide_pairs)
+            assert eng.wide_closure(mask) == wide, (q, mask)
+            wides.add(wide)
+        for wide in wides:
+            simples = sum(1 << x for x in range(N) if _bit(wide, x) and not wide & tab.sub_mask[x] & ~(1 << x))
+            assert eng.simples_of(wide) == simples, (q, wide)
 
 
 def test_hom_and_ext_basics():
@@ -273,6 +231,8 @@ def test_a_of_satisfies_membership_conditions():
     for o in all_orientations(3):
         q = QuiverA(3, o)
         eng = _engine(q)
+        tab = quiver_tables(q)
+        assert tab.indecs == eng.indecs
         for T in eng.tors_masks:
             W = eng.a_tors(T)
             for x in range(eng.N):
@@ -282,10 +242,10 @@ def test_a_of_satisfies_membership_conditions():
                 for y in range(eng.N):
                     if not T >> y & 1:
                         continue
-                    if eng.h[x][y]:
-                        assert eng.cokerdec[(x, y)] & ~T == 0
-                    if eng.h[y][x]:
-                        assert eng.kerdec[(y, x)] & ~T == 0
+                    if tab.h[x][y]:
+                        assert tab.cokerdec[(x, y)] & ~T == 0
+                    if tab.h[y][x]:
+                        assert tab.kerdec[(y, x)] & ~T == 0
 
 
 def test_mutable_interval_counts():
