@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 
-from .derived import GeneralComplexResult, default_max_steps, serre_walk
 from .errors import Disagreement, MaxStepsExceeded, SerrelabError
 from .fields import QQ
-from .lattice import IntervalRef, Lattice
+from .lattice import IntervalRef, Lattice, default_max_steps
 from .perm import cycle_decomposition
 
 
@@ -283,6 +282,8 @@ class CrossCheck:
 def cross_check(lat: Lattice, max_steps=None, field=QQ) -> CrossCheck:
     """Run the Coxeter trajectories and the derived Serre iteration side by
     side on every injective; raise Disagreement on any mismatch."""
+    from .derived import GeneralComplexResult, serre_walk
+
     report = combinatorial_serre_check(lat, max_steps)
     per = {}
     for i, label in enumerate(lat.labels):

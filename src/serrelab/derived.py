@@ -35,6 +35,7 @@ from .lattice import (
     _is_boolean,
     _iter_bits,
     _subset_joins,
+    default_max_steps,
     support_antichain,
     support_interval,
 )
@@ -514,10 +515,6 @@ def serre_walk(lattice: Lattice, mask: int, field=QQ):
             res = serre_by_resolution(res.rep)
         else:
             res = serre_on_support(lattice, res.support, field)
-
-
-def default_max_steps(lattice: Lattice) -> int:
-    return 4 * (lattice.n + 10)
 
 
 def serre_orbit(lattice: Lattice, a, max_steps=None, field=QQ) -> SerreOrbit:

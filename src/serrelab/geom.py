@@ -17,7 +17,6 @@ chords, with its checks, is the tests' (tests/oracles.py).
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from . import typea
@@ -202,11 +201,6 @@ def enumerate_quads(n: int):
     return [Quadrangulation(p, m) for m in masks]
 
 
-def fuss_catalan_geom(n: int) -> int:
-    k = n + 2
-    return math.comb(3 * k - 3, k - 1) // (2 * k - 1)
-
-
 def planar_dual(t: NoncrossingTree) -> NoncrossingTree:
     """Region-adjacency dual, re-anchored by the half-step rotation: the new
     vertex on the boundary arc (i, i+1) lands on vertex i+1.
@@ -294,7 +288,7 @@ def run_geom_suite(n: int) -> dict:
     tree_listing = [t.sorted_edges() for t in trees] if n <= 3 else None
     del trees
     quads = enumerate_quads(n)
-    expected = fuss_catalan_geom(n)
+    expected = typea.fuss_catalan_count(n)
     tree_of = {q: stokes(q) for q in quads}
     # a rotation missing from the enumeration fails the check instead of raising
     equivariant = all(tree_of.get(rotate_quad(q)) == planar_dual(t) for q, t in tree_of.items())

@@ -25,6 +25,11 @@ def _check_size(n: int):
         raise GuardrailExceeded(f"{n} elements > {SIZE_GUARDRAIL}")
 
 
+def default_max_steps(lattice: Lattice) -> int:
+    """The step budget of a Coxeter trajectory or a derived Serre orbit."""
+    return 4 * (lattice.n + 10)
+
+
 def _iter_bits(mask: int):
     """Indices of the set bits of mask, lowest first: the shared bit walk.
     Some hot loops walk bits themselves instead (geom._bits, typea's

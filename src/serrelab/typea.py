@@ -10,8 +10,10 @@ between indecomposables come from the sign of the Euler form, and every
 torsion and wide closure is a double perpendicular.  The
 torsion classes and their labelled covers come from one walk up from 0 (the
 brute-force definitions check the tables, the closures and the walk in the
-tests).  The engine works on masks only; the label-level wrappers that read
-them as sets of indecomposables are the tests' (tests/oracles.py).
+tests), and the Lattice built from them (element p is tors_masks[p]) holds
+their inclusion order.  The engine works on masks only; the label-level
+wrappers that read them as sets of indecomposables are the tests'
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -154,13 +156,6 @@ class _Engine:
         self.full_mask = (1 << self.N) - 1
         self._tables()
         self._walk_torsion()
-        self._a_tors_cache = {}
-        self._a_free_cache = {}
-        self._intervals = None
-        self._serre = None
-        self._positions = None
-        self._mutations = None
-        self._triples = None
 
     # ---- Hom and Ext from the sign of the Euler form ------------------------------
 
@@ -221,8 +216,9 @@ class _Engine:
         and T' = gen(T | B); every indecomposable of a Dynkin quiver is a
         brick.  So the upper covers of T are the minimal classes among
         gen(T | x) = ^{perp_0}((T | x)^{perp_0}) for x in T^{perp_0}.
-        tors_masks is sorted by (size, mask), and tors_lower / tors_upper
-        list each class's covers as (class, label) in that order."""
+        tors_masks is sorted by (size, mask), pos maps a class to its place
+        there, and tors_lower / tors_upper list each class's covers as
+        (class, label) in that order."""
         upper = {}
         todo = [0]
         while todo:
@@ -241,8 +237,7 @@ class _Engine:
                 upper[t].append((c, label))
                 todo.append(c)
         self.tors_masks = sorted(upper, key=lambda m: (m.bit_count(), m))
-        self.tors_set = set(upper)
-        pos = {m: p for p, m in enumerate(self.tors_masks)}
+        self.pos = pos = {m: p for p, m in enumerate(self.tors_masks)}
         self.tors_upper, self.tors_lower = {}, {t: [] for t in self.tors_masks}
         for t in self.tors_masks:
             self.tors_upper[t] = sorted(upper[t], key=lambda e: pos[e[0]])
@@ -252,36 +247,27 @@ class _Engine:
     def mask_label(self, mask):
         return "".join("1" if mask >> i & 1 else "0" for i in range(self.N))
 
-    def a_tors(self, mask):
-        """a(T) for a torsion class: the wide closure of the lower-cover edge
-        labels (these are exactly the simple objects of a(T))."""
-        if mask not in self._a_tors_cache:
-            labels = 0
-            for _, lab in self.tors_lower[mask]:
-                labels |= lab
-            self._a_tors_cache[mask] = self.wide_closure(labels)
-        return self._a_tors_cache[mask]
+    @cached_property
+    def lat(self) -> Lattice:
+        """tors(Lambda) as a Lattice: element p is tors_masks[p], labelled by
+        mask_label, so its up- and down-sets are the inclusion order."""
+        labels = [self.mask_label(m) for m in self.tors_masks]
+        covers = [(labels[self.pos[t]], labels[p])
+                  for p, mb in enumerate(self.tors_masks) for t, _ in self.tors_lower[mb]]
+        return build_lattice(labels, covers)
 
-    def a_free(self, mask):
-        """a(F) for the torsion-free class F = T^{perp_0}: the wide closure of
-        the upper-cover edge labels of T."""
-        if mask not in self._a_free_cache:
-            labels = 0
-            for _, lab in self.tors_upper[mask]:
-                labels |= lab
-            self._a_free_cache[mask] = self.wide_closure(labels)
-        return self._a_free_cache[mask]
+    @cached_property
+    def a_tors(self):
+        """a(T) for every torsion class T: the wide closure of its lower-cover
+        labels, which are exactly the simple objects of a(T).  A cover is
+        determined by its brick label, so the labels' sum is their union."""
+        return {t: self.wide_closure(sum(lab for _, lab in c)) for t, c in self.tors_lower.items()}
 
-    def tors_lattice(self) -> tuple:
-        """(Lattice, label->mask map); labels are fixed-width bitmask strings."""
-        masks = self.tors_masks
-        labels = {m: self.mask_label(m) for m in masks}
-        covers = []
-        for mb in masks:
-            for ma, _lab in self.tors_lower[mb]:
-                covers.append((labels[ma], labels[mb]))
-        lat = build_lattice(list(labels.values()), covers)
-        return lat, {labels[m]: m for m in masks}
+    @cached_property
+    def a_free(self):
+        """a(F) for the torsion-free class F = T^{perp_0}, keyed by T: the
+        wide closure of the upper-cover labels of T."""
+        return {t: self.wide_closure(sum(lab for _, lab in c)) for t, c in self.tors_upper.items()}
 
     # ---- wide subcategories and the Ingalls-Thomas maps ----------------------------
 
@@ -309,30 +295,32 @@ class _Engine:
 
     # ---- mutable intervals ----------------------------------------------------------
 
+    @cached_property
     def mutable_intervals(self):
-        if self._intervals is not None:
-            return self._intervals
-        out = {}
-        for lo in self.tors_masks:
-            alo = self.a_tors(lo)
-            for hi in self.tors_masks:
-                if lo & hi == lo and alo & self.a_tors(hi) == alo:
+        """The intervals [lo, hi] of tors with a(lo) inside a(hi), keyed
+        (lo, hi) in the order of tors_masks; each hi is read off the
+        up-set of lo in lat."""
+        tors, a_tors, out = self.tors_masks, self.a_tors, {}
+        for p, lo in enumerate(tors):
+            alo = a_tors[lo]
+            for q in _iter_bits(self.lat.up_mask[p]):
+                hi = tors[q]
+                if alo & a_tors[hi] == alo:
                     out[(lo, hi)] = self._build_interval(lo, hi)
-        self._intervals = out
         return out
 
     def _build_interval(self, lo, hi):
         f_hi = self.perp_from(hi)
-        a_flo = self.a_free(lo)
-        a_fhi = self.a_free(hi)
-        w1 = self.a_tors(lo)
-        w2 = a_flo & self.a_tors(hi)
+        a_flo = self.a_free[lo]
+        a_fhi = self.a_free[hi]
+        w1 = self.a_tors[lo]
+        w2 = a_flo & self.a_tors[hi]
         w3 = a_fhi
         ranks = (self.rank_of(w1), self.rank_of(w2), self.rank_of(w3))
         if sum(ranks) != self.n:
             raise SerrelabError("delta-sequence ranks do not sum to the rank of the algebra")
         t_free = self.ext_injectives_in(f_hi & a_flo)
-        t_tors = self.ext_projectives_in(lo & self.a_tors(hi))
+        t_tors = self.ext_projectives_in(lo & self.a_tors[hi])
         t_supp = self.proj_mask & self.perp_into(lo | f_hi)
         w_free = self.wide_closure(t_free)
         w_tors = self.wide_closure(t_tors)
@@ -358,16 +346,19 @@ class _Engine:
             k=self.rank_of(w_free),
         )
 
+    @cached_property
+    def serre_table(self):
+        """S(I) = [gen(T_free), gen(lo | W_free)] for every mutable interval,
+        keyed by I.key; None marks an image outside the set."""
+        ivs = self.mutable_intervals
+        return {
+            key: ivs.get((self.torsion_closed(v.t_free), self.torsion_closed(v.lo | v.w_free)))
+            for key, v in ivs.items()
+        }
+
     def serre_perm(self, iv):
-        """S(I) = [gen(T_free), gen(lo | W_free)], tabulated for every mutable
-        interval on the first call; None marks an image outside the set."""
-        if self._serre is None:
-            ivs = self.mutable_intervals()
-            self._serre = {
-                key: ivs.get((self.torsion_closed(v.t_free), self.torsion_closed(v.lo | v.w_free)))
-                for key, v in ivs.items()
-            }
-        target = self._serre[iv.key]
+        """S(iv), read off serre_table."""
+        target = self.serre_table[iv.key]
         if target is None:
             raise SerrelabError("Serre permutation left the set of mutable intervals")
         return target
@@ -375,15 +366,14 @@ class _Engine:
     @cached_property
     def serre_cycles(self):
         """The cycles of the Serre permutation, as lists of mutable intervals
-        in the order of mutable_intervals(); decomposed once."""
-        return cycle_decomposition(self.serre_perm, self.mutable_intervals().values())
+        in the order of mutable_intervals; decomposed once."""
+        return cycle_decomposition(self.serre_perm, self.mutable_intervals.values())
 
     # ---- interval mutations -----------------------------------------------------------
 
+    @cached_property
     def interval_mutations(self):
-        if self._mutations is not None:
-            return self._mutations
-        ivs = self.mutable_intervals()
+        ivs = self.mutable_intervals
         out = []
         for iv in ivs.values():
             if iv.lo == iv.hi:
@@ -401,19 +391,11 @@ class _Engine:
                     raise SerrelabError("interval mutation produced a non-mutable part")
                 self._assert_mutation(B, iv, A)
                 out.append(IntervalMutation(B=B, I=iv, A=A, x=self.indecs[x]))
-        self._mutations = out
         return out
 
     def _member_bits(self, iv):
-        """The torsion classes in iv as a bitmask over positions in
-        tors_masks: the classes above iv.lo meet the classes below iv.hi."""
-        if self._positions is None:
-            tors = self.tors_masks
-            above = {m: sum(1 << p for p, t in enumerate(tors) if m & t == m) for m in tors}
-            below = {m: sum(1 << p for p, t in enumerate(tors) if t & m == t) for m in tors}
-            self._positions = above, below
-        above, below = self._positions
-        return above[iv.lo] & below[iv.hi]
+        """The torsion classes in iv, as a mask over the elements of lat."""
+        return self.lat.interval_mask(self.pos[iv.lo], self.pos[iv.hi])
 
     def _assert_mutation(self, B, I, A):
         mi, ma, mb = (self._member_bits(x) for x in (I, A, B))
@@ -426,7 +408,7 @@ class _Engine:
             raise SerrelabError("mutation bounds are off")
 
     def rotation_check(self):
-        muts = self.interval_mutations()
+        muts = self.interval_mutations
         keyset = {(m.B.key, m.I.key, m.A.key) for m in muts}
         records = []
         for m in muts:
@@ -463,22 +445,21 @@ class _Engine:
                 if size <= max_size:
                     yield t_tors, t_free, size, self.proj_mask & self.perp_into(t_tors | t_free)
 
+    @cached_property
     def cluster_triples(self):
-        if self._triples is None:
-            triples = []
-            for t_tors, t_free, size, elig in self._orthogonal_pairs(self.n):
-                have = elig.bit_count()
-                if have > self.n - size:
-                    raise SerrelabError("support completion is not unique")
-                if have == self.n - size:
-                    triples.append(ClusterTriple(t_free=t_free, t_tors=t_tors, t_supp=elig))
-            self._triples = triples
-        return self._triples
+        triples = []
+        for t_tors, t_free, size, elig in self._orthogonal_pairs(self.n):
+            have = elig.bit_count()
+            if have > self.n - size:
+                raise SerrelabError("support completion is not unique")
+            if have == self.n - size:
+                triples.append(ClusterTriple(t_free=t_free, t_tors=t_tors, t_supp=elig))
+        return triples
 
     def interval_of(self, t: "ClusterTriple"):
         lo = self.torsion_closed(t.t_tors)
         hi = self.perp_into(t.t_free)
-        iv = self.mutable_intervals().get((lo, hi))
+        iv = self.mutable_intervals.get((lo, hi))
         if iv is None:
             raise SerrelabError("interval of a 2-cluster triple is not mutable")
         return iv
@@ -535,19 +516,11 @@ def _engine(q: QuiverA) -> _Engine:
 
 
 def tors_lattice(q: QuiverA) -> Lattice:
-    return _engine(q).tors_lattice()[0]
+    return _engine(q).lat
 
 
 def mutable_intervals(q: QuiverA):
-    return list(_engine(q).mutable_intervals().values())
-
-
-def coxeter_number(q: QuiverA) -> int:
-    return q.n + 1
-
-
-def indec_count(q: QuiverA) -> int:
-    return q.n * (q.n + 1) // 2
+    return list(_engine(q).mutable_intervals.values())
 
 
 def fuss_catalan_count(n: int) -> int:
@@ -555,21 +528,24 @@ def fuss_catalan_count(n: int) -> int:
     return math.comb(3 * n + 3, n + 1) // (2 * n + 3)
 
 
-def serre_orbit_stats(q: QuiverA):
+def serre_orbit_stats(q):
     """Check the period and the rank sum on every cycle of the Serre
     permutation: its length L divides 2h+2 and (2h+2)/L times its rank sum
-    is 2N (for A_1 also h+1 and N); returns orbit cycle data."""
-    h = coxeter_number(q)
-    N = indec_count(q)
+    is 2N (for A_1 also h+1 and N); returns orbit cycle data.  N is the
+    number of indecomposables (positive roots) and h = 2N/n the Coxeter
+    number, so any Dynkin quiver the engine reads gives its own."""
+    eng = _engine(q)
+    N = eng.N
+    h = 2 * N // eng.n
     period = 2 * h + 2
-    cycles = _engine(q).serre_cycles
+    cycles = eng.serre_cycles
     for cyc in cycles:
         key, L, ksum = cyc[0].key, len(cyc), sum(iv.k for iv in cyc)
         if period % L:
             raise PeriodViolation(f"interval {key} does not return after {period} steps")
         if period // L * ksum != 2 * N:
             raise PeriodViolation(f"rank sum {period // L * ksum} != {2 * N} for interval {key}")
-        if q.n == 1 and ((h + 1) % L or (h + 1) // L * ksum != N):
+        if eng.n == 1 and ((h + 1) % L or (h + 1) // L * ksum != N):
             raise PeriodViolation("A_1 special (N, h+1) periodicity fails")
     return {
         "period_bound": period,
@@ -579,7 +555,7 @@ def serre_orbit_stats(q: QuiverA):
 
 
 def interval_mutations(q: QuiverA):
-    return _engine(q).interval_mutations()
+    return _engine(q).interval_mutations
 
 
 def rotation_check(q: QuiverA):
@@ -587,7 +563,7 @@ def rotation_check(q: QuiverA):
 
 
 def cluster_triples(q: QuiverA):
-    return _engine(q).cluster_triples()
+    return _engine(q).cluster_triples
 
 
 def interval_of(q: QuiverA, t: ClusterTriple) -> MutableInterval:
@@ -599,8 +575,12 @@ def run_typea_suite(q: QuiverA, categorical=True) -> dict:
     cluster bijection, and the categorical integration."""
     eng = _engine(q)
     out = {"orientation": q.orientation, "n": q.n, "checks": {}}
-    lat, _ = eng.tors_lattice()
+    lat = eng.lat
     out["tors_lattice"] = lattice_to_json_dict(lat)
+
+    def label(mask):
+        return lat.labels[eng.pos[mask]]
+
     ivs = mutable_intervals(q)
     triples = cluster_triples(q)
     expected = fuss_catalan_count(q.n)
@@ -639,15 +619,15 @@ def run_typea_suite(q: QuiverA, categorical=True) -> dict:
     }
     out["mutable_intervals"] = [
         {
-            "lo": eng.mask_label(iv.lo),
-            "hi": eng.mask_label(iv.hi),
+            "lo": label(iv.lo),
+            "hi": label(iv.hi),
             "delta_ranks": list(iv.delta_ranks),
             "k": iv.k,
         }
         for iv in ivs
     ]
     out["serre_permutation_cycles"] = [
-        [f"{eng.mask_label(iv.lo)}<={eng.mask_label(iv.hi)}" for iv in cyc]
+        [f"{label(iv.lo)}<={label(iv.hi)}" for iv in cyc]
         for cyc in eng.serre_cycles
     ]
     if categorical:
@@ -655,17 +635,11 @@ def run_typea_suite(q: QuiverA, categorical=True) -> dict:
 
         bad = []
         for iv in ivs:
-            lo, hi = lat.index[eng.mask_label(iv.lo)], lat.index[eng.mask_label(iv.hi)]
-            res = serre_on_support(lat, lat.interval_mask(lo, hi))
+            res = serre_on_support(lat, eng._member_bits(iv))
             s = eng.serre_perm(iv)
-            want = IntervalRef(eng.mask_label(s.lo), eng.mask_label(s.hi))
-            good = (
-                isinstance(res, StalkResult)
-                and res.interval == want
-                and res.shift == iv.k
-            )
-            if not good:
-                bad.append(eng.mask_label(iv.lo) + "<=" + eng.mask_label(iv.hi))
+            want = IntervalRef(label(s.lo), label(s.hi))
+            if not (isinstance(res, StalkResult) and res.interval == want and res.shift == iv.k):
+                bad.append(f"{label(iv.lo)}<={label(iv.hi)}")
         out["checks"]["categorical_serre"] = {"ok": not bad, "failures": bad, "total": len(ivs)}
     out["ok"] = all(c.get("ok", False) for c in out["checks"].values())
     return out

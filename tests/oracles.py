@@ -554,7 +554,7 @@ def interval_members(eng, iv):
 def serre_perm_inverse(eng, iv):
     lo = iv.hi & eng.perp_into(iv.w_tors)
     hi = eng.perp_into(iv.t_tors)
-    target = eng.mutable_intervals().get((lo, hi))
+    target = eng.mutable_intervals.get((lo, hi))
     if target is None:
         raise SerrelabError("inverse Serre permutation left the set of mutable intervals")
     return target
@@ -573,7 +573,7 @@ def almost_triples(eng):
 def completions(eng, almost):
     t_free, t_tors, t_supp = almost
     found = []
-    for t in eng.cluster_triples():
+    for t in eng.cluster_triples:
         if (
             t.t_free & t_free == t_free
             and t.t_tors & t_tors == t_tors
@@ -639,9 +639,9 @@ def a_of(q: QuiverA, members):
     """a(T) of a torsion class, the associated wide subcategory."""
     eng = _engine(q)
     mask = mask_of(eng, members)
-    if mask not in eng.tors_set:
+    if mask not in eng.pos:
         raise ValueError("a_of expects a torsion class")
-    return members_of(eng, eng.a_tors(mask))
+    return members_of(eng, eng.a_tors[mask])
 
 
 def a_of_torsionfree(q: QuiverA, members):
@@ -649,9 +649,9 @@ def a_of_torsionfree(q: QuiverA, members):
     eng = _engine(q)
     fmask = mask_of(eng, members)
     tmask = eng.perp_into(fmask)
-    if tmask not in eng.tors_set or eng.perp_from(tmask) != fmask:
+    if tmask not in eng.pos or eng.perp_from(tmask) != fmask:
         raise ValueError("a_of_torsionfree expects a torsion-free class")
-    return members_of(eng, eng.a_free(tmask))
+    return members_of(eng, eng.a_free[tmask])
 
 
 def gen(q: QuiverA, members):

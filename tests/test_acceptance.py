@@ -124,7 +124,7 @@ def test_acceptance_06_categorical_serre_integration(serre_oracle):
     for o in all_orientations(3):
         q = QuiverA(3, o)
         eng = _engine(q)
-        lat, _ = eng.tors_lattice()
+        lat = eng.lat
         ivs = mutable_intervals(q)
         assert len(ivs) == 55
         for iv in ivs:

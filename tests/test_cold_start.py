@@ -75,6 +75,12 @@ def test_fast_typea_loads_no_derived_layer(loaded):
     assert not mods & {"serrelab.derived", "serrelab.reps", "serrelab.linalg", "serrelab.fields"}
 
 
+def test_check_without_derived_loads_no_derived_layer(loaded):
+    mods = loaded("check --gen tamari 4".split())
+    assert {"serrelab.coxeter", "serrelab.typea"} <= mods
+    assert not mods & {"serrelab.derived", "serrelab.reps", "serrelab.linalg"}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_no_golden_request_loads_dataclasses(loaded, name):
     assert "dataclasses" not in loaded(shlex.split(CASES[name]), EXIT_CODES[name])

@@ -13,12 +13,13 @@ from serrelab.geom import (
     _rotated,
     enumerate_quads,
     enumerate_trees,
-    fuss_catalan_geom,
     planar_dual,
     rotate_quad,
     run_geom_suite,
     stokes,
 )
+
+from serrelab.typea import fuss_catalan_count
 
 from oracles import _mask_of, _norm_edges, make_quad, make_tree, noncrossing
 
@@ -265,11 +266,11 @@ def test_counts_match_fuss_catalan():
     for n in range(1, 6):
         trees = enumerate_trees(n)
         quads = enumerate_quads(n)
-        assert len(trees) == len(quads) == fuss_catalan_geom(n)
-    assert fuss_catalan_geom(1) == 3
-    assert fuss_catalan_geom(2) == 12
-    assert fuss_catalan_geom(3) == 55
-    assert fuss_catalan_geom(4) == 273
+        assert len(trees) == len(quads) == fuss_catalan_count(n)
+    assert fuss_catalan_count(1) == 3
+    assert fuss_catalan_count(2) == 12
+    assert fuss_catalan_count(3) == 55
+    assert fuss_catalan_count(4) == 273
 
 
 def test_guardrail():

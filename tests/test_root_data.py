@@ -11,11 +11,13 @@ reflections, and the symmetrized Euler form
 
 for the symmetrizer d (d_i a_ij = d_j a_ji).  The counts are the
 Coxeter-Catalan numbers of the type: Cat(W) torsion classes, and Cat^(2)(W)
-mutable intervals and 2-cluster triples."""
+mutable intervals and 2-cluster triples.  serre_orbit_stats reads the
+Coxeter number h = 2N/n off the root count N, so its period bound is the
+type's 2h+2 and every Serre cycle divides it."""
 
 import pytest
 
-from serrelab.typea import _Engine
+from serrelab.typea import _engine, serre_orbit_stats
 
 # Cartan matrices a_ij = <alpha_i^vee, alpha_j>, with their symmetrizers
 CARTAN = {
@@ -66,32 +68,37 @@ class RootQuiver:
         return s
 
 
-# kind, orientations, roots, torsion classes, Cat^(2), Serre cycles (count, length)
+# kind, orientations, roots, torsion classes, Cat^(2), Serre cycles (count,
+# length), 2h+2
 CASES = [
-    ("G2", ("L", "R"), 6, 8, 21, (3, 7)),
-    ("B3", ("LR",), 9, 20, 84, (12, 7)),
-    ("D4", ("LRL", "RRR"), 12, 50, 336, (48, 7)),
-    ("F4", ("LRL",), 24, 105, 780, (60, 13)),
+    ("G2", ("L", "R"), 6, 8, 21, (3, 7), 14),
+    ("B3", ("LR",), 9, 20, 84, (12, 7), 14),
+    ("D4", ("LRL", "RRR"), 12, 50, 336, (48, 7), 14),
+    ("F4", ("LRL",), 24, 105, 780, (60, 13), 26),
 ]
 
 
 @pytest.mark.parametrize(
-    "kind, orientation, roots, tors, two_catalan, cycles",
+    "kind, orientation, roots, tors, two_catalan, cycles, period",
     [(k, o, *rest) for k, os, *rest in CASES for o in os],
     ids=[f"{k}-{o}" for k, os, *_ in CASES for o in os],
 )
-def test_engine_runs_on_root_data(kind, orientation, roots, tors, two_catalan, cycles):
+def test_engine_runs_on_root_data(kind, orientation, roots, tors, two_catalan, cycles, period):
     q = RootQuiver(kind, orientation)
-    eng = _Engine(q)
+    eng = _engine(q)
     assert eng.N == roots
     assert len(eng.tors_masks) == tors
-    ivs = eng.mutable_intervals()
-    triples = eng.cluster_triples()
+    ivs = eng.mutable_intervals
+    triples = eng.cluster_triples
     assert len(ivs) == len(triples) == two_catalan
     # interval_of maps the 2-cluster triples one to one onto the intervals
     images = [eng.interval_of(t).key for t in triples]
     assert len(set(images)) == len(images) and set(images) == set(ivs)
     count, length = cycles
     assert [len(c) for c in eng.serre_cycles] == [length] * count
-    assert 3 * len(eng.interval_mutations()) == q.n * len(ivs)
+    # the period and rank-sum checks on the type's own h and N
+    stats = serre_orbit_stats(q)
+    assert stats["period_bound"] == period
+    assert stats["cycle_lengths"] == [length] * count
+    assert 3 * len(eng.interval_mutations) == q.n * len(ivs)
     assert eng.rotation_check()

@@ -131,6 +131,17 @@ def test_engine_matches_brute_force_on_every_quiver():
         assert eng.proj_mask == tab.proj_mask, q
         for name, want in _oracle(q).items():
             assert getattr(eng, name) == want, (q, name)
+        # the order read off the lattice against inclusion scans: up-sets,
+        # the mutable intervals (every pair lo <= hi with a(lo) in a(hi)),
+        # and the members of each interval
+        tors, a = eng.tors_masks, eng.a_tors
+        for p, t in enumerate(tors):
+            assert eng.lat.up_mask[p] == sum(1 << r for r, u in enumerate(tors) if t & u == t), (q, t)
+        scan = [(lo, hi) for lo in tors for hi in tors if lo & hi == lo and a[lo] & a[hi] == a[lo]]
+        assert list(eng.mutable_intervals) == scan, q
+        for iv in eng.mutable_intervals.values():
+            members = sum(1 << r for r, t in enumerate(tors) if iv.lo & t == iv.lo and t & iv.hi == t)
+            assert eng._member_bits(iv) == members, (q, iv)
         # the torsion closure against the quotient and extension fixpoint
         small = [0] + [1 << i | 1 << j for i in range(N) for j in range(i, N)]
         for mask in small:
@@ -234,7 +245,7 @@ def test_a_of_satisfies_membership_conditions():
         tab = quiver_tables(q)
         assert tab.indecs == eng.indecs
         for T in eng.tors_masks:
-            W = eng.a_tors(T)
+            W = eng.a_tors[T]
             for x in range(eng.N):
                 if not W >> x & 1:
                     continue
@@ -266,7 +277,7 @@ def test_equicardinal_all_orientations_n4():
 def test_trivial_and_extreme_intervals_mutable():
     q = QuiverA(3, "LR")
     eng = _engine(q)
-    ivs = eng.mutable_intervals()
+    ivs = eng.mutable_intervals
     full = eng.full_mask  # mod Lambda is always a torsion class
     for T in eng.tors_masks:
         assert (T, T) in ivs
@@ -294,11 +305,11 @@ def test_serre_perm_simple_interval_alternative():
     # under T v Gen a(F) not trapped under any coatom join
     q = QuiverA(2, "L")
     eng = _engine(q)
-    ivs = eng.mutable_intervals()
+    ivs = eng.mutable_intervals
     for (lo, hi), iv in ivs.items():
         if lo != hi:
             continue
-        aF = eng.a_free(lo)
+        aF = eng.a_free[lo]
         simples = [i for i in range(eng.N) if eng.simples_of(aF) >> i & 1]
         top = eng.torsion_closed(lo | aF)
         hat = []
@@ -335,13 +346,13 @@ def test_serre_orbit_stats_periods():
 
 def _serre_formula(eng, iv):
     """S(I) straight from its definition, two torsion closures per call."""
-    ivs = eng.mutable_intervals()
+    ivs = eng.mutable_intervals
     return ivs[(eng.torsion_closed(iv.t_free), eng.torsion_closed(iv.lo | iv.w_free))]
 
 
 def _orbit_stats_oracle(eng, q):
     """serre_orbit_stats by iterating the formula 2h+2 times per interval."""
-    ivs = eng.mutable_intervals()
+    ivs = eng.mutable_intervals
     period = 2 * (q.n + 1) + 2
     lengths = []
     for key, iv in ivs.items():
@@ -380,7 +391,7 @@ def test_serre_orbit_stats_match_iterated_formula():
 def test_serre_table_is_built_once_per_engine(monkeypatch):
     q = QuiverA(3, "LR")
     eng = _Engine(q)  # a fresh engine, outside the lru cache
-    ivs = list(eng.mutable_intervals().values())
+    ivs = list(eng.mutable_intervals.values())
     want = [_serre_formula(eng, iv) for iv in ivs]
     calls = []
     closure = eng.torsion_closed
@@ -521,7 +532,8 @@ def test_linear_a3_worked_augmented_interval():
 def test_edge_label():
     q = QuiverA(2, "L")
     eng = _engine(q)
-    lat, label_to_mask = eng.tors_lattice()
+    lat = eng.lat
+    label_to_mask = dict(zip(lat.labels, eng.tors_masks))
     for a, b in lat.covers:
         lo = [eng.indecs[i] for i in range(eng.N) if label_to_mask[lat.labels[a]] >> i & 1]
         hi = [eng.indecs[i] for i in range(eng.N) if label_to_mask[lat.labels[b]] >> i & 1]
