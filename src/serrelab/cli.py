@@ -274,14 +274,14 @@ def cmd_gen(args):
 def cmd_typea(args):
     from . import typea as ta
 
+    ta.check_rank(args.n)  # before any orientation or Cartan matrix is built
     if args.all_orientations:
-        ta.check_rank(args.n)  # before all 2^(n-1) orientations are listed
         orientations = ta.all_orientations(args.n)
     else:
         if args.orientation is None and args.n > 1:
             raise ValueError("give --orientation or --all-orientations")
         orientations = [args.orientation or ""]
-    runs = [ta.run_typea_suite(ta.QuiverA(args.n, o), categorical=not args.fast) for o in orientations]
+    runs = [ta.run_typea_suite(ta.quiver_a(args.n, o), categorical=not args.fast) for o in orientations]
     input_info = {"kind": "quiver", "detail": f"n={args.n}", "fingerprint": ""}
     return _report(args, input_info, all(suite["ok"] for suite in runs), {"runs": runs})
 

@@ -288,7 +288,7 @@ def run_geom_suite(n: int) -> dict:
     tree_listing = [t.sorted_edges() for t in trees] if n <= 3 else None
     del trees
     quads = enumerate_quads(n)
-    expected = typea.fuss_catalan_count(n)
+    expected = typea.linear_quiver(n).fuss_catalan(2)
     tree_of = {q: stokes(q) for q in quads}
     # a rotation missing from the enumeration fails the check instead of raising
     equivariant = all(tree_of.get(rotate_quad(q)) == planar_dual(t) for q, t in tree_of.items())

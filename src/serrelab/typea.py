@@ -1,19 +1,19 @@
-"""Type-A engine: quiver representations of an oriented A_n quiver, torsion
+"""Type-A engine on any oriented Dynkin quiver (A_n from the CLI): torsion
 classes and the Cambrian lattice tors(Lambda), wide subcategories, mutable
 intervals, the Serre permutation on them, interval mutations, 2-cluster
 triples, the type-A suite, and the Tamari / type-I(m) lattice generators.
 
-Sets of indecomposables are bitmasks over the vertex intervals [lo, hi] in
-(lo, hi) order.  The engine reads three things off the quiver: that list, the
-dimension vectors and the Euler form of the orientation.  Hom and Ext^1
-between indecomposables come from the sign of the Euler form, and every
-torsion and wide closure is a double perpendicular.  The
-torsion classes and their labelled covers come from one walk up from 0 (the
+The indecomposables are the positive roots, their own dimension vectors, and
+sets of them are bitmasks over the roots in (first support index, last
+support index) order: for A_n the intervals [lo, hi] in (lo, hi) order.  The
+engine reads two things off the quiver: that list and the Euler form.  Hom
+and Ext^1 between indecomposables come from the sign of the Euler form, and
+every torsion and wide closure is a double perpendicular.  The torsion
+classes and their labelled covers come from one walk up from 0 (the
 brute-force definitions check the tables, the closures and the walk in the
 tests), and the Lattice built from them (element p is tors_masks[p]) holds
 their inclusion order.  The engine works on masks only; the label-level
-wrappers that read them as sets of indecomposables are the tests'
-(tests/oracles.py).
+wrappers that read them as sets of indecomposables are the tests'.
 """
 
 from __future__ import annotations
@@ -38,71 +38,76 @@ from .perm import cycle_decomposition
 QUIVER_GUARDRAIL = 5
 
 
-class QuiverA:
-    """Oriented A_n quiver; orientation[k] = 'L' points the edge between
-    vertices k+1 and k+2 at the lower vertex, 'R' at the higher one."""
+class DynkinQuiver:
+    """A Dynkin quiver (a species, for the non-simply-laced types): the Cartan
+    matrix a_ij = <alpha_i^vee, alpha_j>, its symmetrizer d (d_i a_ij =
+    d_j a_ji) and one letter per edge (i, j), i < j, of the diagram, the
+    edges in lexicographic order: 'L' points the edge at i, 'R' at j."""
 
-    __slots__ = ("n", "orientation")
+    __slots__ = ("cartan", "d", "orientation", "n", "arrows")
 
-    def __init__(self, n: int, orientation: str = ""):
+    def __init__(self, cartan, d, orientation: str = ""):
+        n = len(d)
         if n < 1:
             raise ValueError("quiver needs at least one vertex")
-        if len(orientation) != n - 1 or set(orientation) - {"L", "R"}:
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if cartan[i][j]]
+        if len(orientation) != len(edges) or set(orientation) - {"L", "R"}:
             raise ValueError("orientation must be 'L'/'R' per edge")
-        self.n = n
+        self.cartan = tuple(map(tuple, cartan))
+        self.d = tuple(d)
         self.orientation = orientation
+        self.n = n
+        self.arrows = [(j, i) if o == "L" else (i, j) for (i, j), o in zip(edges, orientation)]
 
     def __eq__(self, other):  # the engine cache is keyed on the quiver
-        if other.__class__ is not QuiverA:
+        if other.__class__ is not DynkinQuiver:
             return NotImplemented
-        return self.n == other.n and self.orientation == other.orientation
+        return (self.cartan, self.d, self.orientation) == (other.cartan, other.d, other.orientation)
 
     def __hash__(self):
-        return hash((self.n, self.orientation))
+        return hash((self.cartan, self.d, self.orientation))
 
-    def arrows(self):
-        out = []
-        for k, d in enumerate(self.orientation):
-            lo, hi = k + 1, k + 2
-            out.append((hi, lo) if d == "L" else (lo, hi))
-        return out
-
-    # the engine reads these three and nothing else about the type
+    # the engine reads these two and nothing else about the type
 
     def indecs(self):
-        """The interval modules, in (lo, hi) order."""
-        return [IndecA(lo, hi) for lo in range(1, self.n + 1) for hi in range(lo, self.n + 1)]
+        """The indecomposables, which are the positive roots and their own
+        dimension vectors, by simple reflections; in (first support index,
+        last support index, root) order, which for A_n is the intervals
+        [lo, hi] in (lo, hi) order."""
+        n, a = self.n, self.cartan
+        roots = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+        todo = list(roots)
+        while todo:
+            beta = todo.pop()
+            for i in range(n):
+                c = sum(a[i][j] * beta[j] for j in range(n))
+                image = beta[:i] + (beta[i] - c,) + beta[i + 1:]
+                if c < 0 and image not in roots:
+                    roots.add(image)
+                    todo.append(image)
+        return sorted(roots, key=lambda r: (min(s := [i for i in range(n) if r[i]]), max(s), r))
 
-    def dimvec(self, m: IndecA):
-        return tuple(1 if m.lo <= v <= m.hi else 0 for v in range(1, self.n + 1))
-
-    def _euler(self, d, e):
-        """The Euler form <d, e> = sum d_v e_v - sum over arrows s -> t of d_s e_t."""
-        s = sum(a * b for a, b in zip(d, e))
-        for (src, tgt) in self.arrows():
-            s -= d[src - 1] * e[tgt - 1]
+    def euler(self, x, y):
+        """<x, y> = sum d_i x_i y_i - sum over arrows i -> j of d_i |a_ij| x_i y_j."""
+        s = sum(d * a * b for d, a, b in zip(self.d, x, y))
+        for i, j in self.arrows:
+            s -= self.d[i] * abs(self.cartan[i][j]) * x[i] * y[j]
         return s
 
+    def fuss_catalan(self, m: int) -> int:
+        """Cat^(m)(W) = prod (m h + e_i + 1) / (e_i + 1): h is 1 + the largest
+        root height and the exponents e_i are the dual partition of the number
+        of roots at each height (Kostant)."""
+        heights = [sum(r) for r in self.indecs()]
+        h = max(heights) + 1
+        exponents = [sum(heights.count(k) > j for k in range(1, h)) for j in range(self.n)]
+        return math.prod(m * h + e + 1 for e in exponents) // math.prod(e + 1 for e in exponents)
 
-class IndecA:
-    """The interval module of the vertices lo..hi."""
 
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: int, hi: int):
-        self.lo = lo
-        self.hi = hi
-
-    def __eq__(self, other):
-        if other.__class__ is not IndecA:
-            return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
-    def __repr__(self):
-        return f"[{self.lo},{self.hi}]"
+def quiver_a(n: int, orientation: str = "") -> DynkinQuiver:
+    """The A_n quiver: orientation[k] points the edge (k, k+1) at k ('L') or k+1 ('R')."""
+    cartan = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    return DynkinQuiver(cartan, (1,) * n, orientation)
 
 
 def check_rank(n):
@@ -116,7 +121,7 @@ def all_orientations(n):
 
 
 def linear_quiver(n):
-    return QuiverA(n, "L" * (n - 1))
+    return quiver_a(n, "L" * (n - 1))
 
 
 # -- the engine -----------------------------------------------------------------
@@ -146,7 +151,7 @@ def _meet(rows, mask, out):
 
 
 class _Engine:
-    def __init__(self, q: QuiverA):
+    def __init__(self, q: DynkinQuiver):
         check_rank(q.n)
         self.q = q
         self.n = q.n
@@ -165,13 +170,13 @@ class _Engine:
         decides both.  hom_out[i] holds the j with Hom(i, j) != 0 and hom_in[j]
         the i; ext_* (Ext^1 != 0) and orth_* (both zero) alike."""
         N = self.N
-        dims = [self.q.dimvec(m) for m in self.indecs]
+        dims = self.indecs  # the roots are their own dimension vectors
         self.hom_out, self.hom_in, self.ext_out, self.ext_in, self.orth_out, self.orth_in = (
             [0] * N for _ in range(6)
         )
         for i, x in enumerate(dims):
             for j, y in enumerate(dims):
-                s = self.q._euler(x, y)
+                s = self.q.euler(x, y)
                 out, into = (
                     (self.hom_out, self.hom_in) if s > 0
                     else (self.ext_out, self.ext_in) if s < 0
@@ -500,7 +505,7 @@ class MutableInterval:
 class IntervalMutation:
     __slots__ = ("B", "I", "A", "x")
 
-    def __init__(self, B, I, A, x):  # three MutableIntervals and an IndecA
+    def __init__(self, B, I, A, x):  # three MutableIntervals and a root
         self.B = B
         self.I = I
         self.A = A
@@ -508,24 +513,19 @@ class IntervalMutation:
 
 
 @lru_cache(maxsize=None)
-def _engine(q: QuiverA) -> _Engine:
+def _engine(q: DynkinQuiver) -> _Engine:
     return _Engine(q)
 
 
 # -- public operations ------------------------------------------------------------
 
 
-def tors_lattice(q: QuiverA) -> Lattice:
+def tors_lattice(q: DynkinQuiver) -> Lattice:
     return _engine(q).lat
 
 
-def mutable_intervals(q: QuiverA):
+def mutable_intervals(q: DynkinQuiver):
     return list(_engine(q).mutable_intervals.values())
-
-
-def fuss_catalan_count(n: int) -> int:
-    """Number of mutable intervals / 2-cluster tilting objects in type A_n."""
-    return math.comb(3 * n + 3, n + 1) // (2 * n + 3)
 
 
 def serre_orbit_stats(q):
@@ -554,23 +554,23 @@ def serre_orbit_stats(q):
     }
 
 
-def interval_mutations(q: QuiverA):
+def interval_mutations(q: DynkinQuiver):
     return _engine(q).interval_mutations
 
 
-def rotation_check(q: QuiverA):
+def rotation_check(q: DynkinQuiver):
     return _engine(q).rotation_check()
 
 
-def cluster_triples(q: QuiverA):
+def cluster_triples(q: DynkinQuiver):
     return _engine(q).cluster_triples
 
 
-def interval_of(q: QuiverA, t: ClusterTriple) -> MutableInterval:
+def interval_of(q: DynkinQuiver, t: ClusterTriple) -> MutableInterval:
     return _engine(q).interval_of(t)
 
 
-def run_typea_suite(q: QuiverA, categorical=True) -> dict:
+def run_typea_suite(q: DynkinQuiver, categorical=True) -> dict:
     """Counts, Serre-permutation statistics, mutation and rotation checks,
     cluster bijection, and the categorical integration."""
     eng = _engine(q)
@@ -583,7 +583,7 @@ def run_typea_suite(q: QuiverA, categorical=True) -> dict:
 
     ivs = mutable_intervals(q)
     triples = cluster_triples(q)
-    expected = fuss_catalan_count(q.n)
+    expected = q.fuss_catalan(2)
     out["checks"]["counts"] = {
         "torsion_classes": len(eng.tors_masks),
         "wide_subcats": len(eng.wide_subcats()),

@@ -26,7 +26,7 @@ from serrelab.lattice import (
     build_lattice,
 )
 from serrelab.reps import LatticeRep, support_module
-from serrelab.typea import IndecA, QuiverA, _engine
+from serrelab.typea import DynkinQuiver, _engine
 
 # -- lattices -----------------------------------------------------------------
 
@@ -399,20 +399,27 @@ def antichain_coresolution(lattice: Lattice, ac: Antichain, field=QQ) -> ScalarC
 # -- type A: Hom, Ext and the structure tables from their definitions ---------------
 
 
-def _hom_space(q: QuiverA, A: IndecA, B: IndecA):
-    """(dim, witness) for Hom(A, B) by a linear solve over QQ: the scalars f_v
-    on the common vertices with f_t a_st = b_st f_s on every arrow s -> t.
-    witness maps each common vertex to the scalar of a basis morphism."""
-    common = [v for v in range(1, q.n + 1) if A.lo <= v <= A.hi and B.lo <= v <= B.hi]
+def interval(n: int, lo: int, hi: int):
+    """The interval module of the vertices lo..hi (counted from 1) of an A_n
+    quiver, as the 0/1 dimension vector that is its root."""
+    return tuple(int(lo <= v <= hi) for v in range(1, n + 1))
+
+
+def _hom_space(q: DynkinQuiver, A, B):
+    """(dim, witness) for Hom(A, B) between interval modules by a linear solve
+    over QQ: the scalars f_v on the common vertices with f_t a_st = b_st f_s
+    on every arrow s -> t.  witness maps each common vertex to the scalar of
+    a basis morphism."""
+    common = [v for v in range(q.n) if A[v] and B[v]]
     if not common:
         return 0, None
     pos = {v: k for k, v in enumerate(common)}
     rows = []
-    for s, t in q.arrows():
+    for s, t in q.arrows:
         row = [0] * len(common)
-        if A.lo <= s <= A.hi and A.lo <= t <= A.hi and t in pos:
+        if A[s] and A[t] and t in pos:
             row[pos[t]] += 1
-        if B.lo <= s <= B.hi and B.lo <= t <= B.hi and s in pos:
+        if B[s] and B[t] and s in pos:
             row[pos[s]] -= 1
         if any(row):
             rows.append(row)
@@ -425,10 +432,11 @@ def _hom_space(q: QuiverA, A: IndecA, B: IndecA):
 
 
 class QuiverTables:
-    """The indecomposables of q in (lo, hi) order and the tables between them,
-    from their definitions: Hom by a linear solve per pair, Ext^1 from it and
-    the Euler form, and quotients, submodules, kernels and cokernels from the
-    image of the basis hom.
+    """The indecomposables of an A_n quiver q, the intervals in (lo, hi)
+    order as 0/1 dimension vectors, and the tables between them, from their
+    definitions: Hom by a linear solve per pair, Ext^1 from it and the Euler
+    form, and quotients, submodules, kernels and cokernels from the image of
+    the basis hom.
 
     h[i][j], e[i][j]: dim Hom(i, j) and dim Ext^1(i, j).
     quot_mask[i]: the quotients of i; sub_mask[j]: the submodules of j.
@@ -438,9 +446,9 @@ class QuiverTables:
     wide_pairs[s]: mid_pairs[s] with the kernel and cokernel summands added.
     proj_mask: the projectives."""
 
-    def __init__(self, q: QuiverA):
-        self.n = q.n
-        self.indecs = [IndecA(lo, hi) for lo in range(1, q.n + 1) for hi in range(lo, q.n + 1)]
+    def __init__(self, q: DynkinQuiver):
+        n = self.n = q.n
+        self.indecs = [interval(n, lo, hi) for lo in range(1, n + 1) for hi in range(lo, n + 1)]
         self.idx = {m: i for i, m in enumerate(self.indecs)}
         N = self.N = len(self.indecs)
         self.h = [[0] * N for _ in range(N)]
@@ -451,15 +459,15 @@ class QuiverTables:
                 self.h[i][j], w = _hom_space(q, A, B)
                 if w is not None:
                     witness[(i, j)] = w
-                euler = sum(1 for v in range(A.lo, A.hi + 1) if B.lo <= v <= B.hi)
-                euler -= sum(1 for s, t in q.arrows() if A.lo <= s <= A.hi and B.lo <= t <= B.hi)
+                euler = sum(a * b for a, b in zip(A, B))
+                euler -= sum(A[s] * B[t] for s, t in q.arrows)
                 self.e[i][j] = self.h[i][j] - euler
                 if self.e[i][j] < 0:
                     raise SerrelabError("negative Ext dimension")
         self.quot_mask, self.sub_mask, self.kerdec, self.cokerdec = [0] * N, [0] * N, {}, {}
         for (i, j), w in witness.items():
             A, B = self.indecs[i], self.indecs[j]
-            supp_a, supp_b = set(range(A.lo, A.hi + 1)), set(range(B.lo, B.hi + 1))
+            supp_a, supp_b = {v for v in range(n) if A[v]}, {v for v in range(n) if B[v]}
             image = {v for v in supp_a & supp_b if w[v]}
             if image == supp_b:
                 self.quot_mask[i] |= 1 << j
@@ -468,49 +476,50 @@ class QuiverTables:
             self.kerdec[(i, j)] = self._runs(supp_a - image)
             self.cokerdec[(i, j)] = self._runs(supp_b - image)
         # 0 -> S -> E -> Q -> 0 with E indecomposable: S and Q adjacent runs of E
-        # and the basis hom S -> E injective
+        # (disjoint, with an interval as their sum) and the basis hom S -> E
+        # injective
         self.mid_pairs = [[] for _ in range(N)]
         self.wide_pairs = [[] for _ in range(N)]
         for si, S in enumerate(self.indecs):
             for qi, Qm in enumerate(self.indecs):
                 mid = 0
-                if S.hi + 1 == Qm.lo or Qm.hi + 1 == S.lo:
-                    ei = self.idx[IndecA(min(S.lo, Qm.lo), max(S.hi, Qm.hi))]
+                ei = self.idx.get(tuple(a + b for a, b in zip(S, Qm)))
+                if ei is not None:
                     w = witness.get((si, ei))
-                    if w is not None and all(w[v] for v in range(S.lo, S.hi + 1)):
+                    if w is not None and all(w[v] for v in range(n) if S[v]):
                         mid = 1 << ei
                         self.mid_pairs[si].append((qi, mid))
                 wide = mid | self.kerdec.get((si, qi), 0) | self.cokerdec.get((si, qi), 0)
                 if wide:
                     self.wide_pairs[si].append((qi, wide))
         # the projective at v spans the vertices reachable from v along the arrows
-        fwd = {v: [] for v in range(1, q.n + 1)}
-        for s, t in q.arrows():
+        fwd = {v: [] for v in range(n)}
+        for s, t in q.arrows:
             fwd[s].append(t)
         self.proj_mask = 0
-        for v in range(1, q.n + 1):
+        for v in range(n):
             seen, stack = {v}, [v]
             while stack:
                 for y in fwd[stack.pop()]:
                     if y not in seen:
                         seen.add(y)
                         stack.append(y)
-            self.proj_mask |= 1 << self.idx[IndecA(min(seen), max(seen))]
+            self.proj_mask |= 1 << self.idx[interval(n, min(seen) + 1, max(seen) + 1)]
 
     def _runs(self, vertex_set):
         """Mask of the maximal runs of a vertex set."""
         out, run = 0, None
-        for v in range(1, self.n + 2):
-            if v <= self.n and v in vertex_set:
+        for v in range(self.n + 1):
+            if v < self.n and v in vertex_set:
                 run = v if run is None else run
             elif run is not None:
-                out |= 1 << self.idx[IndecA(run, v - 1)]
+                out |= 1 << self.idx[interval(self.n, run + 1, v)]
                 run = None
         return out
 
 
 @functools.lru_cache(maxsize=None)
-def quiver_tables(q: QuiverA) -> QuiverTables:
+def quiver_tables(q: DynkinQuiver) -> QuiverTables:
     return QuiverTables(q)
 
 
@@ -589,53 +598,52 @@ def completions(eng, almost):
     return found
 
 
-def indec_rep(q: QuiverA, m: IndecA):
-    """dims per vertex and per-arrow 0/1 scalars of the interval module."""
-    dims = q.dimvec(m)
-    arrows = q.arrows()
+def indec_rep(q: DynkinQuiver, m):
+    """dims per vertex and per-arrow 0/1 scalars of the interval module m."""
     amaps = {}
-    for k, (s, t) in enumerate(arrows):
-        amaps[k] = 1 if dims[s - 1] and dims[t - 1] else 0
-    return {"dims": dims, "arrows": arrows, "arrow_scalars": amaps}
+    for k, (s, t) in enumerate(q.arrows):
+        amaps[k] = 1 if m[s] and m[t] else 0
+    return {"dims": m, "arrows": q.arrows, "arrow_scalars": amaps}
 
 
 def _as_indices(tab, M):
-    if isinstance(M, IndecA):
+    """One indecomposable (a root tuple) or a list of them."""
+    if isinstance(M, tuple):
         return [tab.idx[M]]
     return [tab.idx[m] for m in M]
 
 
-def hom_dim_q(q: QuiverA, M, N) -> int:
+def hom_dim_q(q: DynkinQuiver, M, N) -> int:
     tab = quiver_tables(q)
     return sum(tab.h[i][j] for i in _as_indices(tab, M) for j in _as_indices(tab, N))
 
 
-def ext1_dim_q(q: QuiverA, M, N) -> int:
+def ext1_dim_q(q: DynkinQuiver, M, N) -> int:
     tab = quiver_tables(q)
     return sum(tab.e[i][j] for i in _as_indices(tab, M) for j in _as_indices(tab, N))
 
 
-def quotients_of(q: QuiverA, m: IndecA):
+def quotients_of(q: DynkinQuiver, m):
     tab = quiver_tables(q)
     return members_of(tab, tab.quot_mask[tab.idx[m]])
 
 
-def subs_of(q: QuiverA, m: IndecA):
+def subs_of(q: DynkinQuiver, m):
     tab = quiver_tables(q)
     return members_of(tab, tab.sub_mask[tab.idx[m]])
 
 
-def torsion_classes(q: QuiverA):
+def torsion_classes(q: DynkinQuiver):
     eng = _engine(q)
     return [members_of(eng, m) for m in eng.tors_masks]
 
 
-def wide_subcats(q: QuiverA):
+def wide_subcats(q: DynkinQuiver):
     eng = _engine(q)
     return [members_of(eng, m) for m in eng.wide_subcats()]
 
 
-def a_of(q: QuiverA, members):
+def a_of(q: DynkinQuiver, members):
     """a(T) of a torsion class, the associated wide subcategory."""
     eng = _engine(q)
     mask = mask_of(eng, members)
@@ -644,7 +652,7 @@ def a_of(q: QuiverA, members):
     return members_of(eng, eng.a_tors[mask])
 
 
-def a_of_torsionfree(q: QuiverA, members):
+def a_of_torsionfree(q: DynkinQuiver, members):
     """a(F) of a torsion-free class, the cogen-side dual."""
     eng = _engine(q)
     fmask = mask_of(eng, members)
@@ -654,18 +662,18 @@ def a_of_torsionfree(q: QuiverA, members):
     return members_of(eng, eng.a_free[tmask])
 
 
-def gen(q: QuiverA, members):
+def gen(q: DynkinQuiver, members):
     eng = _engine(q)
     return members_of(eng, eng.torsion_closed(mask_of(eng, members)))
 
 
-def cogen(q: QuiverA, members):
+def cogen(q: DynkinQuiver, members):
     """The least torsion-free class holding members."""
     tab = quiver_tables(q)
     return members_of(tab, close(mask_of(tab, members), tab.sub_mask, tab.mid_pairs))
 
 
-def edge_label(q: QuiverA, lo_members, hi_members) -> IndecA:
+def edge_label(q: DynkinQuiver, lo_members, hi_members):
     """The unique indecomposable in T^{perp_0} cap T' for a cover T <. T'."""
     eng = _engine(q)
     lo = mask_of(eng, lo_members)

@@ -19,13 +19,13 @@ from serrelab.lattice import (
     load_lattice,
 )
 from serrelab.typea import (
-    QuiverA,
     all_orientations,
     cluster_triples,
     gen_type_i,
     interval_mutations,
     linear_quiver,
     mutable_intervals,
+    quiver_a,
     rotation_check,
     serre_orbit_stats,
     tors_lattice,
@@ -82,7 +82,7 @@ def test_acceptance_02_fcy_a2_a3(serre_oracle):
     t0 = time.monotonic()
     for n, power, shift in ((2, 8, 6), (3, 10, 12)):
         for o in all_orientations(n):
-            lat = tors_lattice(QuiverA(n, o))
+            lat = tors_lattice(quiver_a(n, o))
             assert len(lat) == (5 if n == 2 else 14)
             _orbit_confirms(lat, power, shift)
     elapsed = time.monotonic() - t0
@@ -92,7 +92,7 @@ def test_acceptance_02_fcy_a2_a3(serre_oracle):
 
 def test_acceptance_03_a1_special_case():
     t0 = time.monotonic()
-    lat = tors_lattice(QuiverA(1, ""))
+    lat = tors_lattice(quiver_a(1, ""))
     assert len(lat) == 2
     _orbit_confirms(lat, 3, 1)
     elapsed = time.monotonic() - t0
@@ -122,7 +122,7 @@ def test_acceptance_05_counting():
 def test_acceptance_06_categorical_serre_integration(serre_oracle):
     t0 = time.monotonic()
     for o in all_orientations(3):
-        q = QuiverA(3, o)
+        q = quiver_a(3, o)
         eng = _engine(q)
         lat = eng.lat
         ivs = mutable_intervals(q)

@@ -205,6 +205,20 @@ def test_typea_all_orientations():
     assert all(r["checks"]["counts"]["mutable_intervals"] == 12 for r in report["runs"])
 
 
+def test_typea_rejects_malformed_quivers():
+    # a letter other than L or R, a wrong orientation length and a rank below
+    # 1 are malformed input; a rank past the cap fails at the guardrail
+    for argv in (["--n", "3", "--orientation", "LX"], ["--n", "3", "--orientation", "L"], ["--n", "0"]):
+        proc = run_cli("typea", *argv)
+        assert proc.returncode == 1, argv
+        assert proc.stdout == "", argv
+        assert proc.stderr.startswith("error: "), argv
+        assert "Traceback" not in proc.stderr, argv
+    proc = run_cli("typea", "--n", "6", "--orientation", "LLLLL")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: n=6 > 5")
+
+
 def test_typea_orientation_flags_are_exclusive():
     proc = run_cli("typea", "--n", "3", "--orientation", "LL", "--all-orientations")
     assert proc.returncode == 1

@@ -271,22 +271,22 @@ def _differential_lattices():
 
     from conftest import FIXTURES
     from serrelab.lattice import load_lattice
-    from serrelab.typea import QuiverA, all_orientations, gen_tamari, tors_lattice
+    from serrelab.typea import all_orientations, gen_tamari, quiver_a, tors_lattice
 
     lats = [load_lattice(p) for p in sorted(glob.glob(os.path.join(FIXTURES, "*.json")))]
     lats += [gen_tamari(n) for n in range(1, 6)]
     lats += [gen_type_i(m) for m in range(2, 7)]
-    lats += [tors_lattice(QuiverA(3, o)) for o in all_orientations(3)]
+    lats += [tors_lattice(quiver_a(3, o)) for o in all_orientations(3)]
     return lats + _all_b3_sublattices()
 
 
 def test_fused_trajectory_pass_matches_two_loop_oracle(pentagon, kite):
     from serrelab.lattice import product
-    from serrelab.typea import QuiverA, tors_lattice
+    from serrelab.typea import quiver_a, tors_lattice
 
     # 27 elements; 25 elements, 5 of them with mixed-sign trajectories; and a
     # non-linear A4 orientation (42 elements; the linear one is Tamari(5))
-    extra = [chain_product([3, 3, 3]), product(pentagon, kite), tors_lattice(QuiverA(4, "LRL"))]
+    extra = [chain_product([3, 3, 3]), product(pentagon, kite), tors_lattice(quiver_a(4, "LRL"))]
     lattices = _differential_lattices() + extra
     differs = 0
     for lat in lattices:

@@ -19,7 +19,7 @@ from serrelab.geom import (
     stokes,
 )
 
-from serrelab.typea import fuss_catalan_count
+from serrelab.typea import linear_quiver
 
 from oracles import _mask_of, _norm_edges, make_quad, make_tree, noncrossing
 
@@ -266,11 +266,11 @@ def test_counts_match_fuss_catalan():
     for n in range(1, 6):
         trees = enumerate_trees(n)
         quads = enumerate_quads(n)
-        assert len(trees) == len(quads) == fuss_catalan_count(n)
-    assert fuss_catalan_count(1) == 3
-    assert fuss_catalan_count(2) == 12
-    assert fuss_catalan_count(3) == 55
-    assert fuss_catalan_count(4) == 273
+        assert len(trees) == len(quads) == linear_quiver(n).fuss_catalan(2)
+    assert linear_quiver(1).fuss_catalan(2) == 3
+    assert linear_quiver(2).fuss_catalan(2) == 12
+    assert linear_quiver(3).fuss_catalan(2) == 55
+    assert linear_quiver(4).fuss_catalan(2) == 273
 
 
 def test_guardrail():

@@ -373,14 +373,14 @@ def _divisor_search(lat):
 
 
 def test_birkhoff_divisor_test_matches_isomorphism_search(pentagon, kite):
-    from serrelab.typea import QuiverA, all_orientations, gen_tamari, gen_type_i, tors_lattice
+    from serrelab.typea import all_orientations, gen_tamari, gen_type_i, quiver_a, tors_lattice
 
     lats = _fixture_lattices()
     lats += [chain_product(s) for s in [(1,), (4,), (2, 2), (2, 3), (3, 3), (3, 4), (2, 2, 2),
                                         (2, 2, 3), (2, 3, 4)]]
     lats += [gen_tamari(n) for n in range(1, 6)]
     lats += [gen_type_i(m) for m in range(2, 6)]
-    lats += [tors_lattice(QuiverA(3, o)) for o in all_orientations(3)]
+    lats += [tors_lattice(quiver_a(3, o)) for o in all_orientations(3)]
     lats += [product(kite, chain(2)), product(kite, kite), product(pentagon, chain(2)), order_dual(kite)]
     assert len(lats) == 33
     divisors = 0

@@ -27,7 +27,7 @@ from serrelab.lattice import (
     product,
 )
 from serrelab.reps import LatticeRep, support_module
-from serrelab.typea import QuiverA, all_orientations, gen_tamari, run_typea_suite, tors_lattice
+from serrelab.typea import all_orientations, gen_tamari, quiver_a, run_typea_suite, tors_lattice
 
 from conftest import FIXTURES, boolean_sublattice, constructed, fixture_path, routed_to_oracle
 from oracles import (
@@ -145,7 +145,7 @@ def test_fast_paths_match_oracle_on_every_antichain_module(kite, pentagon, resol
     for name in FIXTURE_FILES:  # among them Tamari(4)
         lat = load_lattice(fixture_path(name))
         cases += [(lat, QQ), (lat, PrimeField(3))]
-    cases += [(tors_lattice(QuiverA(3, o)), QQ) for o in all_orientations(3)]
+    cases += [(tors_lattice(quiver_a(3, o)), QQ) for o in all_orientations(3)]
     cases.append((chain_product([3, 3, 3]), QQ))
     for lat in (product(kite, kite), product(pentagon, kite)):
         cases += [(lat, QQ), (lat, PrimeField(3))]
@@ -270,7 +270,7 @@ def test_oracle_fixture_routes_every_walk(serre_oracle, pentagon):
     # the fixture itself fails the test if a closed-form or Koszul step ran
     assert serre_orbit(pentagon, "a").period is not None
     assert cross_check(pentagon).ok
-    suite = run_typea_suite(QuiverA(2, "L"))
+    suite = run_typea_suite(quiver_a(2, "L"))
     assert suite["checks"]["categorical_serre"] == {"ok": True, "failures": [], "total": 12}
 
 

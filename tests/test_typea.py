@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from serrelab.errors import GuardrailExceeded, SerrelabError
@@ -5,17 +7,15 @@ from serrelab.lattice import _cliques, poset_isomorphism
 from serrelab.typea import (
     QUIVER_GUARDRAIL,
     ClusterTriple,
-    IndecA,
-    QuiverA,
     all_orientations,
     cluster_triples,
-    fuss_catalan_count,
     gen_tamari,
     gen_type_i,
     interval_mutations,
     interval_of,
     linear_quiver,
     mutable_intervals,
+    quiver_a,
     rotation_check,
     serre_orbit_stats,
     tamari_rotation_lattice,
@@ -36,6 +36,7 @@ from oracles import (
     gen,
     hom_dim_q,
     indec_rep,
+    interval,
     interval_members,
     quiver_tables,
     quotients_of,
@@ -49,25 +50,40 @@ from oracles import (
 def masks(eng, *pairs):
     m = 0
     for p in pairs:
-        m |= 1 << eng.idx[IndecA(*p)]
+        m |= 1 << eng.idx[interval(eng.n, *p)]
     return m
 
 
 def test_quiver_validation():
-    with pytest.raises(ValueError):
-        QuiverA(3, "L")
-    with pytest.raises(ValueError):
-        QuiverA(0, "")
+    for n, o in [(3, "L"), (3, "LX"), (0, "")]:
+        with pytest.raises(ValueError):
+            quiver_a(n, o)
     with pytest.raises(GuardrailExceeded):
-        torsion_classes(QuiverA(6, "L" * 5))
+        torsion_classes(quiver_a(6, "L" * 5))
+
+
+def test_roots_are_the_intervals_in_lo_hi_order():
+    # every mask_label of the golden reports reads bit i as the i-th
+    # interval [lo, hi] in (lo, hi) order
+    for n in range(1, QUIVER_GUARDRAIL + 1):
+        want = [interval(n, lo, hi) for lo in range(1, n + 1) for hi in range(lo, n + 1)]
+        for o in all_orientations(n):
+            assert quiver_a(n, o).indecs() == want, (n, o)
+
+
+def test_fuss_catalan_from_root_heights_is_the_type_a_closed_form():
+    for n in range(1, 9):
+        want = math.comb(3 * n + 3, n + 1) // (2 * n + 3)
+        assert linear_quiver(n).fuss_catalan(2) == want, n
+        assert linear_quiver(n).fuss_catalan(1) == math.comb(2 * n + 2, n + 1) // (n + 2), n
 
 
 def test_indec_rep_and_count():
     q = linear_quiver(3)
-    full = indec_rep(q, IndecA(1, 3))
+    full = indec_rep(q, interval(3, 1, 3))
     assert full["dims"] == (1, 1, 1)
     assert all(v == 1 for v in full["arrow_scalars"].values())
-    s = indec_rep(q, IndecA(2, 2))
+    s = indec_rep(q, interval(3, 2, 2))
     assert s["dims"] == (0, 1, 0)
     eng = _engine(q)
     assert eng.N == 6  # n(n+1)/2
@@ -114,7 +130,7 @@ def _bit(mask, i):
 
 
 def test_engine_matches_brute_force_on_every_quiver():
-    quivers = [QuiverA(n, o) for n in range(1, QUIVER_GUARDRAIL + 1) for o in all_orientations(n)]
+    quivers = [quiver_a(n, o) for n in range(1, QUIVER_GUARDRAIL + 1) for o in all_orientations(n)]
     assert len(quivers) == 31
     for q in quivers:
         eng = _Engine(q)
@@ -161,7 +177,7 @@ def test_engine_matches_brute_force_on_every_quiver():
 
 def test_hom_and_ext_basics():
     q = linear_quiver(2)  # arrow 2 -> 1
-    S1, S2, P2 = IndecA(1, 1), IndecA(2, 2), IndecA(1, 2)
+    S1, S2, P2 = interval(2, 1, 1), interval(2, 2, 2), interval(2, 1, 2)
     assert hom_dim_q(q, S1, S1) == 1
     # orientation decides which extension exists: 0 -> S1 -> [1,2] -> S2 -> 0
     assert ext1_dim_q(q, S2, S1) == 1
@@ -176,40 +192,41 @@ def test_hom_and_ext_basics():
 
 
 def test_quotients_and_subs():
-    qL = QuiverA(2, "L")  # arrow 2 -> 1
-    assert quotients_of(qL, IndecA(1, 2)) == frozenset({IndecA(1, 2), IndecA(2, 2)})
-    assert subs_of(qL, IndecA(1, 2)) == frozenset({IndecA(1, 2), IndecA(1, 1)})
-    qR = QuiverA(2, "R")  # arrow 1 -> 2
-    assert quotients_of(qR, IndecA(1, 2)) == frozenset({IndecA(1, 2), IndecA(1, 1)})
+    S1, S2, P = interval(2, 1, 1), interval(2, 2, 2), interval(2, 1, 2)
+    qL = quiver_a(2, "L")  # arrow 2 -> 1
+    assert quotients_of(qL, P) == frozenset({P, S2})
+    assert subs_of(qL, P) == frozenset({P, S1})
+    qR = quiver_a(2, "R")  # arrow 1 -> 2
+    assert quotients_of(qR, P) == frozenset({P, S1})
     for q in (qL, qR):
-        for m in (IndecA(1, 1), IndecA(2, 2)):
+        for m in (S1, S2):
             assert quotients_of(q, m) == frozenset({m})
             assert m in subs_of(q, m)
 
 
 def test_torsion_class_counts():
-    assert len(torsion_classes(QuiverA(1, ""))) == 2
+    assert len(torsion_classes(quiver_a(1, ""))) == 2
     for o in all_orientations(2):
-        assert len(torsion_classes(QuiverA(2, o))) == 5
+        assert len(torsion_classes(quiver_a(2, o))) == 5
     for o in all_orientations(3):
-        assert len(torsion_classes(QuiverA(3, o))) == 14
+        assert len(torsion_classes(quiver_a(3, o))) == 14
 
 
 def test_tors_lattice_shape():
-    lat = tors_lattice(QuiverA(2, "L"))
+    lat = tors_lattice(quiver_a(2, "L"))
     assert len(lat) == 5
     c = classify(lat)
     assert not c.is_distributive and c.is_semidistributive  # the pentagon
 
 
 def test_wide_subcat_counts():
-    assert len(wide_subcats(QuiverA(2, "L"))) == 5
-    assert len(wide_subcats(QuiverA(3, "LL"))) == 14
+    assert len(wide_subcats(quiver_a(2, "L"))) == 5
+    assert len(wide_subcats(quiver_a(3, "LL"))) == 14
 
 
 def test_a_gen_inverse_bijection():
     for o in all_orientations(3):
-        q = QuiverA(3, o)
+        q = quiver_a(3, o)
         for T in torsion_classes(q):
             W = a_of(q, T)
             assert gen(q, W) == T
@@ -220,7 +237,7 @@ def test_a_gen_inverse_bijection():
 
 
 def test_cogen_side():
-    q = QuiverA(2, "L")
+    q = quiver_a(2, "L")
     eng = _engine(q)
     for T in torsion_classes(q):
         Fmask = eng.perp_from(eng_mask(eng, T))
@@ -240,7 +257,7 @@ def test_a_of_satisfies_membership_conditions():
     # single-indecomposable kernels/cokernels of maps inside T stay in T for
     # every member of a(T): the definition's necessary condition
     for o in all_orientations(3):
-        q = QuiverA(3, o)
+        q = quiver_a(3, o)
         eng = _engine(q)
         tab = quiver_tables(q)
         assert tab.indecs == eng.indecs
@@ -260,22 +277,22 @@ def test_a_of_satisfies_membership_conditions():
 
 
 def test_mutable_interval_counts():
-    assert len(mutable_intervals(QuiverA(1, ""))) == 3
+    assert len(mutable_intervals(quiver_a(1, ""))) == 3
     for o in all_orientations(2):
-        assert len(mutable_intervals(QuiverA(2, o))) == 12
+        assert len(mutable_intervals(quiver_a(2, o))) == 12
     for o in all_orientations(3):
-        assert len(mutable_intervals(QuiverA(3, o))) == 55
-    assert fuss_catalan_count(2) == 12 and fuss_catalan_count(3) == 55
+        assert len(mutable_intervals(quiver_a(3, o))) == 55
+    assert quiver_a(2, "L").fuss_catalan(2) == 12 and quiver_a(3, "LR").fuss_catalan(2) == 55
 
 
 def test_equicardinal_all_orientations_n4():
     for o in all_orientations(4):
-        q = QuiverA(4, o)
+        q = quiver_a(4, o)
         assert len(mutable_intervals(q)) == len(cluster_triples(q)) == 273
 
 
 def test_trivial_and_extreme_intervals_mutable():
-    q = QuiverA(3, "LR")
+    q = quiver_a(3, "LR")
     eng = _engine(q)
     ivs = eng.mutable_intervals
     full = eng.full_mask  # mod Lambda is always a torsion class
@@ -286,14 +303,14 @@ def test_trivial_and_extreme_intervals_mutable():
 
 
 def test_delta_ranks_sum():
-    q = QuiverA(3, "LL")
+    q = quiver_a(3, "LL")
     for iv in mutable_intervals(q):
         assert sum(iv.delta_ranks) == 3
 
 
 def test_serre_perm_inverse_roundtrip():
     for o in all_orientations(3):
-        q = QuiverA(3, o)
+        q = quiver_a(3, o)
         eng = _engine(q)
         for iv in mutable_intervals(q):
             assert serre_perm_inverse(eng, eng.serre_perm(iv)).key == iv.key
@@ -303,7 +320,7 @@ def test_serre_perm_inverse_roundtrip():
 def test_serre_perm_simple_interval_alternative():
     # for trivial intervals the image set has the hat-description: everything
     # under T v Gen a(F) not trapped under any coatom join
-    q = QuiverA(2, "L")
+    q = quiver_a(2, "L")
     eng = _engine(q)
     ivs = eng.mutable_intervals
     for (lo, hi), iv in ivs.items():
@@ -334,13 +351,13 @@ def test_serre_perm_simple_interval_alternative():
 
 
 def test_serre_orbit_stats_periods():
-    stats1 = serre_orbit_stats(QuiverA(1, ""))
+    stats1 = serre_orbit_stats(quiver_a(1, ""))
     assert stats1["period_bound"] == 6
     for o in all_orientations(2):
-        stats = serre_orbit_stats(QuiverA(2, o))
+        stats = serre_orbit_stats(quiver_a(2, o))
         assert stats["period_bound"] == 8
     for o in all_orientations(3):
-        stats = serre_orbit_stats(QuiverA(3, o))
+        stats = serre_orbit_stats(quiver_a(3, o))
         assert stats["period_bound"] == 10
 
 
@@ -370,7 +387,7 @@ def _orbit_stats_oracle(eng, q):
 
 
 def _orientations_up_to_a4():
-    return [QuiverA(n, o) for n in range(1, 5) for o in all_orientations(n)]
+    return [quiver_a(n, o) for n in range(1, 5) for o in all_orientations(n)]
 
 
 def test_serre_table_matches_formula():
@@ -389,7 +406,7 @@ def test_serre_orbit_stats_match_iterated_formula():
 
 
 def test_serre_table_is_built_once_per_engine(monkeypatch):
-    q = QuiverA(3, "LR")
+    q = quiver_a(3, "LR")
     eng = _Engine(q)  # a fresh engine, outside the lru cache
     ivs = list(eng.mutable_intervals.values())
     want = [_serre_formula(eng, iv) for iv in ivs]
@@ -402,7 +419,7 @@ def test_serre_table_is_built_once_per_engine(monkeypatch):
 
 
 def test_assert_mutation_rejects_bad_triples():
-    q = QuiverA(3, "LR")
+    q = quiver_a(3, "LR")
     eng = _engine(q)
     for m in interval_mutations(q):
         eng._assert_mutation(m.B, m.I, m.A)
@@ -414,7 +431,7 @@ def test_assert_mutation_rejects_bad_triples():
 
 def test_interval_mutation_counts_and_structure():
     for n, o in [(2, "L"), (2, "R"), (3, "LL"), (3, "LR")]:
-        q = QuiverA(n, o)
+        q = quiver_a(n, o)
         ivs = mutable_intervals(q)
         muts = interval_mutations(q)
         assert 3 * len(muts) == n * len(ivs)
@@ -428,7 +445,7 @@ def test_interval_mutation_counts_and_structure():
 
 
 def test_proper_intervals_admit_a_mutation():
-    q = QuiverA(3, "LL")
+    q = quiver_a(3, "LL")
     eng = _engine(q)
     for iv in mutable_intervals(q):
         if iv.lo != iv.hi:
@@ -437,7 +454,7 @@ def test_proper_intervals_admit_a_mutation():
 
 def test_rotation_check_all():
     for n, o in [(2, "L"), (3, "LL"), (3, "RL")]:
-        records = rotation_check(QuiverA(n, o))
+        records = rotation_check(quiver_a(n, o))
         assert records
         assert all(r["case"] in (1, 2) for r in records)
 
@@ -445,22 +462,22 @@ def test_rotation_check_all():
 def test_cluster_triples_counts_and_bijection():
     for n in (2, 3):
         for o in all_orientations(n):
-            q = QuiverA(n, o)
+            q = quiver_a(n, o)
             triples = cluster_triples(q)
             ivs = mutable_intervals(q)
-            assert len(triples) == len(ivs) == fuss_catalan_count(n)
+            assert len(triples) == len(ivs) == q.fuss_catalan(2)
             assert {interval_of(q, t).key for t in triples} == {iv.key for iv in ivs}
 
 
 def test_cluster_roundtrip():
-    q = QuiverA(3, "LL")
+    q = quiver_a(3, "LL")
     for iv in mutable_intervals(q):
         t = ClusterTriple(iv.t_free, iv.t_tors, iv.t_supp)
         assert interval_of(q, t).key == iv.key
 
 
 def test_all_projectives_triple():
-    q = QuiverA(3, "LL")
+    q = quiver_a(3, "LL")
     eng = _engine(q)
     t = ClusterTriple(t_free=0, t_tors=0, t_supp=eng.proj_mask)
     iv = interval_of(q, t)
@@ -470,7 +487,7 @@ def test_all_projectives_triple():
 
 def test_almost_triples_have_three_completions():
     for n, o in [(2, "L"), (3, "LL")]:
-        q = QuiverA(n, o)
+        q = quiver_a(n, o)
         eng = _engine(q)
         alm = almost_triples(eng)
         assert len(alm) == len(interval_mutations(q))
@@ -522,7 +539,7 @@ def test_linear_a3_worked_augmented_interval():
     hi = eng.perp_into(masks(eng, (1, 1)))
     target = None
     for m in interval_mutations(q):
-        if m.I.key == (0, hi) and m.x == IndecA(3, 3):
+        if m.I.key == (0, hi) and m.x == interval(3, 3, 3):
             target = m
     assert target is not None
     assert target.B.lo == eng.torsion_closed(masks(eng, (3, 3)))
@@ -530,7 +547,7 @@ def test_linear_a3_worked_augmented_interval():
 
 
 def test_edge_label():
-    q = QuiverA(2, "L")
+    q = quiver_a(2, "L")
     eng = _engine(q)
     lat = eng.lat
     label_to_mask = dict(zip(lat.labels, eng.tors_masks))
@@ -555,7 +572,7 @@ def test_gen_type_i():
     assert len(d) == 4 and classify(d).is_boolean
     p = gen_type_i(3)
     assert len(p) == 5
-    assert poset_isomorphism(p, tors_lattice(QuiverA(2, "L"))) is not None
+    assert poset_isomorphism(p, tors_lattice(quiver_a(2, "L"))) is not None
     assert len(gen_type_i(4)) == 6
     with pytest.raises(ValueError):
         gen_type_i(1)
