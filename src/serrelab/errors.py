@@ -14,13 +14,13 @@ class CycleDetected(InputError):
 
 
 class RedundantCover(InputError):
-    """A cover pair is implied by a longer path.
+    """A cover pair is listed twice or implied by a longer path.
 
     Carries the offending (lo, hi) pair.
     """
 
-    def __init__(self, lo, hi):
-        super().__init__(f"cover ({lo!r}, {hi!r}) is implied by a longer path")
+    def __init__(self, lo, hi, why="is implied by a longer path"):
+        super().__init__(f"cover ({lo!r}, {hi!r}) {why}")
         self.pair = (lo, hi)
 
 

@@ -6,18 +6,19 @@ Vertices are labelled 0..p-1 clockwise.  In the 2(n+2)-gon the even
 vertices are the marked ones; rotation adds +1 mod the polygon size, which
 flips the marking.  Boundary edges of the (n+2)-gon count as tree edges.
 
-A tree or quadrangulation holds its chords as one int, a bitmask over the
-chords of its polygon (_chord_table): lexicographically smaller chords get
+A tree or quadrangulation is a plain int, the bitmask of its chords over
+the chords of its polygon (_chord_table), and the functions that take one
+take the polygon size p beside it.  Lexicographically smaller chords get
 higher bits, so among chord sets of one size, descending mask order is the
-lexicographic order of the sorted chord lists.  Enumeration, rotation,
-Stokes and planar duality work on these masks; `sorted_edges` and
-`sorted_diagonals` decode them.  Building a tree or quadrangulation from
-chords, with its checks, is the tests' (tests/oracles.py).
+lexicographic order of the sorted chord lists.  Enumeration, rotation
+(_rotated), Stokes and planar duality work on these masks; _chords decodes
+them.  Building a tree or quadrangulation from chords, with its checks, is
+the tests' (tests/oracles.py).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import typea
 from .errors import GuardrailExceeded, InputError, SerrelabError
@@ -75,43 +76,6 @@ def _rotated(p: int, mask: int) -> int:
     return out
 
 
-class _ChordSet:
-    """A set of chords of the p-gon, as its mask of chord bits; equal to a
-    chord set of the same class with the same p and mask."""
-
-    __slots__ = ("p", "mask")
-
-    def __init__(self, p: int, mask: int):
-        self.p = p
-        self.mask = mask
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.p == other.p and self.mask == other.mask
-
-    def __hash__(self):
-        return hash((self.p, self.mask))
-
-
-class NoncrossingTree(_ChordSet):
-    """The edges of a tree on the p = n+2 vertices of the polygon."""
-
-    __slots__ = ()
-
-    def sorted_edges(self):
-        return _chords(self.p, self.mask)
-
-
-class Quadrangulation(_ChordSet):
-    """The diagonals of a quadrangulation of the p = 2(n+2)-gon."""
-
-    __slots__ = ()
-
-    def sorted_diagonals(self):
-        return _chords(self.p, self.mask)
-
-
 def _is_tree(p, edges) -> bool:
     if len(edges) != p - 1:
         return False
@@ -166,7 +130,7 @@ def enumerate_trees(n: int):
     masks = trees[0, p - 1]
     trees.clear()
     masks.sort(reverse=True)
-    return [NoncrossingTree(p, m) for m in masks]
+    return masks
 
 
 def enumerate_quads(n: int):
@@ -198,12 +162,13 @@ def enumerate_quads(n: int):
     masks = quads[0, p - 1]
     quads.clear()
     masks.sort(reverse=True)
-    return [Quadrangulation(p, m) for m in masks]
+    return masks
 
 
-def planar_dual(t: NoncrossingTree) -> NoncrossingTree:
-    """Region-adjacency dual, re-anchored by the half-step rotation: the new
-    vertex on the boundary arc (i, i+1) lands on vertex i+1.
+def planar_dual(p: int, tree: int) -> int:
+    """The dual of a tree of the p-gon: the region-adjacency dual,
+    re-anchored by the half-step rotation: the new vertex on the boundary arc
+    (i, i+1) lands on vertex i+1.
 
     One boundary walk gives each arc i its region signature, the mask of the
     tree edges (a, b) with a <= i < b: passing vertex i toggles exactly the
@@ -212,9 +177,8 @@ def planar_dual(t: NoncrossingTree) -> NoncrossingTree:
     The dual is not validated again: run_geom_suite compares each dual with
     a Stokes image, which stokes has validated, so an invalid dual fails the
     equivariance check."""
-    p = t.p
     table = _chord_table(p)
-    edges = [(*table.chord[k], 1 << k) for k in _bits(t.mask)]
+    edges = [(*table.chord[k], 1 << k) for k in _bits(tree)]
     toggle = [0] * p
     for a, b, e in edges:
         toggle[a] ^= e
@@ -236,11 +200,7 @@ def planar_dual(t: NoncrossingTree) -> NoncrossingTree:
                 break
         else:
             raise SerrelabError("no region adjacent to a tree edge")
-    return NoncrossingTree(p, dual)
-
-
-def rotate_quad(q: Quadrangulation) -> Quadrangulation:
-    return Quadrangulation(q.p, _rotated(q.p, q.mask))
+    return dual
 
 
 @lru_cache(maxsize=None)
@@ -253,28 +213,27 @@ def _marked_chords(p: int) -> list:
             for k, (a, b) in enumerate(table.chord) if a % 2 == b % 2 == 0]
 
 
-def stokes(q: Quadrangulation) -> NoncrossingTree:
-    """The even-even diagonal of each quadrilateral, as a noncrossing tree of
-    the (n+2)-gon on the even vertices.  Sides join vertices of opposite
-    parity, so the even corners of a quadrilateral are opposite, and an
-    even-even chord lies inside one quadrilateral exactly when it crosses no
-    diagonal: one crossing test per even-even chord.  An image that crosses
-    or is no spanning tree is a verification failure (SerrelabError), not
-    bad input."""
-    p = q.p // 2
-    table = _chord_table(p)
+def stokes(p: int, quad: int) -> int:
+    """The even-even diagonal of each quadrilateral of the p-gon, as a
+    noncrossing tree of the (p/2)-gon on the even vertices.  Sides join
+    vertices of opposite parity, so the even corners of a quadrilateral are
+    opposite, and an even-even chord lies inside one quadrilateral exactly
+    when it crosses no diagonal: one crossing test per even-even chord.  An
+    image that crosses or is no spanning tree is a verification failure
+    (SerrelabError), not bad input."""
+    table = _chord_table(p // 2)
     mask = 0
-    for cross, bit in _marked_chords(q.p):
-        if not cross & q.mask:
+    for cross, bit in _marked_chords(p):
+        if not cross & quad:
             mask |= bit
     edges = []
     for k in _bits(mask):
         if table.cross[k] & mask:  # the chords crossing chord k
             raise SerrelabError("Stokes image edges cross")
         edges.append(table.chord[k])
-    if not _is_tree(p, edges):  # n+1 edges, no cycle
+    if not _is_tree(p // 2, edges):  # n+1 edges, no cycle
         raise SerrelabError("Stokes image is not a spanning tree")
-    return NoncrossingTree(p, mask)
+    return mask
 
 
 def run_geom_suite(n: int) -> dict:
@@ -282,16 +241,18 @@ def run_geom_suite(n: int) -> dict:
     rotation cycle multiset against the type-A Serre permutation, and for
     n <= 3 the full object listings."""
     _check_n(n)
+    p = n + 2  # the trees' polygon; the quadrangulations' has 2p vertices
     trees = enumerate_trees(n)
     n_trees = len(trees)
     # past the count only the n <= 3 listing is needed: free the trees first
-    tree_listing = [t.sorted_edges() for t in trees] if n <= 3 else None
+    tree_listing = [_chords(p, t) for t in trees] if n <= 3 else None
     del trees
     quads = enumerate_quads(n)
     expected = typea.linear_quiver(n).fuss_catalan(2)
-    tree_of = {q: stokes(q) for q in quads}
+    tree_of = {q: stokes(2 * p, q) for q in quads}
     # a rotation missing from the enumeration fails the check instead of raising
-    equivariant = all(tree_of.get(rotate_quad(q)) == planar_dual(t) for q, t in tree_of.items())
+    equivariant = all(tree_of.get(_rotated(2 * p, q)) == planar_dual(p, t)
+                      for q, t in tree_of.items())
     checks = {
         "counts": {"trees": n_trees, "quads": len(quads), "expected": expected,
                    "ok": n_trees == len(quads) == expected},
@@ -299,7 +260,7 @@ def run_geom_suite(n: int) -> dict:
         "equivariance": {"ok": equivariant},
     }
     if n <= 4:
-        rot_cycles = sorted(len(c) for c in cycle_decomposition(rotate_quad, quads))
+        rot_cycles = sorted(len(c) for c in cycle_decomposition(partial(_rotated, 2 * p), quads))
         serre_cycles = typea.serre_orbit_stats(typea.linear_quiver(n))["cycle_lengths"]
         checks["cycle_multiset_vs_typea"] = {
             "rotation": rot_cycles,
@@ -309,5 +270,5 @@ def run_geom_suite(n: int) -> dict:
     out = {"checks": checks, "ok": all(c["ok"] for c in checks.values())}
     if n <= 3:  # full object listings stay readable at this size
         out["trees"] = tree_listing
-        out["quadrangulations"] = [q.sorted_diagonals() for q in quads]
+        out["quadrangulations"] = [_chords(2 * p, q) for q in quads]
     return out

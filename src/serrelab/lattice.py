@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
+from collections import Counter
 
 from .errors import CycleDetected, GuardrailExceeded, NotALattice, RedundantCover
 
@@ -62,8 +62,9 @@ class Poset:
                 raise ValueError(f"cover ({lo!r}, {hi!r}) references unknown label")
             cov.append((self.index[lo], self.index[hi]))
         if len(set(cov)) != len(cov):
-            dup = next(c for c in cov if cov.count(c) > 1)
-            raise RedundantCover(labels[dup[0]], labels[dup[1]])
+            count = Counter(cov)  # the first cover listed twice, in input order
+            dup = next(c for c in cov if count[c] > 1)
+            raise RedundantCover(labels[dup[0]], labels[dup[1]], "is listed twice")
         self.covers = tuple(cov)
         self.upper_covers = [[] for _ in range(self.n)]
         self.lower_covers = [[] for _ in range(self.n)]
@@ -276,7 +277,9 @@ def chain_product(sizes) -> Lattice:
         taken.append(s)
     if not taken:
         raise ValueError("chain_product needs at least one chain size")
-    strides = [math.prod(taken[k + 1:]) for k in range(len(taken))]
+    strides = [1] * len(taken)  # suffix products: the stride of each coordinate
+    for k in range(len(taken) - 1, 0, -1):
+        strides[k - 1] = strides[k] * taken[k]
     labels = [f"e{i}" for i in range(n)]
     covers = [
         (labels[i], labels[i + stride])

@@ -14,7 +14,7 @@ from serrelab import linalg
 from serrelab.derived import ScalarComplex, _boundary, _subsets, cohomology
 from serrelab.errors import GuardrailExceeded, LatticeMismatch, SerrelabError
 from serrelab.fields import QQ
-from serrelab.geom import NoncrossingTree, Quadrangulation, _bits, _check_n, _chord_table, _is_tree
+from serrelab.geom import _bits, _check_n, _chord_table, _is_tree
 from serrelab.lattice import (
     Antichain,
     IntervalRef,
@@ -708,7 +708,8 @@ def noncrossing(p: int, mask: int) -> bool:
     return not any(cross[k] & mask for k in _bits(mask))
 
 
-def make_tree(n: int, edges) -> NoncrossingTree:
+def make_tree(n: int, edges) -> int:
+    """The mask of a noncrossing spanning tree of the (n+2)-gon."""
     _check_n(n)  # the chord table grows as p^2 ints of up to p^2 / 2 bits
     p = n + 2
     es = _norm_edges(edges)
@@ -717,10 +718,11 @@ def make_tree(n: int, edges) -> NoncrossingTree:
         raise ValueError("edges cross")
     if not _is_tree(p, es):
         raise ValueError("edges do not form a spanning tree")
-    return NoncrossingTree(p, mask)
+    return mask
 
 
-def make_quad(n: int, diagonals) -> Quadrangulation:
+def make_quad(n: int, diagonals) -> int:
+    """The mask of a quadrangulation of the 2(n+2)-gon."""
     _check_n(n)
     p = 2 * (n + 2)
     ds = _norm_edges(diagonals)
@@ -734,4 +736,4 @@ def make_quad(n: int, diagonals) -> Quadrangulation:
         raise ValueError("diagonals cross")
     if len(ds) != n:
         raise ValueError(f"need exactly {n} diagonals")
-    return Quadrangulation(p, mask)
+    return mask

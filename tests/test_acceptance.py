@@ -9,7 +9,7 @@ import time
 
 from serrelab.coxeter import combinatorial_serre_check, cross_check
 from serrelab.derived import StalkResult, serre_by_resolution, serre_orbit
-from serrelab.geom import enumerate_quads, enumerate_trees, planar_dual, rotate_quad, stokes
+from serrelab.geom import _rotated, enumerate_quads, enumerate_trees, planar_dual, stokes
 from serrelab.lattice import (
     IntervalRef,
     boolean_lattice,
@@ -223,8 +223,9 @@ def test_acceptance_10_coxeter_derived_agreement(serre_oracle):
 
 def test_acceptance_11_geometric_equivariance():
     for n in (1, 2, 3, 4):
+        p = 2 * (n + 2)
         for q in enumerate_quads(n):
-            assert stokes(rotate_quad(q)) == planar_dual(stokes(q))
+            assert stokes(p, _rotated(p, q)) == planar_dual(p // 2, stokes(p, q))
     for n in (1, 2, 3):
         quads = enumerate_quads(n)
         seen = set()
@@ -234,7 +235,7 @@ def test_acceptance_11_geometric_equivariance():
                 continue
             cur, k = q, 0
             while True:
-                cur = rotate_quad(cur)
+                cur = _rotated(2 * (n + 2), cur)
                 k += 1
                 seen.add(cur)
                 if cur == q:

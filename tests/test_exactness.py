@@ -40,8 +40,8 @@ def test_no_true_division_outside_fields():
     assert not found, found
 
 
-# geom.py is exempt: its `.p` is the polygon size
-MODULUS_FREE = ("reps.py", "derived.py", "coxeter.py", "lattice.py", "typea.py", "cli.py", "oracles.py")
+MODULUS_FREE = ("reps.py", "derived.py", "coxeter.py", "lattice.py", "typea.py", "cli.py", "geom.py",
+                "oracles.py")
 
 
 def test_modulus_read_only_in_fields():

@@ -5,8 +5,6 @@ import pytest
 
 from serrelab.errors import GuardrailExceeded, SerrelabError
 from serrelab.geom import (
-    NoncrossingTree,
-    Quadrangulation,
     _chord_table,
     _chords,
     _is_tree,
@@ -14,7 +12,6 @@ from serrelab.geom import (
     enumerate_quads,
     enumerate_trees,
     planar_dual,
-    rotate_quad,
     run_geom_suite,
     stokes,
 )
@@ -22,12 +19,6 @@ from serrelab.geom import (
 from serrelab.typea import linear_quiver
 
 from oracles import _mask_of, _norm_edges, make_quad, make_tree, noncrossing
-
-
-def _unchecked(cls, p, chords):
-    """cls(p, mask) with the mask of chords and no validation: the objects of
-    the oracles, and a forest that make_tree rejects."""
-    return cls(p, _mask_of(p, chords))
 
 
 # -- brute-force oracles: subset backtracking over all chords with a pairwise
@@ -76,7 +67,7 @@ def brute_trees(n):
     p = n + 2
     chords = [(a, b) for a in range(p) for b in range(a + 1, p)]
     return [
-        _unchecked(NoncrossingTree, p, es)
+        _mask_of(p, es)
         for es in _noncrossing_subsets(p, chords, p - 1, lambda es: _is_tree(p, es))
     ]
 
@@ -89,10 +80,7 @@ def brute_quads(n):
         for b in range(a + 1, p)
         if (a + b) % 2 == 1 and (b - a) % p not in (1, p - 1)
     ]
-    return [
-        _unchecked(Quadrangulation, p, ds)
-        for ds in _noncrossing_subsets(p, cands, n, lambda ds: True)
-    ]
+    return [_mask_of(p, ds) for ds in _noncrossing_subsets(p, cands, n, lambda ds: True)]
 
 
 def _arc_side(edge, arc):
@@ -113,22 +101,21 @@ def _edge_side(e, ref):
     return all(a < x < b for x in pts)
 
 
-def tree_region_arcs(t):
-    """Partition of the boundary arcs (i, i+1) into the tree's regions; arc i
-    means the arc from vertex i to i+1 mod p."""
-    edges = t.sorted_edges()
+def tree_region_arcs(p, t):
+    """Partition of the boundary arcs (i, i+1) into the regions of the tree t
+    of the p-gon; arc i means the arc from vertex i to i+1 mod p."""
+    edges = _chords(p, t)
     sig = {}
-    for arc in range(t.p):
+    for arc in range(p):
         sig.setdefault(tuple(_arc_side(e, arc) for e in edges), []).append(arc)
     return list(sig.values())
 
 
-def shielding_dual(t):
-    """Region-adjacency dual: on each side of an edge, the first boundary arc
-    that no other edge shields from it."""
-    p = t.p
-    edges = t.sorted_edges()
-    if len(tree_region_arcs(t)) != p:
+def shielding_dual(p, t):
+    """Region-adjacency dual of the tree t of the p-gon: on each side of an
+    edge, the first boundary arc that no other edge shields from it."""
+    edges = _chords(p, t)
+    if len(tree_region_arcs(p, t)) != p:
         raise SerrelabError("tree regions do not match boundary arcs one to one")
     dual_edges = []
     for e in edges:
@@ -186,7 +173,7 @@ def test_enumerators_match_brute_force():
 
 def test_chord_masks_match_chord_sets():
     # every set of 1 to 5 chords on 4- to 10-gons; itertools.combinations of
-    # the sorted chords yields each size in sorted_edges order
+    # the sorted chords yields each size in _chords order
     checked = 0
     for p in range(4, 11):
         chords = [(a, b) for a in range(p) for b in range(a + 1, p)]
@@ -215,16 +202,15 @@ def test_crossing_masks_match_pairwise():
 
 def test_mask_objects_keep_their_chord_sets():
     t = make_tree(3, [(4, 3), (4, 1), (2, 1), (1, 0)])
-    assert t.sorted_edges() == [(0, 1), (1, 2), (1, 4), (3, 4)]
-    assert t == _unchecked(NoncrossingTree, 5, t.sorted_edges())
-    assert hash(t) == hash(_unchecked(NoncrossingTree, 5, t.sorted_edges()))
+    assert _chords(5, t) == [(0, 1), (1, 2), (1, 4), (3, 4)]
+    assert t == _mask_of(5, _chords(5, t))
     with pytest.raises(ValueError):
         make_tree(3, [(0, 5), (0, 1), (1, 2), (2, 3)])  # no chord of the pentagon
 
 
 def test_geom_suite_traced_peak():
-    # chord sets as int masks: about 2.3 MB traced at n = 6, against 15.6 MB
-    # as frozensets of pairs
+    # chord sets as plain int masks: about 1.5 MB traced at n = 6, against
+    # 2.2 MB with an object around each mask and 15.6 MB as frozensets of pairs
     tracemalloc.start()
     try:
         assert run_geom_suite(6)["ok"]
@@ -237,15 +223,15 @@ def test_geom_suite_traced_peak():
 def test_planar_dual_matches_shielding_oracle():
     for n in range(1, 6):
         for t in enumerate_trees(n):
-            assert planar_dual(t) == shielding_dual(t)
+            assert planar_dual(n + 2, t) == shielding_dual(n + 2, t)
 
 
 def test_planar_dual_rejects_a_forest():
-    forest = _unchecked(NoncrossingTree, 4, {(0, 1), (1, 2)})  # vertex 3 isolated
-    assert len(tree_region_arcs(forest)) != forest.p
+    forest = _mask_of(4, {(0, 1), (1, 2)})  # vertex 3 isolated
+    assert len(tree_region_arcs(4, forest)) != 4
     for dual in (planar_dual, shielding_dual):
         with pytest.raises(SerrelabError):
-            dual(forest)
+            dual(4, forest)
 
 
 def test_stack_noncrossing_matches_pairwise():
@@ -296,60 +282,63 @@ def test_quad_validation():
     with pytest.raises(ValueError):
         make_quad(1, [(0, 1)])  # boundary edge
     q = make_quad(1, [(1, 4)])
-    assert len(split_regions(q.p, q.sorted_diagonals())) == 2
+    assert len(split_regions(6, _chords(6, q))) == 2
 
 
 def test_star_tree_dual():
     # star at one vertex of the square maps to a boundary path
     t = make_tree(2, [(0, 1), (0, 2), (0, 3)])
-    d = planar_dual(t)
-    assert d.sorted_edges() == [(0, 3), (1, 2), (2, 3)]
+    d = planar_dual(4, t)
+    assert _chords(4, d) == [(0, 3), (1, 2), (2, 3)]
 
 
 def test_figure_fixture_pentagon_dual():
     # hand-checked region-adjacency dual of the tree {43,41,21,10}
     t = make_tree(3, [(4, 3), (4, 1), (2, 1), (1, 0)])
-    d = planar_dual(t)
-    assert d.sorted_edges() == [(0, 1), (0, 3), (2, 3), (3, 4)]
+    d = planar_dual(5, t)
+    assert _chords(5, d) == [(0, 1), (0, 3), (2, 3), (3, 4)]
 
 
 def test_double_dual_is_rotation():
     for n in (1, 2, 3):
+        p = n + 2
         for t in enumerate_trees(n):
-            assert planar_dual(planar_dual(t)) == NoncrossingTree(t.p, _rotated(t.p, t.mask))
+            assert planar_dual(p, planar_dual(p, t)) == _rotated(p, t)
 
 
 def test_stokes_figure_fixture():
     q = make_quad(3, [(9, 2), (8, 5), (5, 2)])
-    s = stokes(q)
-    assert s.sorted_edges() == [(0, 1), (1, 2), (1, 4), (3, 4)]
-    rq = rotate_quad(q)
-    assert rq.sorted_diagonals() == [(0, 3), (3, 6), (6, 9)]
-    assert stokes(rq) == planar_dual(s)
+    s = stokes(10, q)
+    assert _chords(5, s) == [(0, 1), (1, 2), (1, 4), (3, 4)]
+    rq = _rotated(10, q)
+    assert _chords(10, rq) == [(0, 3), (3, 6), (6, 9)]
+    assert stokes(10, rq) == planar_dual(5, s)
 
 
-def _stokes_by_regions(q):
+def _stokes_by_regions(p, q):
     """The Stokes image from its definition: the even-even diagonal of each
-    region of q, the regions cut by split_regions."""
-    bit = _chord_table(q.p // 2).bit
+    region of the quadrangulation q of the p-gon, the regions cut by
+    split_regions."""
+    bit = _chord_table(p // 2).bit
     mask = 0
-    for region in split_regions(q.p, q.sorted_diagonals()):
+    for region in split_regions(p, _chords(p, q)):
         marked = [v // 2 for v in region if v % 2 == 0]
         assert len(region) == 4 and len(marked) == 2, region
         mask |= bit[marked[0]][marked[1]]
-    return NoncrossingTree(q.p // 2, mask)
+    return mask
 
 
 def test_stokes_matches_region_oracle():
     for n in range(1, 6):
+        p = 2 * (n + 2)
         for q in enumerate_quads(n):
-            assert stokes(q) == _stokes_by_regions(q)
+            assert stokes(p, q) == _stokes_by_regions(p, q)
 
 
 def test_stokes_bijectivity():
     for n in (1, 2, 3):
         quads = enumerate_quads(n)
-        images = {stokes(q) for q in quads}
+        images = {stokes(2 * (n + 2), q) for q in quads}
         assert len(images) == len(quads)
         trees = set(enumerate_trees(n))
         assert images == trees
@@ -357,8 +346,9 @@ def test_stokes_bijectivity():
 
 def test_equivariance_exhaustive_small():
     for n in (1, 2, 3):
+        p = 2 * (n + 2)
         for q in enumerate_quads(n):
-            assert stokes(rotate_quad(q)) == planar_dual(stokes(q))
+            assert stokes(p, _rotated(p, q)) == planar_dual(p // 2, stokes(p, q))
 
 
 def test_rotation_order():
@@ -368,7 +358,7 @@ def test_rotation_order():
             cur = q
             k = 0
             while True:
-                cur = rotate_quad(cur)
+                cur = _rotated(p, cur)
                 k += 1
                 if cur == q:
                     break
@@ -376,7 +366,7 @@ def test_rotation_order():
         # the full rotation by p steps is the identity on every quadrangulation
         cur = q
         for _ in range(p):
-            cur = rotate_quad(cur)
+            cur = _rotated(p, cur)
         assert cur == q
 
 
@@ -408,7 +398,7 @@ def test_bad_stokes_image_is_a_verification_failure(monkeypatch, image):
     bit = _chord_table(5).bit
     monkeypatch.setattr(geom, "_marked_chords", lambda p: [(0, bit[a][b]) for a, b in image])
     with pytest.raises(SerrelabError):
-        stokes(enumerate_quads(3)[0])
+        stokes(10, enumerate_quads(3)[0])
     # the suite's own construction failed: exit 2, not malformed input (exit 1)
     assert cli.main(["geom", "--n", "3"]) == 2
 
@@ -416,8 +406,8 @@ def test_bad_stokes_image_is_a_verification_failure(monkeypatch, image):
 def test_invalid_dual_fails_equivariance(monkeypatch):
     from serrelab import cli, geom
 
-    def crossing_dual(t):
-        return _unchecked(NoncrossingTree, t.p, [(0, 2), (1, 3), (2, 4), (3, 4)])
+    def crossing_dual(p, t):
+        return _mask_of(p, [(0, 2), (1, 3), (2, 4), (3, 4)])
 
     monkeypatch.setattr(geom, "planar_dual", crossing_dual)
     assert geom.run_geom_suite(3)["checks"]["equivariance"]["ok"] is False

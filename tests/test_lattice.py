@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +79,27 @@ def test_redundant_cover_names_pair():
     assert err.value.pair == ("a", "c")
 
 
+def test_duplicate_cover_names_the_first_pair_listed_twice():
+    # [A, B, B, A]: B repeats first, but A is the first cover that is listed twice
+    with pytest.raises(RedundantCover) as err:
+        build_lattice(["a", "b", "c"], [("a", "b"), ("b", "c"), ("b", "c"), ("a", "b")])
+    assert err.value.pair == ("a", "b")
+    assert str(err.value) == "cover ('a', 'b') is listed twice"
+
+
+def test_duplicate_cover_is_found_in_one_count():
+    # a chain at the size guardrail with its last cover repeated: counting each
+    # cover against the whole list took seconds here
+    labels = [str(i) for i in range(10_000)]
+    covers = [(labels[i], labels[i + 1]) for i in range(len(labels) - 1)]
+    covers.append(covers[-1])
+    t0 = time.monotonic()
+    with pytest.raises(RedundantCover, match="listed twice") as err:
+        build_lattice(labels, covers)
+    assert time.monotonic() - t0 < 0.5
+    assert err.value.pair == ("9998", "9999")
+
+
 def test_not_a_lattice_names_pair():
     # two maximal elements -> no join
     with pytest.raises(NotALattice) as err:
@@ -109,6 +131,14 @@ def _chain_product_by_fold(sizes):
 def test_chain_product_matches_the_fold(sizes):
     lat, oracle = chain_product(sizes), _chain_product_by_fold(sizes)
     assert (lat.labels, lat.covers) == (oracle.labels, oracle.covers)
+
+
+def test_chain_product_strides_are_linear_in_the_factors():
+    # one stride per factor as a suffix product; a product of the later factors
+    # per stride took seconds at this length
+    t0 = time.monotonic()
+    assert chain_product([1] * 100_000).n == 1
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_oversized_products_are_rejected_before_they_are_built(monkeypatch):
