@@ -29,7 +29,6 @@ from . import linalg
 from .errors import MaxStepsExceeded, NotAComplex, SerrelabError
 from .fields import QQ
 from .lattice import (
-    ANTICHAIN_GUARDRAIL,
     IntervalRef,
     Lattice,
     _is_boolean,
@@ -251,7 +250,8 @@ def projective_resolution(M: LatticeRep) -> ScalarComplex:
     identity.  So the radical of the syzygy at a is the span of the K_b over
     the lower covers b of a, its generators at a are vectors of K_a outside
     that span, and each generator is a column of the next differential.  Only
-    degree 0 reads M's cover maps."""
+    degree 0 reads M's cover maps, through M.composites(a) once per element a
+    that carries a generator."""
     if M.is_zero():
         raise ValueError("projective_resolution of the zero module")
     lat, field = M.lattice, M.field
@@ -262,8 +262,9 @@ def projective_resolution(M: LatticeRep) -> ScalarComplex:
         gens += [(a, std[k]) for k in linalg.extend_basis(rad, std, M.dims[a], field)]
     labels = [a for a, _ in gens]
     degrees, diffs = {0: labels}, {}
+    composites = {a: M.composites(a) for a in set(labels)}
     spaces = _syzygy(
-        lat, labels, lambda j, v: linalg.mat_vec(M.canonical_map(labels[j], v), gens[j][1], field),
+        lat, labels, lambda j, v: linalg.mat_vec(composites[labels[j]][v], gens[j][1], field),
         M.dims, field,
     )
     step = 0
@@ -348,9 +349,9 @@ def _antichain_support(M: LatticeRep):
     """(mask, ac) when M is an antichain module: M is thin with support mask,
     the support has a minimum lo and is up(lo) minus the up-set of an
     antichain, ac = support_antichain(lat, mask), and every cover map inside
-    the support is nonzero.  Rescaling by the composites from lo then makes
-    every such map the identity, so M is isomorphic to support_module on that
-    mask.  Else None."""
+    the support is nonzero.  Rescaling by the composites from lo
+    (M.composites(lo)) then makes every such map the identity, so M is
+    isomorphic to support_module on that mask.  Else None."""
     mask = thin_support(M)
     ac = None if mask is None else support_antichain(M.lattice, mask)
     return None if ac is None else (mask, ac)
@@ -379,11 +380,13 @@ def serre_support(lat: Lattice, gamma):
 def serre_on_support(lat: Lattice, mask: int, field=QQ):
     """The Serre image of support_module(lat, mask, field), mask convex.
 
-    When mask is the support of an antichain module, one subset-join table of
-    its antichain C serves both fast paths: the closed form when C is
-    boolean, and otherwise, when 2^|C| <= |L| so that the Koszul resolution
-    has no more summands than the lattice has elements, the simplicial
-    homology of its Nakayama image (_koszul_image).  Everything else goes to
+    When mask is the support of an antichain module whose antichain C has
+    2^|C| <= |L|, so that the Koszul resolution has no more summands than the
+    lattice has elements, one subset-join table of C serves both fast paths:
+    the closed form when C is boolean, and otherwise the simplicial homology
+    of its Nakayama image (_koszul_image).  A boolean C always passes the
+    size test, its 2^|C| subset joins being distinct, so a larger C is sent
+    on before its table is built.  Everything else goes to
     serre_by_resolution, the oracle and the only step that builds a
     LatticeRep, as does a Koszul stalk that is no antichain module."""
     return _serre_on_antichain(lat, mask, support_antichain(lat, mask), field)
@@ -391,16 +394,15 @@ def serre_on_support(lat: Lattice, mask: int, field=QQ):
 
 def _serre_on_antichain(lat: Lattice, mask: int, ac, field):
     """serre_on_support with ac = support_antichain(lat, mask) given."""
-    if ac is not None and len(ac[1]) <= ANTICHAIN_GUARDRAIL:
+    if ac is not None and 1 << len(ac[1]) <= lat.n:
         lo, members = ac
         gamma = _subset_joins(lo, members, lat.join_tab)
         image = serre_support(lat, gamma)
         if image is not None:
             return StalkResult(lat, len(members), image, field=field)
-        if len(gamma) <= lat.n:
-            res = _koszul_image(lat, gamma, field)
-            if res is not None:
-                return res
+        res = _koszul_image(lat, gamma, field)
+        if res is not None:
+            return res
     return serre_by_resolution(support_module(lat, mask, field))
 
 

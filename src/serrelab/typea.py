@@ -696,6 +696,7 @@ def gen_tamari(n: int) -> Lattice:
     order on binary trees."""
     if n < 1:
         raise ValueError("n >= 1")
+    check_rank(n - 1)  # before any quiver or Cartan matrix is built
     if n == 1:
         return build_lattice(["t"], [])
     lat = tors_lattice(linear_quiver(n - 1))

@@ -29,7 +29,6 @@ KEEP = {
     ("lattice.py", "is_boolean_antichain"): _TRACER,
     ("lattice.py", "min_complement_antichain"): _TRACER,
     ("lattice.py", "order_dual"): "the one duality tool: mirrored constructions are to use it, not copies",
-    ("reps.py", "LatticeRep.validate_commutes"): "safety code: validate=True checks caller-supplied maps",
     ("reps.py", "find_interval_iso"): _TRACER,
 }
 

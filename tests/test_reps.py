@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serrelab.derived import GeneralComplexResult, serre, serre_by_resolution
+from serrelab.derived import GeneralComplexResult, projective_resolution, serre, serre_by_resolution
 from serrelab.errors import LatticeMismatch
 from serrelab.fields import PrimeField
 from serrelab.lattice import Antichain, IntervalRef, boolean_lattice
@@ -60,11 +60,13 @@ def test_antichain_module_supports(pentagon):
 def test_commutativity_validation():
     b2 = boolean_lattice(2)
     one = Fraction(1)
-    maps = {cov: [[one]] for cov in b2.covers}
-    # break one path of the diamond
-    maps[b2.covers[0]] = [[Fraction(2)]]
-    with pytest.raises(ValueError):
-        LatticeRep(b2, [1, 1, 1, 1], maps, validate=True)
+    # break one path of the diamond, on its first or its last cover: either
+    # way the two paths from the bottom to the top disagree
+    for broken in (b2.covers[0], b2.covers[-1]):
+        maps = {cov: [[one]] for cov in b2.covers}
+        maps[broken] = [[Fraction(2)]]
+        with pytest.raises(ValueError, match="do not commute between 'e0' and 'e3'"):
+            LatticeRep(b2, [1, 1, 1, 1], maps, validate=True)
 
 
 def test_hom_closed_form_rule_exhaustive(pentagon, appendix9):
@@ -102,22 +104,30 @@ def test_hom_mismatch_raises(pentagon):
         hom_dim(simple_module(pentagon, "0"), simple_module(other, "0"))
 
 
-def test_canonical_map_on_a_long_chain():
+def test_composites_on_a_long_chain():
     lat = chain(1500)
     M = interval_module(lat, IntervalRef("0", "1499"))
-    assert M.canonical_map(0, 1499) == [[Fraction(1)]]
+    assert M.composites(0)[1499] == [[Fraction(1)]]
 
 
-def test_canonical_map_through_a_zero_space():
+def test_composites_through_a_zero_space():
     # the path 0 < 1 < 2 < 3 crosses M_2 = 0: the composite is a zero matrix
-    # of the right shape, where it used to come out 1 x 0 and the next cover
-    # down raised a shape mismatch, in serre(M) too
+    # of the right shape, not 1 x 0, which the next cover down would reject
+    # with a shape mismatch, in serre(M) too
     lat = chain(4)
     M, _ = direct_sum([interval_module(lat, IntervalRef("0", "1")), simple_module(lat, "3")])
-    assert M.canonical_map(1, 3) == [[0]] and M.canonical_map(0, 3) == [[0]]
+    assert M.composites(1)[3] == [[0]] and M.composites(0)[3] == [[0]]
     res = serre(M)  # the sum of the images: M_[1,2] in degree -1 and P_0 in degree 0
     assert isinstance(res, GeneralComplexResult)
     assert res.cohomology == {-1: [0, 1, 1, 0], 0: [1, 1, 1, 1]}
+
+
+def test_projective_resolution_leaves_its_module_as_it_was(pentagon):
+    # a LatticeRep keeps no memo state: resolving it changes none of its fields
+    M, _ = direct_sum([interval_module(pentagon, IntervalRef("0", "c")), simple_module(pentagon, "a")])
+    before = repr(vars(M))
+    projective_resolution(M)
+    assert repr(vars(M)) == before
 
 
 def test_find_interval_iso(pentagon):

@@ -193,11 +193,13 @@ def test_non_boolean_complement_takes_the_koszul_path(kite, resolutions, koszul)
 
 
 @pytest.mark.parametrize("k", range(3, 11))
-def test_large_non_boolean_complement_goes_to_the_oracle(k, resolutions, koszul):
+def test_large_non_boolean_complement_goes_to_the_oracle(k, resolutions, koszul, monkeypatch):
     # the bottom simple of M_k has C = the k atoms: 2^k > k + 2 summands
-    # would make the Koszul complex far larger than the minimal resolution
+    # would make the Koszul complex far larger than the minimal resolution.
+    # The size test comes first, so the 2^k subset joins are never built
+    gammas = _counted(monkeypatch, "_subset_joins")
     res = serre(simple_module(_mk(k), "0"))
-    assert (len(resolutions), len(koszul)) == (1, 0)
+    assert (len(resolutions), len(koszul), len(gammas)) == (1, 0, 0)
     assert isinstance(res, StalkResult)
 
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from serrelab import typea
 from serrelab.errors import GuardrailExceeded, SerrelabError
 from serrelab.lattice import _cliques, poset_isomorphism
 from serrelab.typea import (
@@ -565,6 +566,18 @@ def test_gen_tamari():
     assert len(gen_tamari(4)) == 14
     rot = tamari_rotation_lattice(4)
     assert poset_isomorphism(gen_tamari(4), rot) is not None
+
+
+def test_gen_tamari_checks_the_rank_before_any_quiver(monkeypatch):
+    # Tamari(N) is tors of A_{N-1}; a rank past the guardrail must not
+    # build its (N-1) x (N-1) Cartan matrix first
+    def unreachable(*args):
+        raise AssertionError("quiver_a called before the rank check")
+
+    monkeypatch.setattr(typea, "quiver_a", unreachable)
+    for n in (QUIVER_GUARDRAIL + 2, 10**6):
+        with pytest.raises(GuardrailExceeded):
+            gen_tamari(n)
 
 
 def test_gen_type_i():
