@@ -11,7 +11,7 @@ import math
 
 from .errors import Disagreement, MaxStepsExceeded, SerrelabError
 from .fields import QQ
-from .lattice import IntervalRef, Lattice, default_max_steps
+from .lattice import Lattice, default_max_steps, support_interval
 from .perm import cycle_decomposition
 
 
@@ -292,7 +292,7 @@ def cross_check(lat: Lattice, max_steps=None, field=QQ) -> CrossCheck:
             per[label] = {"combinatorial_failed": traj.failed}
             continue
         walk = serre_walk(lat, lat.down_mask[i], field)
-        got, iso, shifts = _inj_vector(lat, i), IntervalRef(lat.bottom_label, label), []
+        got, support, shifts = _inj_vector(lat, i), lat.down_mask[i], []
         for k in range(traj.steps + 1):
             if got != [abs(x) for x in traj.vectors[k]]:
                 raise Disagreement(label, k, traj.vectors[k], got)
@@ -302,10 +302,10 @@ def cross_check(lat: Lattice, max_steps=None, field=QQ) -> CrossCheck:
             if isinstance(res, GeneralComplexResult):
                 raise Disagreement(label, k, traj.vectors[k + 1], "non-stalk Serre image")
             shifts.append(res.shift)
-            got, iso = res.dimension_vector(), res.interval
-        target_interval = IntervalRef(traj.target, lat.top_label)
-        if iso != target_interval:
-            raise Disagreement(label, traj.steps, f"projective {traj.target!r}", iso)
+            got, support = res.dimension_vector(), res.support
+        if support != lat.up_mask[lat.index[traj.target]]:
+            derived = support_interval(lat, support)
+            raise Disagreement(label, traj.steps, f"projective {traj.target!r}", derived)
         per[label] = {
             "pi": str(traj.target),
             "steps": traj.steps,

@@ -29,7 +29,6 @@ from . import linalg
 from .errors import MaxStepsExceeded, NotAComplex, SerrelabError
 from .fields import QQ
 from .lattice import (
-    IntervalRef,
     Lattice,
     _is_boolean,
     _iter_bits,
@@ -47,14 +46,14 @@ class StalkResult:
     support is the support mask when the image is isomorphic to the module
     with identity maps on it, as every closed-form image and every recognised
     antichain module is; rep is then built from the mask on first access.
-    interval is set when the image is an interval module.  rep is one
+    Orbits and checks compare that mask; only a report reads an interval's
+    labels off it (support_interval).  rep is one
     representative of the isomorphism class of the image; the closed form and
     the oracle may return different bases of the same class."""
 
     def __init__(self, lattice: Lattice, shift: int, support, rep=None, field=QQ):
         self.lattice, self.shift, self.support, self.field = lattice, shift, support, field
         self._rep = rep
-        self.interval = None if support is None else support_interval(lattice, support)
 
     @property
     def rep(self) -> LatticeRep:
@@ -79,11 +78,10 @@ class GeneralComplexResult:
 
 
 class SerreOrbit:
-    __slots__ = ("start", "start_interval", "steps", "period", "total_shift", "failure")
+    __slots__ = ("start", "steps", "period", "total_shift", "failure")
 
-    def __init__(self, start, start_interval, steps, period, total_shift, failure=None):
+    def __init__(self, start, steps, period, total_shift, failure=None):
         self.start = start
-        self.start_interval = start_interval
         self.steps = steps
         self.period = period  # None when the orbit fails
         self.total_shift = total_shift  # None when the orbit fails
@@ -96,9 +94,10 @@ class SerreOrbit:
                 {
                     "dimension_vector": s.dimension_vector(),
                     "shift": s.shift,
-                    "interval": [str(s.interval.lo), str(s.interval.hi)] if s.interval else None,
+                    "interval": list(map(str, iv)) if iv else None,
                 }
                 for s in self.steps
+                for iv in [support_interval(s.lattice, s.support)]
             ],
             "period": self.period,
             "total_shift": self.total_shift,
@@ -520,19 +519,18 @@ def serre_walk(lattice: Lattice, mask: int, field=QQ):
 
 
 def serre_orbit(lattice: Lattice, a, max_steps=None, field=QQ) -> SerreOrbit:
-    """Iterate the derived Serre functor from the injective at `a` until the
-    orbit returns to it, a non-stalk image appears, or the budget runs out."""
+    """Iterate the derived Serre functor from the injective at `a` until its
+    mask down(a) returns, a non-stalk image appears, or the budget runs out."""
     if max_steps is None:
         max_steps = default_max_steps(lattice)
-    start_ref = IntervalRef(lattice.bottom_label, a)
+    start = lattice.down_mask[lattice.index[a]]
     steps = []
     total = 0
-    walk = serre_walk(lattice, lattice.down_mask[lattice.index[a]], field)
-    for res in itertools.islice(walk, max_steps):
+    for res in itertools.islice(serre_walk(lattice, start, field), max_steps):
         if isinstance(res, GeneralComplexResult):
-            return SerreOrbit(a, start_ref, steps, None, None, failure=res)
+            return SerreOrbit(a, steps, None, None, failure=res)
         steps.append(res)
         total += res.shift
-        if res.interval == start_ref:
-            return SerreOrbit(a, start_ref, steps, len(steps), total)
+        if res.support == start:
+            return SerreOrbit(a, steps, len(steps), total)
     raise MaxStepsExceeded(a, max_steps)

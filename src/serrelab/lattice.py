@@ -158,37 +158,9 @@ class Lattice(Poset):
                 join[a][b] = join[b][a] = j
         return meet, join
 
-    @property
-    def bottom_label(self):
-        return self.labels[self.bottom]
-
-    @property
-    def top_label(self):
-        return self.labels[self.top]
-
     def __repr__(self):
-        return f"Lattice({self.n} elements, bottom={self.bottom_label!r}, top={self.top_label!r})"
-
-
-class IntervalRef:
-    """A closed interval [lo, hi] of a lattice, referenced by labels."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi):
-        self.lo = lo
-        self.hi = hi
-
-    def __eq__(self, other):
-        if other.__class__ is not IntervalRef:
-            return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
-    def __repr__(self):  # a crosscheck disagreement reports it
-        return f"IntervalRef(lo={self.lo!r}, hi={self.hi!r})"
+        bottom, top = self.labels[self.bottom], self.labels[self.top]
+        return f"Lattice({self.n} elements, bottom={bottom!r}, top={top!r})"
 
 
 class Antichain:
@@ -334,14 +306,15 @@ def _extreme(masks, mask: int) -> int:
     return v
 
 
-def support_interval(lat: Lattice, mask: int):
-    """The IntervalRef [lo, hi] when mask is that interval, else None."""
+def support_interval(lat: Lattice, mask):
+    """The labels (lo, hi) when mask is the interval [lo, hi], else None (mask
+    None included).  Reports read them; the Serre steps and checks compare masks."""
     if not mask:
         return None
     lo, hi = _extreme(lat.down_mask, mask), _extreme(lat.up_mask, mask)
     if lat.interval_mask(lo, hi) != mask:
         return None
-    return IntervalRef(lat.labels[lo], lat.labels[hi])
+    return lat.labels[lo], lat.labels[hi]
 
 
 def support_antichain(lat: Lattice, mask: int):
@@ -365,14 +338,16 @@ def support_antichain(lat: Lattice, mask: int):
     return (lo, members) if covered == outside else None
 
 
-def min_complement_antichain(lat: Lattice, ref: IntervalRef) -> Antichain:
-    """Minimal elements of up(lo) outside [lo, hi]; writes M_[lo,hi] as an
-    antichain module over lo."""
-    lo, hi = lat.index[ref.lo], lat.index[ref.hi]
+def min_complement_antichain(lat: Lattice, ref) -> Antichain:
+    """Minimal elements of up(lo) outside [lo, hi], ref the labels (lo, hi) in
+    the shape support_interval returns; writes M_[lo,hi] as an antichain
+    module over lo."""
+    lo_label, hi_label = ref
+    lo, hi = lat.index[lo_label], lat.index[hi_label]
     if not lat.leq_i(lo, hi):
-        raise ValueError(f"not an interval: {ref.lo!r} !<= {ref.hi!r}")
+        raise ValueError(f"not an interval: {lo_label!r} !<= {hi_label!r}")
     _, members = support_antichain(lat, lat.interval_mask(lo, hi))
-    return Antichain(frozenset(lat.labels[c] for c in members), ref.lo, "over")
+    return Antichain(frozenset(lat.labels[c] for c in members), lo_label, "over")
 
 
 ANTICHAIN_GUARDRAIL = 16

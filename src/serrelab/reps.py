@@ -28,9 +28,10 @@ class LatticeRep:
     """Pointwise vector spaces + cover matrices over a fixed lattice.
 
     Caller-supplied cover maps are reduced through field.of and their
-    commutativity checked at construction by default, by composites(a) for
-    every a; internal constructions, commutative by design and built from
-    canonical scalars, pass validate=False.
+    commutativity checked at construction by default, by composites(a) where a
+    has two or more upper covers: two disagreeing paths from a maximal such a
+    leave it by different covers.  Internal constructions, commutative by
+    design and built from canonical scalars, pass validate=False.
     """
 
     def __init__(self, lattice: Lattice, dims, cover_maps, field=QQ, validate=True):
@@ -51,7 +52,8 @@ class LatticeRep:
             self.maps[(a, b)] = m
         if validate:
             for a in range(lattice.n):
-                self.composites(a)
+                if len(lattice.upper_covers[a]) > 1:
+                    self.composites(a)
 
     def composites(self, a: int):
         """{b: the composite of the cover maps from a up to b} for every b >= a,
@@ -104,7 +106,8 @@ def thin_support(M: LatticeRep):
 
 
 def find_interval_iso(M: LatticeRep):
-    """The interval I with M isomorphic to M_I, or None.
+    """The labels (lo, hi) of the interval I with M isomorphic to M_I, or None:
+    the pair that min_complement_antichain takes.
 
     For 0/1 dimension vectors supported on an interval, rescaling by the
     composites from the minimum (LatticeRep.composites) realizes the

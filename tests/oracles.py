@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 
 from serrelab import linalg
@@ -17,7 +18,6 @@ from serrelab.fields import QQ
 from serrelab.geom import _bits, _check_n, _chord_table, _is_tree
 from serrelab.lattice import (
     Antichain,
-    IntervalRef,
     Lattice,
     _antichain_gamma,
     _cliques,
@@ -29,6 +29,10 @@ from serrelab.reps import LatticeRep, support_module
 from serrelab.typea import DynkinQuiver, _engine
 
 # -- lattices -----------------------------------------------------------------
+
+# A closed interval [lo, hi] by its labels.  It compares equal to the plain
+# (lo, hi) pairs of support_interval and find_interval_iso.
+IntervalRef = namedtuple("IntervalRef", "lo hi")
 
 
 def chain(k: int) -> Lattice:
@@ -175,11 +179,11 @@ def simple_module(lattice: Lattice, a, field=QQ) -> LatticeRep:
 
 
 def projective_module(lattice: Lattice, a, field=QQ) -> LatticeRep:
-    return interval_module(lattice, IntervalRef(a, lattice.top_label), field)
+    return interval_module(lattice, IntervalRef(a, lattice.labels[lattice.top]), field)
 
 
 def injective_module(lattice: Lattice, a, field=QQ) -> LatticeRep:
-    return interval_module(lattice, IntervalRef(lattice.bottom_label, a), field)
+    return interval_module(lattice, IntervalRef(lattice.labels[lattice.bottom], a), field)
 
 
 def antichain_module(lattice: Lattice, ac: Antichain, field=QQ) -> LatticeRep:

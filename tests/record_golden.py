@@ -41,6 +41,7 @@ CASES = {
     "geom-5": "geom --n 5",
     "typea-4-LRL": "typea --n 4 --orientation LRL",
     "orbit-kite-fp3": "orbit fixtures/kite.json --field fp:3",
+    "crosscheck-appendix9": "crosscheck fixtures/appendix9.json",
 }
 
 

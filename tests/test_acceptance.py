@@ -11,12 +11,12 @@ from serrelab.coxeter import combinatorial_serre_check, cross_check
 from serrelab.derived import StalkResult, serre_by_resolution, serre_orbit
 from serrelab.geom import _rotated, enumerate_quads, enumerate_trees, planar_dual, stokes
 from serrelab.lattice import (
-    IntervalRef,
     boolean_lattice,
     build_lattice,
     chain_product,
     is_boolean_antichain,
     load_lattice,
+    support_interval,
 )
 from serrelab.typea import (
     all_orientations,
@@ -34,6 +34,7 @@ from serrelab.typea import _engine
 
 from conftest import fixture_path
 from oracles import (
+    IntervalRef,
     all_antichains_over,
     antichain_module,
     boolean_partner,
@@ -71,8 +72,8 @@ def test_acceptance_01_appendix_fixture():
     dims = [list(s.rep.dims) for s in orb.steps]
     shifts = [s.shift for s in orb.steps]
     assert dims[0] == [0, 0, 0, 1, 1, 0, 1, 0, 0] and shifts[0] == 2
-    assert orb.steps[1].interval == IntervalRef("9", "9") and shifts[1] == 2  # P(9)
-    assert orb.steps[2].interval == IntervalRef("1", "9") and shifts[2] == 0  # I(9)
+    assert support_interval(lat, orb.steps[1].support) == IntervalRef("9", "9") and shifts[1] == 2  # P(9)
+    assert support_interval(lat, orb.steps[2].support) == IntervalRef("1", "9") and shifts[2] == 0  # I(9)
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0, f"appendix check took {elapsed:.2f}s"
     _ok(1, f"appendix permutation (1 9)(5 7) and I(1) orbit, {elapsed:.2f}s")
@@ -133,7 +134,7 @@ def test_acceptance_06_categorical_serre_integration(serre_oracle):
             s = eng.serre_perm(iv)
             want = IntervalRef(eng.mask_label(s.lo), eng.mask_label(s.hi))
             assert isinstance(res, StalkResult), iv
-            assert res.interval == want, iv
+            assert support_interval(lat, res.support) == want, iv
             assert res.shift == iv.k, iv
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0, f"took {elapsed:.1f}s"

@@ -1,17 +1,22 @@
+import json
+from types import SimpleNamespace
+
 import pytest
 
-from serrelab import linalg
+from serrelab import derived, linalg
 from serrelab.coxeter import (
     cartan_matrix,
     combinatorial_serre_check,
     coxeter_matrix,
     cross_check,
 )
-from serrelab.errors import MaxStepsExceeded, SerrelabError
+from serrelab.derived import GeneralComplexResult, StalkResult
+from serrelab.errors import Disagreement, MaxStepsExceeded, SerrelabError
 from serrelab.lattice import boolean_lattice, chain_product
 from serrelab.typea import gen_type_i
 
 from oracles import chain
+from record_golden import run_request
 
 
 def test_cartan_two_chain():
@@ -214,6 +219,64 @@ def test_cross_check_sweep_b3_sublattices():
             assert cross_check(lat).ok
             formal += 1
     assert formal == 67
+
+
+def _derived_steps(monkeypatch, step):
+    """cross_check's derived side (derived.serre_walk, imported at call time)
+    yields step(lat, res) in place of each true Serre image res."""
+    walk = derived.serre_walk
+
+    def patched(lat, mask, field):
+        return (step(lat, res) for res in walk(lat, mask, field))
+
+    monkeypatch.setattr(derived, "serre_walk", patched)
+
+
+def _on_support(support):
+    """A step with the true shift and dimension vector but the support mask
+    support(lat): the final check reads the mask alone."""
+    return lambda lat, res: SimpleNamespace(
+        shift=res.shift, dimension_vector=res.dimension_vector, support=support(lat)
+    )
+
+
+@pytest.mark.parametrize(
+    "support, derived_side",
+    [(lambda lat: lat.down_mask[0], r"\('0', '0'\)"), (lambda lat: None, "None")],
+    ids=["interval", "no-mask"],
+)
+def test_cross_check_rejects_a_wrong_final_support(monkeypatch, support, derived_side):
+    # on C_2, S(I_0) = S(S_0) = P_1[1]; a step on S_0's mask, or on an oracle
+    # stalk with no mask, is named by its interval labels or None
+    _derived_steps(monkeypatch, _on_support(support))
+    want = f"element '0', step 1: combinatorial projective '1' vs derived {derived_side}$"
+    with pytest.raises(Disagreement, match=want):
+        cross_check(chain(2))
+
+
+def test_cross_check_rejects_a_wrong_dimension_vector(monkeypatch):
+    # S(S_0) = P_1[1] on C_2, given here on S_0's mask
+    _derived_steps(monkeypatch, lambda lat, res: StalkResult(lat, res.shift, lat.down_mask[0]))
+    want = r"element '0', step 1: combinatorial \(0, 1\) vs derived \[1, 0\]$"
+    with pytest.raises(Disagreement, match=want):
+        cross_check(chain(2))
+
+
+def test_cross_check_rejects_a_non_stalk_image(monkeypatch):
+    _derived_steps(monkeypatch, lambda lat, res: GeneralComplexResult({-1: [1, 0], 0: [0, 1]}))
+    with pytest.raises(Disagreement, match="element '0', step 0: .* vs derived non-stalk Serre image$"):
+        cross_check(chain(2))
+
+
+def test_crosscheck_command_reports_a_disagreement(monkeypatch):
+    _derived_steps(monkeypatch, _on_support(lambda lat: lat.down_mask[0]))
+    code, out = run_request("crosscheck --gen chainprod 2")
+    assert code == 2
+    result = json.loads(out)["result"]
+    assert result["agree"] is False
+    assert result["disagreement"] == (
+        "disagreement at element 'e0', step 1: combinatorial projective 'e1' vs derived ('e0', 'e0')"
+    )
 
 
 def test_diamond_m3_not_serre_formal():

@@ -21,18 +21,19 @@ from serrelab.errors import NotAComplex, SerrelabError
 from serrelab.fields import QQ, PrimeField
 from serrelab.lattice import (
     Antichain,
-    IntervalRef,
     boolean_lattice,
     build_lattice,
     chain_product,
     is_boolean_antichain,
     order_dual,
+    support_interval,
 )
 from serrelab.reps import LatticeRep
 from serrelab.typea import gen_type_i
 
 from conftest import constructed
 from oracles import (
+    IntervalRef,
     _check_resolves,
     all_antichains_over,
     antichain_coresolution,
@@ -74,8 +75,8 @@ def test_resolution_two_chain():
 def test_resolution_matches_antichain_resolution_on_b2():
     b2 = boolean_lattice(2)
     atoms = frozenset(b2.labels[i] for i in range(b2.n) if len(b2.lower_covers[i]) == 1)
-    res = projective_resolution(simple_module(b2, b2.bottom_label))
-    ac = antichain_resolution(b2, Antichain(atoms, b2.bottom_label, "over"))
+    res = projective_resolution(simple_module(b2, b2.labels[b2.bottom]))
+    ac = antichain_resolution(b2, Antichain(atoms, b2.labels[b2.bottom], "over"))
     for d in (-2, -1, 0):
         assert sorted(res.degrees[d]) == sorted(ac.degrees[d])
 
@@ -117,7 +118,7 @@ def test_antichain_resolution_shapes(pentagon):
 def test_antichain_resolution_koszul_signs():
     b2 = boolean_lattice(2)
     atoms = frozenset(b2.labels[i] for i in range(b2.n) if len(b2.lower_covers[i]) == 1)
-    cx = antichain_resolution(b2, Antichain(atoms, b2.bottom_label, "over"))
+    cx = antichain_resolution(b2, Antichain(atoms, b2.labels[b2.bottom], "over"))
     d2 = cx.diffs[-2]  # P_top -> P_a + P_b, entries +-1 with opposite signs
     entries = sorted(row[0] for row in d2)
     assert [int(x) for x in entries] == [-1, 1]
@@ -230,7 +231,7 @@ def test_serre_of_projectives(pentagon, appendix9):
             res = serre(projective_module(lat, a))
             assert isinstance(res, StalkResult)
             assert res.shift == 0
-            assert res.interval == IntervalRef(lat.bottom_label, a)
+            assert support_interval(lat, res.support) == IntervalRef(lat.labels[lat.bottom], a)
 
 
 def test_serre_boolean_antichains_fixtures(pentagon, appendix9, kite):
@@ -266,14 +267,14 @@ def test_serre_appendix_non_interval_stalk(appendix9):
     assert isinstance(res, StalkResult)
     assert res.shift == 2
     assert list(res.rep.dims) == [0, 0, 0, 1, 1, 0, 1, 0, 0]
-    assert res.interval is None  # N is not an interval module
+    assert support_interval(appendix9, res.support) is None  # N is not an interval module
 
 
 def test_serre_orbit_two_chain():
     c2 = chain(2)
     orb = serre_orbit(c2, "1")
     assert orb.period == 3 and orb.total_shift == 1
-    intervals = [s.interval for s in orb.steps]
+    intervals = [support_interval(c2, s.support) for s in orb.steps]
     assert intervals == [IntervalRef("0", "0"), IntervalRef("1", "1"), IntervalRef("0", "1")]
 
 
@@ -304,15 +305,7 @@ def test_serre_orbit_appendix_all_nine(appendix9):
     }
     for a, want in expected.items():
         orb = serre_orbit(appendix9, a)
-        got = [
-            (
-                s.shift,
-                (s.interval.lo, s.interval.hi)
-                if s.interval
-                else s.rep.dims,
-            )
-            for s in orb.steps
-        ]
+        got = [(s.shift, support_interval(appendix9, s.support) or s.rep.dims) for s in orb.steps]
         assert got == want, a
         assert orb.period == len(want)
 
@@ -331,7 +324,7 @@ def test_serre_of_direct_sum(pentagon):
     res = serre(M)
     assert isinstance(res, StalkResult)
     assert res.shift == 0
-    assert res.interval is None  # a sum of two injectives is not an interval module
+    assert support_interval(pentagon, res.support) is None  # a sum of two injectives is not an interval module
     expected, _ = direct_sum(
         [injective_module(pentagon, "a"), injective_module(pentagon, "b")]
     )

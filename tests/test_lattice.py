@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from serrelab.errors import CycleDetected, GuardrailExceeded, NotALattice, RedundantCover
 from serrelab.lattice import (
     Antichain,
-    IntervalRef,
     Poset,
     boolean_lattice,
     build_lattice,
@@ -29,6 +28,7 @@ from serrelab.lattice import (
 
 from conftest import FIXTURES, boolean_sublattice
 from oracles import (
+    IntervalRef,
     _chain_factors,
     all_antichains_over,
     antichain_module,
@@ -50,20 +50,20 @@ def _fixture_lattices():
 
 def test_two_chain():
     lat = build_lattice(["0", "1"], [("0", "1")])
-    assert lat.bottom_label == "0" and lat.top_label == "1"
+    assert lat.labels[lat.bottom] == "0" and lat.labels[lat.top] == "1"
     assert meet(lat, "0", "1") == "0" and join(lat, "0", "1") == "1"
 
 
 def test_pentagon_build(pentagon):
-    assert pentagon.bottom_label == "0"
-    assert pentagon.top_label == "1"
+    assert pentagon.labels[pentagon.bottom] == "0"
+    assert pentagon.labels[pentagon.top] == "1"
     assert join(pentagon, "a", "b") == "1"
     assert meet(pentagon, "a", "b") == "0"
 
 
 def test_appendix_lattice_build(appendix9):
-    assert appendix9.bottom_label == "1"
-    assert appendix9.top_label == "9"
+    assert appendix9.labels[appendix9.bottom] == "1"
+    assert appendix9.labels[appendix9.top] == "9"
     assert join(appendix9, "2", "3") == "9"
     assert meet(appendix9, "7", "5") == "4"
 
@@ -211,7 +211,7 @@ def test_boolean_antichain_basics(pentagon):
     atoms = frozenset(
         b2.labels[i] for i in range(b2.n) if len(b2.lower_covers[i]) == 1
     )
-    assert is_boolean_antichain(b2, Antichain(atoms, b2.bottom_label, "over"))
+    assert is_boolean_antichain(b2, Antichain(atoms, b2.labels[b2.bottom], "over"))
     # singleton antichains are always boolean
     assert is_boolean_antichain(chain(2), Antichain(frozenset({"1"}), "0", "over"))
     # gamma is injective and meet-compatible here, so this one is boolean too
@@ -341,7 +341,7 @@ def test_json_rejects_redundant_covers():
 
 def test_order_dual(pentagon):
     d = order_dual(pentagon)
-    assert d.bottom_label == "1" and d.top_label == "0"
+    assert d.labels[d.bottom] == "1" and d.labels[d.top] == "0"
     assert poset_isomorphism(order_dual(d), pentagon) is not None
 
 

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from serrelab.derived import GeneralComplexResult, projective_resolution, serre, serre_by_resolution
 from serrelab.errors import LatticeMismatch
 from serrelab.fields import PrimeField
-from serrelab.lattice import Antichain, IntervalRef, boolean_lattice
+from serrelab.lattice import Antichain, boolean_lattice
 from serrelab.reps import LatticeRep, find_interval_iso
 
 from conftest import boolean_sublattice
 from oracles import (
+    IntervalRef,
     antichain_module,
     chain,
     direct_sum,
@@ -67,6 +68,19 @@ def test_commutativity_validation():
         maps[broken] = [[Fraction(2)]]
         with pytest.raises(ValueError, match="do not commute between 'e0' and 'e3'"):
             LatticeRep(b2, [1, 1, 1, 1], maps, validate=True)
+
+
+def test_commutativity_validation_walks_only_from_branching_elements(monkeypatch):
+    # two paths from a first part where a has two or more upper covers, so a
+    # chain needs no walk at all and B3 one from its bottom and each atom
+    calls = []
+    walk = LatticeRep.composites
+    monkeypatch.setattr(LatticeRep, "composites", lambda M, a: calls.append(a) or walk(M, a))
+    for lat in (chain(50), boolean_lattice(3)):
+        calls.clear()
+        LatticeRep(lat, [1] * lat.n, {cov: [[Fraction(1)]] for cov in lat.covers}, validate=True)
+        assert calls == [a for a in range(lat.n) if len(lat.upper_covers[a]) > 1]
+    assert len(calls) == 4
 
 
 def test_hom_closed_form_rule_exhaustive(pentagon, appendix9):

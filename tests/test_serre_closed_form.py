@@ -18,19 +18,20 @@ from serrelab.derived import GeneralComplexResult, StalkResult, serre, serre_by_
 from serrelab.fields import QQ, PrimeField
 from serrelab.lattice import (
     Antichain,
-    IntervalRef,
     build_lattice,
     chain_product,
     is_boolean_antichain,
     load_lattice,
     min_complement_antichain,
     product,
+    support_interval,
 )
 from serrelab.reps import LatticeRep, support_module
 from serrelab.typea import all_orientations, gen_tamari, quiver_a, run_typea_suite, tors_lattice
 
 from conftest import FIXTURES, boolean_sublattice, constructed, fixture_path, routed_to_oracle
 from oracles import (
+    IntervalRef,
     all_antichains_over,
     antichain_module,
     boolean_partner,
@@ -87,7 +88,9 @@ def _assert_same_image(fast, slow, where):
     """Same degree, dimension vector and isomorphism class."""
     assert isinstance(fast, StalkResult) == isinstance(slow, StalkResult), where
     if isinstance(slow, StalkResult):
-        assert (fast.shift, fast.interval) == (slow.shift, slow.interval), where
+        assert fast.shift == slow.shift, where
+        fast_iv = support_interval(fast.lattice, fast.support)
+        assert fast_iv == support_interval(slow.lattice, slow.support), where
         assert fast.dimension_vector() == list(slow.rep.dims), where
         assert is_isomorphic(fast.rep, slow.rep), where
     else:
@@ -207,7 +210,7 @@ def test_non_interval_module_goes_to_the_oracle(pentagon, resolutions):
     M, _ = direct_sum([simple_module(pentagon, "a"), simple_module(pentagon, "a")])
     res = serre(M)
     assert len(resolutions) == 1
-    assert isinstance(res, StalkResult) and res.interval is None
+    assert isinstance(res, StalkResult) and support_interval(pentagon, res.support) is None
 
 
 def test_rejected_thin_modules_go_to_the_oracle(pentagon, resolutions, koszul):
@@ -277,7 +280,7 @@ def test_oracle_fixture_routes_every_walk(serre_oracle, pentagon):
 
 
 def _orbit_record(orbit):
-    steps = [(s.shift, s.interval, s.dimension_vector()) for s in orbit.steps]
+    steps = [(s.shift, support_interval(s.lattice, s.support), s.dimension_vector()) for s in orbit.steps]
     return orbit.period, orbit.total_shift, orbit.failure is None, steps
 
 
@@ -306,7 +309,8 @@ def test_b4_sublattices_agree_across_coxeter_masks_and_oracle(seed, field):
             shift += step.shift
             assert list(vector) == [(-1) ** (k + shift) * x for x in step.dimension_vector()]
         if traj.failed is None and traj.steps and orbit.failure is None:
-            assert orbit.steps[traj.steps - 1].interval == IntervalRef(traj.target, lat.top_label)
+            last = orbit.steps[traj.steps - 1]
+            assert support_interval(lat, last.support) == IntervalRef(traj.target, lat.labels[lat.top])
 
 
 @functools.lru_cache(maxsize=None)
