@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
+from functools import cached_property
 
 from .errors import CycleDetected, GuardrailExceeded, NotALattice, RedundantCover
 
@@ -33,10 +34,9 @@ def default_max_steps(lattice: Lattice) -> int:
 def _iter_bits(mask: int):
     """Indices of the set bits of mask, lowest first: the shared bit walk.
     Some hot loops walk bits themselves instead (geom._bits, typea's
-    perpendiculars and interval mutations, support_antichain,
-    coxeter._moebius).  Private because perfbench's tracer wraps every
-    public function of a layer in a span, and a span per walk would distort
-    the layers' self times."""
+    interval mutations, support_antichain, coxeter._moebius).  Private
+    because perfbench's tracer wraps every public function of a layer in a
+    span, and a span per walk would distort the layers' self times."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -131,18 +131,38 @@ class Poset:
 
 
 class Lattice(Poset):
-    """Finite lattice: a poset with total meet/join tables and bounds."""
+    """Finite lattice: a bounded poset in which any two upper covers of an
+    element have a join.  Its meet and join tables are built on first read."""
 
     def __init__(self, elements, covers):
         super().__init__(elements, covers)
-        self.meet_tab, self.join_tab = self._tables()
+        if not self._covers_join():
+            self._tables()  # not a lattice: the pair scan names the first bad pair
         # a lattice has one minimal and one maximal element, so they open
         # and close every linear extension
         self.bottom, self.top = self.topo[0], self.topo[-1]
 
+    def _covers_join(self) -> bool:
+        """Whether the poset is a lattice, by Bjoerner, Edelman and Ziegler
+        (DCG 1990, Lemma 2.1): a finite bounded poset is one when any two
+        upper covers x, y of an element have a join, that is when up(x) &
+        up(y) is the up-set of some element.  It is bounded when the first
+        element of the linear extension lies below everything and the last
+        one above.  (Given the least element, the cover test already forces
+        a greatest one, by Newman's lemma; the last element's test is the
+        cheaper exit.)"""
+        full, up = (1 << self.n) - 1, self.up_mask
+        if up[self.topo[0]] != full or self.down_mask[self.topo[-1]] != full:
+            return False
+        ups = set(up)
+        return all(
+            up[x] & up[y] in ups for cov in self.upper_covers for x, y in itertools.combinations(cov, 2)
+        )
+
     def _tables(self):
         """The meet of a and b is the element whose down-set is down(a) & down(b),
-        if there is one; the join likewise with up-sets."""
+        if there is one; the join likewise with up-sets.  Raises NotALattice
+        on the first pair of indices a <= b that lacks a meet or a join."""
         n, down, up = self.n, self.down_mask, self.up_mask
         by_down = {m: c for c, m in enumerate(down)}
         by_up = {m: c for c, m in enumerate(up)}
@@ -157,6 +177,24 @@ class Lattice(Poset):
                 meet[a][b] = meet[b][a] = m
                 join[a][b] = join[b][a] = j
         return meet, join
+
+    # Properties, not __getattr__: a class with __getattr__ makes every
+    # attribute read of its instances take CPython's slow path.
+
+    @cached_property
+    def _meet_join(self):
+        """One scan fills both tables, on the first read of either."""
+        return self._tables()
+
+    @property
+    def meet_tab(self):
+        """meet_tab[a][b]: the index of the meet of a and b."""
+        return self._meet_join[0]
+
+    @property
+    def join_tab(self):
+        """join_tab[a][b]: the index of the join of a and b."""
+        return self._meet_join[1]
 
     def __repr__(self):
         bottom, top = self.labels[self.bottom], self.labels[self.top]

@@ -8,11 +8,12 @@ sets of them are bitmasks over the roots in (first support index, last
 support index) order: for A_n the intervals [lo, hi] in (lo, hi) order.  The
 engine reads two things off the quiver: that list and the Euler form.  Hom
 and Ext^1 between indecomposables come from the sign of the Euler form, and
-every torsion and wide closure is a double perpendicular.  The torsion
-classes and their labelled covers come from one walk up from 0 (the
-brute-force definitions check the tables, the closures and the walk in the
-tests), and the Lattice built from them (element p is tors_masks[p]) holds
-their inclusion order.  The engine works on masks only; the label-level
+every torsion and wide closure is a double perpendicular: an OR of table
+rows over the members of a mask, read from byte tables, one lookup per byte
+of the mask, each table built on first use.  The torsion classes and their
+labelled covers come from one walk up from 0 (the brute-force definitions
+check the tables, the closures and the walk in the tests), and the Lattice
+built from them (element p is tors_masks[p]) holds their inclusion order.  The engine works on masks only; the label-level
 wrappers that read them as sets of indecomposables are the tests'.
 """
 
@@ -126,26 +127,31 @@ def linear_quiver(n):
 # -- the engine -----------------------------------------------------------------
 
 
-# The perpendiculars are the engine's hot loop: _union and _meet walk the bits
-# themselves rather than through _iter_bits.
+# The closures are the engine's hot loop.  Each is an OR of rows over the
+# members of a mask, read from byte tables: one lookup per byte of the mask
+# rather than one step per bit.
 
 
-def _union(rows, mask):
-    """OR of rows[i] over the members i of mask."""
+def _byte_tables(rows):
+    """tabs[k][s]: the OR of rows[8k + i] over the bits i of the byte s, each
+    entry the one without the lowest bit of s OR that bit's row."""
+    tabs = []
+    for k in range(0, len(rows), 8):
+        chunk = rows[k:k + 8]
+        tab = [0] * (1 << len(chunk))
+        for s in range(1, len(tab)):
+            low = s & -s
+            tab[s] = tab[s ^ low] | chunk[low.bit_length() - 1]
+        tabs.append(tab)
+    return tabs
+
+
+def _or_over(tabs, mask):
+    """The OR of rows[i] over the members i of mask, tabs = _byte_tables(rows)."""
     out = 0
-    while mask:
-        low = mask & -mask
-        out |= rows[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-def _meet(rows, mask, out):
-    """AND of out and rows[i] over the members i of mask."""
-    while mask:
-        low = mask & -mask
-        out &= rows[low.bit_length() - 1]
-        mask ^= low
+    for tab in tabs:
+        out |= tab[mask & 255]
+        mask >>= 8
     return out
 
 
@@ -192,15 +198,40 @@ class _Engine:
             for i in range(N)
         ]
 
+    # ---- byte tables of the row families, each built on first use ------------------
+
+    _hom_out_tabs = cached_property(lambda self: _byte_tables(self.hom_out))
+    _hom_in_tabs = cached_property(lambda self: _byte_tables(self.hom_in))
+    _ext_out_tabs = cached_property(lambda self: _byte_tables(self.ext_out))
+    _ext_in_tabs = cached_property(lambda self: _byte_tables(self.ext_in))
+    # the complements of orth_out and orth_in: an AND of rows is the
+    # complement of the OR of their complements
+    _not_orth_out_tabs = cached_property(
+        lambda self: _byte_tables([self.full_mask & ~r for r in self.orth_out]))
+    _not_orth_in_tabs = cached_property(
+        lambda self: _byte_tables([self.full_mask & ~r for r in self.orth_in]))
+    _hom_ext_out_tabs = cached_property(
+        lambda self: _byte_tables([h | e for h, e in zip(self.hom_out, self.ext_out)]))
+
+    @cached_property
+    def _above_tabs(self):
+        """Byte tables of above, the transpose of below: above[y] holds the x
+        with y in below[x]."""
+        above = [0] * self.N
+        for x, b in enumerate(self.below):
+            for y in _iter_bits(b):
+                above[y] |= 1 << x
+        return _byte_tables(above)
+
     # ---- closures: double perpendiculars -----------------------------------------
 
     def perp_from(self, mask):
         """mask^{perp_0}: objects receiving no hom from mask (torsion-free side)."""
-        return self.full_mask & ~_union(self.hom_out, mask)
+        return self.full_mask & ~_or_over(self._hom_out_tabs, mask)
 
     def perp_into(self, mask):
         """^{perp_0}mask: objects with no hom into mask (a torsion class)."""
-        return self.full_mask & ~_union(self.hom_in, mask)
+        return self.full_mask & ~_or_over(self._hom_in_tabs, mask)
 
     def torsion_closed(self, mask):
         """The least torsion class holding mask, ^{perp_0}(mask^{perp_0})."""
@@ -209,7 +240,8 @@ class _Engine:
     def wide_closure(self, mask):
         """The least wide subcategory holding mask: the left perpendicular of
         its right perpendicular under <x, y> = 0 (Hom = Ext^1 = 0)."""
-        return _meet(self.orth_in, _meet(self.orth_out, mask, self.full_mask), self.full_mask)
+        full = self.full_mask
+        return full & ~_or_over(self._not_orth_in_tabs, full & ~_or_over(self._not_orth_out_tabs, mask))
 
     # ---- torsion classes ---------------------------------------------------------
 
@@ -277,7 +309,7 @@ class _Engine:
 
     def simples_of(self, wide_mask):
         """Members with no proper subobject in wide_mask."""
-        return sum(1 << x for x in _iter_bits(wide_mask) if not wide_mask & self.below[x])
+        return wide_mask & ~_or_over(self._above_tabs, wide_mask)
 
     def rank_of(self, wide_mask):
         return self.simples_of(wide_mask).bit_count()
@@ -291,11 +323,11 @@ class _Engine:
 
     def ext_injectives_in(self, mask):
         """Members of mask with no Ext^1 from any member."""
-        return sum(1 << x for x in _iter_bits(mask) if not self.ext_in[x] & mask)
+        return mask & ~_or_over(self._ext_out_tabs, mask)
 
     def ext_projectives_in(self, mask):
         """Members of mask with no Ext^1 into any member."""
-        return sum(1 << x for x in _iter_bits(mask) if not self.ext_out[x] & mask)
+        return mask & ~_or_over(self._ext_in_tabs, mask)
 
     # ---- mutable intervals ----------------------------------------------------------
 
@@ -328,11 +360,12 @@ class _Engine:
         t_supp = self.proj_mask & self.perp_into(lo | f_hi)
         w_free = self.wide_closure(t_free)
         w_tors = self.wide_closure(t_tors)
+        k = self.rank_of(w_free)
         # the smallest wide subcategory over a partial tilting module has the
         # same rank, and W_free is pinched between a(F') and a(F)
-        if self.rank_of(w_free) != bin(t_free).count("1"):
+        if k != t_free.bit_count():
             raise SerrelabError("rank of W(T_free) differs from |T_free|")
-        if self.rank_of(w_tors) != bin(t_tors).count("1"):
+        if self.rank_of(w_tors) != t_tors.bit_count():
             raise SerrelabError("rank of W(T_tors) differs from |T_tors|")
         if a_fhi & w_free != a_fhi or w_free & a_flo != w_free:
             raise SerrelabError("W_free is not pinched between a(F') and a(F)")
@@ -347,7 +380,7 @@ class _Engine:
             t_supp=t_supp,
             w_free=w_free,
             w_tors=w_tors,
-            k=self.rank_of(w_free),
+            k=k,
         )
 
     @cached_property
@@ -443,7 +476,7 @@ class _Engine:
         elig holds the projectives with no hom into either."""
         compat = [self.full_mask & ~(self.ext_out[i] | self.ext_in[i] | 1 << i) for i in range(self.N)]
         for t_tors in _cliques(compat, self.full_mask):
-            bad = _union(self.hom_out, t_tors) | _union(self.ext_out, t_tors)
+            bad = _or_over(self._hom_ext_out_tabs, t_tors)
             for t_free in _cliques(compat, self.full_mask & ~bad):
                 size = t_tors.bit_count() + t_free.bit_count()
                 if size <= max_size:

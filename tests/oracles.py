@@ -546,6 +546,46 @@ def close(mask, unary, pairs):
         m = x
 
 
+# -- the engine's closures by bit walks ------------------------------------------
+
+
+def _union(rows, mask):
+    """OR of rows[i] over the members i of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _meet(rows, mask, out):
+    """AND of out and rows[i] over the members i of mask."""
+    while mask:
+        low = mask & -mask
+        out &= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def bit_walk_closures(eng, mask):
+    """The engine's closures and member filters of mask, and the Hom-or-Ext^1
+    targets of its members (the `bad` mask of the 2-cluster pairs), by name,
+    each one a walk over the bits of mask through the engine's rows: the
+    oracle of the engine's byte tables."""
+    full = eng.full_mask
+    members = list(_iter_bits(mask))
+    return {
+        "perp_from": full & ~_union(eng.hom_out, mask),
+        "perp_into": full & ~_union(eng.hom_in, mask),
+        "wide_closure": _meet(eng.orth_in, _meet(eng.orth_out, mask, full), full),
+        "simples_of": sum(1 << x for x in members if not mask & eng.below[x]),
+        "ext_injectives_in": sum(1 << x for x in members if not eng.ext_in[x] & mask),
+        "ext_projectives_in": sum(1 << x for x in members if not eng.ext_out[x] & mask),
+        "hom_ext_out": _union(eng.hom_out, mask) | _union(eng.ext_out, mask),
+    }
+
+
 # -- type A: masks read as sets of indecomposables ------------------------------------
 #
 # eng is an engine or a QuiverTables: both list the indecomposables in the

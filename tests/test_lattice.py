@@ -4,6 +4,7 @@ import json
 import os
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from serrelab.errors import CycleDetected, GuardrailExceeded, NotALattice, RedundantCover
 from serrelab.lattice import (
     Antichain,
+    Lattice,
     Poset,
     boolean_lattice,
     build_lattice,
@@ -25,6 +27,7 @@ from serrelab.lattice import (
     poset_isomorphism,
     product,
 )
+from serrelab.typea import gen_tamari, gen_type_i, quiver_a, tamari_rotation_lattice, tors_lattice
 
 from conftest import FIXTURES, boolean_sublattice
 from oracles import (
@@ -160,17 +163,116 @@ def test_oversized_products_are_rejected_before_they_are_built(monkeypatch):
     assert built == []
 
 
+def _assert_tables_match_brute_force(lat):
+    for a, b in itertools.product(range(lat.n), repeat=2):
+        lower = [c for c in range(lat.n) if lat.leq_i(c, a) and lat.leq_i(c, b)]
+        maximal = [c for c in lower if not any(d != c and lat.leq_i(c, d) for d in lower)]
+        assert len(maximal) == 1
+        assert lat.meet_tab[a][b] == maximal[0]
+        upper = [c for c in range(lat.n) if lat.leq_i(a, c) and lat.leq_i(b, c)]
+        minimal = [c for c in upper if not any(d != c and lat.leq_i(d, c) for d in upper)]
+        assert len(minimal) == 1
+        assert lat.join_tab[a][b] == minimal[0]
+
+
 def test_meet_join_oracle_exhaustive(pentagon, appendix9):
     for lat in (pentagon, appendix9, boolean_lattice(3)):
-        for a, b in itertools.product(range(lat.n), repeat=2):
-            lower = [c for c in range(lat.n) if lat.leq_i(c, a) and lat.leq_i(c, b)]
-            maximal = [c for c in lower if not any(d != c and lat.leq_i(c, d) for d in lower)]
-            assert len(maximal) == 1
-            assert lat.meet_tab[a][b] == maximal[0]
-            upper = [c for c in range(lat.n) if lat.leq_i(a, c) and lat.leq_i(b, c)]
-            minimal = [c for c in upper if not any(d != c and lat.leq_i(d, c) for d in upper)]
-            assert len(minimal) == 1
-            assert lat.join_tab[a][b] == minimal[0]
+        _assert_tables_match_brute_force(lat)
+
+
+def test_no_table_is_built_before_its_first_read(monkeypatch):
+    scans = []
+    scan = Lattice._tables
+    monkeypatch.setattr(Lattice, "_tables", lambda self: scans.append(self.n) or scan(self))
+    for lat in (chain_product([8, 8, 8]), chain(1500)):
+        assert "_meet_join" not in vars(lat)
+    assert scans == []
+    # the first read of either table fills both with one scan
+    lat = load_lattice(os.path.join(FIXTURES, "appendix9.json"))
+    join_tab = lat.join_tab
+    assert scans == [9] and vars(lat)["_meet_join"] == (lat.meet_tab, join_tab)
+    _assert_tables_match_brute_force(lat)
+    assert scans == [9]
+
+
+def _random_poset(rng, n, bounded):
+    """Labels and covers of a random poset on n elements, both in shuffled
+    input order; bounded adds a least and a greatest element."""
+    p = rng.uniform(0.05, 0.8)
+    up = [1 << i for i in range(n)]  # i < j in the hidden order when j in up[i]
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                up[i] |= up[j]
+    covers = []
+    for i in range(n):
+        above = up[i] & ~(1 << i)
+        higher = 0
+        for j in range(n):
+            if above >> j & 1:
+                higher |= up[j] & ~(1 << j)
+        covers += [(i, j) for j in range(n) if (above & ~higher) >> j & 1]
+    labels = [f"x{i}" for i in range(n)]
+    covers = [(labels[i], labels[j]) for i, j in covers]
+    if bounded:
+        has_lower = {b for _, b in covers}
+        has_upper = {a for a, _ in covers}
+        covers += [("bot", x) for x in labels if x not in has_lower]
+        covers += [(x, "top") for x in labels if x not in has_upper]
+        labels += ["bot", "top"]
+    rng.shuffle(labels)
+    rng.shuffle(covers)
+    return labels, covers
+
+
+def _scan_verdict(poset):
+    """The pair scan's verdict: None, or the pair, kind and message it raises."""
+    try:
+        Lattice._tables(poset)
+    except NotALattice as err:
+        return err.pair, err.kind, str(err)
+    return None
+
+
+def test_cover_test_matches_the_pair_scan_on_random_posets():
+    # Bjoerner-Edelman-Ziegler against every pair: the same verdict, and on
+    # a rejection the same first bad pair, kind and message
+    rng = random.Random(2031)
+    seen = Counter()
+    for k in range(20_000):
+        bounded = k % 2 == 0
+        labels, covers = _random_poset(rng, rng.randint(1, 9 if bounded else 11), bounded)
+        poset = Poset(labels, covers)
+        want = _scan_verdict(poset)
+        assert Lattice._covers_join(poset) == (want is None), (labels, covers)
+        try:
+            build_lattice(labels, covers)
+            got = None
+        except NotALattice as err:
+            got = err.pair, err.kind, str(err)
+        assert got == want, (labels, covers)
+        seen[bounded, want is None] += 1
+    # both verdicts, bounded and not, each many times over
+    assert min(seen.values()) > 500, seen
+
+
+def test_cover_test_accepts_every_generator_lattice_and_fixture(pentagon, kite):
+    lats = [
+        *_fixture_lattices(),
+        chain(1),
+        chain(6),
+        boolean_lattice(4),
+        chain_product([3, 1, 4]),
+        product(pentagon, kite),
+        order_dual(kite),
+        tamari_rotation_lattice(5),
+        gen_tamari(5),
+        gen_type_i(5),
+        tors_lattice(quiver_a(4, "LRL")),
+    ]
+    for lat in lats:
+        assert lat._covers_join(), lat
+        assert _scan_verdict(lat) is None, lat
 
 
 def test_leq_compatible_with_meet(pentagon):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -28,6 +29,7 @@ from oracles import (
     a_of,
     a_of_torsionfree,
     almost_triples,
+    bit_walk_closures,
     classify,
     close,
     cogen,
@@ -46,6 +48,7 @@ from oracles import (
     torsion_classes,
     wide_subcats,
 )
+from test_root_data import root_quiver
 
 
 def masks(eng, *pairs):
@@ -174,6 +177,41 @@ def test_engine_matches_brute_force_on_every_quiver():
         for wide in wides:
             simples = sum(1 << x for x in range(N) if _bit(wide, x) and not wide & tab.sub_mask[x] & ~(1 << x))
             assert eng.simples_of(wide) == simples, (q, wide)
+
+
+def _kernel_values(eng, mask):
+    return {
+        "perp_from": eng.perp_from(mask),
+        "perp_into": eng.perp_into(mask),
+        "wide_closure": eng.wide_closure(mask),
+        "simples_of": eng.simples_of(mask),
+        "ext_injectives_in": eng.ext_injectives_in(mask),
+        "ext_projectives_in": eng.ext_projectives_in(mask),
+        "hom_ext_out": typea._or_over(eng._hom_ext_out_tabs, mask),
+    }
+
+
+def test_byte_table_closures_match_the_bit_walks():
+    # every mask when there are at most 10 roots, else seeded random ones;
+    # F4's 24 roots read three byte tables per closure
+    quivers = [quiver_a(n, o) for n in range(1, QUIVER_GUARDRAIL + 1) for o in all_orientations(n)]
+    quivers += [root_quiver(*c) for c in (("G2", "L"), ("B3", "LR"), ("C3", "RL"), ("D4", "LRL"), ("F4", "LRL"))]
+    assert len(quivers) == 36
+    rng = random.Random(31)
+    for q in quivers:
+        eng = _Engine(q)
+        if eng.N <= 10:
+            masks = range(1 << eng.N)
+        else:
+            masks = [0, eng.full_mask, *(rng.getrandbits(eng.N) for _ in range(2000))]
+        for mask in masks:
+            assert _kernel_values(eng, mask) == bit_walk_closures(eng, mask), (q.cartan, q.orientation, mask)
+
+
+def test_an_engine_that_only_walks_tors_builds_the_hom_tables_alone():
+    eng = _Engine(linear_quiver(4))
+    tabs = {name for name in vars(eng) if name.endswith("_tabs")}
+    assert tabs == {"_hom_out_tabs", "_hom_in_tabs"}
 
 
 def test_hom_and_ext_basics():
