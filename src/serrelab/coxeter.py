@@ -118,8 +118,8 @@ class Trajectory:
         self.sign = sign  # +1 / -1 at termination, else None
         self.target = target  # pi(element), else None
         self.failed = failed  # 'mixed-sign' when a vector is not weakly signed, else None
-        # pi(element) under the strict reading, which accepts +[P_j] only; None
-        # once that reading has failed here or on an earlier element
+        # pi(element) under the strict reading, which accepts +[P_j] only;
+        # None when the strict reading fails for this element
         self.strict_target = strict_target
 
 
@@ -176,10 +176,11 @@ def _weakly_signed(v):
 
 
 def _run_trajectories(lat: Lattice, C, max_steps):
-    """Iterate C on each [I_i] until it hits +-[P_j] (the signed reading);
-    after a -[P_j] hit go on, within the same step budget, to the first
-    +[P_j] (the strict reading).  Once the strict reading has failed on one
-    element it is not continued on the later ones.
+    """Iterate C on each [I_i] until it first hits +-[P_j] (the signed
+    reading).  The strict reading, which accepts +[P_j] only, needs no walk
+    of its own: C[P_j] = -[I_j] (checked in coxeter_matrix), so past a
+    -[P_j] hit at step k the walk goes on as the trajectory of I_j from step
+    k + 1.  It follows those hops to the first +[P] hit within max_steps.
 
     v is kept as a {index: value} dict of its nonzeros and C is applied column
     by column over the support of v; the recorded vectors are dense tuples."""
@@ -198,37 +199,30 @@ def _run_trajectories(lat: Lattice, C, max_steps):
         return tuple(d)
 
     out = {}
-    strict_alive = True
     for i, label in enumerate(lat.labels):
         v = _ones(lat, lat.down_mask[i])
         vectors = [dense(v)]
-        traj = None
         for k in range(max_steps + 1):
-            if not v:  # after a -[P_j] hit this only fails the strict reading
-                if traj is None:
-                    raise SerrelabError("trajectory vector vanished")
-                break
             if not _weakly_signed(v.values()):
-                if traj is None:
-                    traj = Trajectory(label, vectors, None, None, None, "mixed-sign")
+                out[label] = Trajectory(label, vectors, None, None, None, "mixed-sign")
                 break
             hit = ptable.get(frozenset(v.items()))
             if hit is not None:
                 j, sign = hit
-                if traj is None:
-                    traj = Trajectory(label, vectors, k, sign, lat.labels[j], None)
-                if sign == 1:
-                    traj.strict_target = lat.labels[j]
-                    break
-                if not strict_alive:
-                    break
+                out[label] = Trajectory(label, vectors, k, sign, lat.labels[j], None)
+                break
             v = _apply_columns(cols, v)
-            if traj is None:
-                vectors.append(dense(v))
-        if traj is None:
+            vectors.append(dense(v))
+        else:
             raise MaxStepsExceeded(label, max_steps)
-        strict_alive = strict_alive and traj.strict_target is not None
-        out[label] = traj
+    for traj in out.values():
+        t, total = traj, 0
+        while t.failed is None and total + t.steps <= max_steps:
+            if t.sign == 1:
+                traj.strict_target = t.target
+                break
+            total += t.steps + 1
+            t = out[t.target]
     return out
 
 

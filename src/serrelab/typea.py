@@ -173,22 +173,18 @@ class _Engine:
         """Between indecomposables of a Dynkin quiver Hom and Ext^1 are never
         both nonzero, so the sign of <x, y> = dim Hom(x, y) - dim Ext^1(x, y)
         decides both.  hom_out[i] holds the j with Hom(i, j) != 0 and hom_in[j]
-        the i; ext_* (Ext^1 != 0) and orth_* (both zero) alike."""
+        the i; ext_* (Ext^1 != 0) alike.  A zero sign means x and y are
+        orthogonal, so the orthogonal pairs are the complement of hom | ext."""
         N = self.N
         dims = self.indecs  # the roots are their own dimension vectors
-        self.hom_out, self.hom_in, self.ext_out, self.ext_in, self.orth_out, self.orth_in = (
-            [0] * N for _ in range(6)
-        )
+        self.hom_out, self.hom_in, self.ext_out, self.ext_in = ([0] * N for _ in range(4))
         for i, x in enumerate(dims):
             for j, y in enumerate(dims):
                 s = self.q.euler(x, y)
-                out, into = (
-                    (self.hom_out, self.hom_in) if s > 0
-                    else (self.ext_out, self.ext_in) if s < 0
-                    else (self.orth_out, self.orth_in)
-                )
-                out[i] |= 1 << j
-                into[j] |= 1 << i
+                if s:
+                    out, into = (self.hom_out, self.hom_in) if s > 0 else (self.ext_out, self.ext_in)
+                    out[i] |= 1 << j
+                    into[j] |= 1 << i
         self.proj_mask = sum(1 << i for i in range(N) if not self.ext_out[i])
         # below[x]: the other y with Hom(y, x) != 0 and dim y <= dim x, which
         # in a wide subcategory holding both makes y a proper subobject of x
@@ -204,14 +200,12 @@ class _Engine:
     _hom_in_tabs = cached_property(lambda self: _byte_tables(self.hom_in))
     _ext_out_tabs = cached_property(lambda self: _byte_tables(self.ext_out))
     _ext_in_tabs = cached_property(lambda self: _byte_tables(self.ext_in))
-    # the complements of orth_out and orth_in: an AND of rows is the
-    # complement of the OR of their complements
-    _not_orth_out_tabs = cached_property(
-        lambda self: _byte_tables([self.full_mask & ~r for r in self.orth_out]))
-    _not_orth_in_tabs = cached_property(
-        lambda self: _byte_tables([self.full_mask & ~r for r in self.orth_in]))
+    # hom | ext, the complement of the orthogonal rows: the wide closure's AND
+    # of orthogonal rows is the complement of the OR of these
     _hom_ext_out_tabs = cached_property(
         lambda self: _byte_tables([h | e for h, e in zip(self.hom_out, self.ext_out)]))
+    _hom_ext_in_tabs = cached_property(
+        lambda self: _byte_tables([h | e for h, e in zip(self.hom_in, self.ext_in)]))
 
     @cached_property
     def _above_tabs(self):
@@ -241,7 +235,7 @@ class _Engine:
         """The least wide subcategory holding mask: the left perpendicular of
         its right perpendicular under <x, y> = 0 (Hom = Ext^1 = 0)."""
         full = self.full_mask
-        return full & ~_or_over(self._not_orth_in_tabs, full & ~_or_over(self._not_orth_out_tabs, mask))
+        return full & ~_or_over(self._hom_ext_in_tabs, full & ~_or_over(self._hom_ext_out_tabs, mask))
 
     # ---- torsion classes ---------------------------------------------------------
 
@@ -524,10 +518,7 @@ class MutableInterval:
         self.w_free = w_free
         self.w_tors = w_tors
         self.k = k
-
-    @property
-    def key(self):
-        return (self.lo, self.hi)
+        self.key = (lo, hi)
 
     def __repr__(self):
         e = self.engine
@@ -641,8 +632,10 @@ def run_typea_suite(q: DynkinQuiver, categorical=True) -> dict:
     except SerrelabError as exc:
         out["checks"]["rotation"] = {"ok": False, "error": str(exc)}
     images = {interval_of(q, t).key for t in triples}
+    parts = {(t.t_free, t.t_tors, t.t_supp) for t in triples}
     roundtrip = all(
-        interval_of(q, ClusterTriple(iv.t_free, iv.t_tors, iv.t_supp)).key == iv.key
+        (iv.t_free, iv.t_tors, iv.t_supp) in parts
+        and interval_of(q, ClusterTriple(iv.t_free, iv.t_tors, iv.t_supp)).key == iv.key
         for iv in ivs
     )
     out["checks"]["cluster_bijection"] = {

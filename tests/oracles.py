@@ -575,10 +575,13 @@ def bit_walk_closures(eng, mask):
     oracle of the engine's byte tables."""
     full = eng.full_mask
     members = list(_iter_bits(mask))
+    # orthogonal: neither Hom nor Ext^1 is nonzero
+    orth_out = [full & ~(h | e) for h, e in zip(eng.hom_out, eng.ext_out)]
+    orth_in = [full & ~(h | e) for h, e in zip(eng.hom_in, eng.ext_in)]
     return {
         "perp_from": full & ~_union(eng.hom_out, mask),
         "perp_into": full & ~_union(eng.hom_in, mask),
-        "wide_closure": _meet(eng.orth_in, _meet(eng.orth_out, mask, full), full),
+        "wide_closure": _meet(orth_in, _meet(orth_out, mask, full), full),
         "simples_of": sum(1 << x for x in members if not mask & eng.below[x]),
         "ext_injectives_in": sum(1 << x for x in members if not eng.ext_in[x] & mask),
         "ext_projectives_in": sum(1 << x for x in members if not eng.ext_out[x] & mask),

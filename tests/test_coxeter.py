@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from serrelab import derived, linalg
+from serrelab import coxeter, derived, linalg
 from serrelab.coxeter import (
     cartan_matrix,
     combinatorial_serre_check,
@@ -13,7 +13,7 @@ from serrelab.coxeter import (
 from serrelab.derived import GeneralComplexResult, StalkResult
 from serrelab.errors import Disagreement, MaxStepsExceeded, SerrelabError
 from serrelab.lattice import boolean_lattice, chain_product
-from serrelab.typea import gen_type_i
+from serrelab.typea import gen_tamari, gen_type_i
 
 from oracles import chain
 from record_golden import run_request
@@ -294,30 +294,36 @@ def test_trajectories_unisigned(appendix9):
 # -- differential test of the fused Coxeter pass --------------------------------
 
 
-def _oracle_reading(lat, C, max_steps, signs):
-    """One reading as its own loop: element -> (vectors, steps, sign, target,
-    failed).  signs (1, -1) accept +-[P_j], (1,) only +[P_j]."""
+def _oracle_walk(lat, C, i, max_steps, signs):
+    """One element's walk as its own loop: (vectors, steps, sign, target,
+    failed), or None when no accepted [P_j] comes within max_steps.  signs
+    (1, -1) accept +-[P_j], (1,) only +[P_j]."""
     n = lat.n
     proj = {tuple(1 if lat.leq_i(j, v) else 0 for v in range(n)): j for j in range(n)}
+    v = [1 if lat.leq_i(u, i) else 0 for u in range(n)]
+    vectors = [tuple(v)]
+    for k in range(max_steps + 1):
+        if not any(v):
+            raise SerrelabError("vanished")
+        if not (all(x >= 0 for x in v) or all(x <= 0 for x in v)):
+            return vectors, None, None, None, "mixed-sign"
+        hits = [(s, proj[tuple(s * x for x in v)]) for s in signs if tuple(s * x for x in v) in proj]
+        if hits:
+            s, j = hits[0]
+            return vectors, k, s, lat.labels[j], None
+        v = [sum(c * x for c, x in zip(row, v)) for row in C]
+        vectors.append(tuple(v))
+    return None
+
+
+def _oracle_reading(lat, C, max_steps, signs):
+    """One reading, element by element: element -> _oracle_walk."""
     out = {}
     for i, label in enumerate(lat.labels):
-        v = [1 if lat.leq_i(u, i) else 0 for u in range(n)]
-        vectors = [tuple(v)]
-        for k in range(max_steps + 1):
-            if not any(v):
-                raise SerrelabError("vanished")
-            if not (all(x >= 0 for x in v) or all(x <= 0 for x in v)):
-                out[label] = (vectors, None, None, None, "mixed-sign")
-                break
-            hits = [(s, proj[tuple(s * x for x in v)]) for s in signs if tuple(s * x for x in v) in proj]
-            if hits:
-                s, j = hits[0]
-                out[label] = (vectors, k, s, lat.labels[j], None)
-                break
-            v = [sum(c * x for c, x in zip(row, v)) for row in C]
-            vectors.append(tuple(v))
-        else:
+        walk = _oracle_walk(lat, C, i, max_steps, signs)
+        if walk is None:
             raise MaxStepsExceeded(label, max_steps)
+        out[label] = walk
     return out
 
 
@@ -334,7 +340,7 @@ def _differential_lattices():
 
     from conftest import FIXTURES
     from serrelab.lattice import load_lattice
-    from serrelab.typea import all_orientations, gen_tamari, quiver_a, tors_lattice
+    from serrelab.typea import all_orientations, quiver_a, tors_lattice
 
     lats = [load_lattice(p) for p in sorted(glob.glob(os.path.join(FIXTURES, "*.json")))]
     lats += [gen_tamari(n) for n in range(1, 6)]
@@ -379,3 +385,35 @@ def test_fused_trajectory_pass_matches_two_loop_oracle(pentagon, kite):
             differs += rep.strict_sign_differs
     assert len(lattices) == 7 + 5 + 5 + 4 + 3 + 73
     assert differs  # the strict reading changes some verdicts in this sweep
+
+
+def test_each_strict_target_is_its_own_plus_p_only_walk():
+    # the strict target of an element depends on that element alone, not on
+    # whether the strict reading failed on an earlier one
+    for lat in _differential_lattices():
+        C = coxeter_matrix(lat).matrix
+        for max_steps in (4 * (lat.n + 10), 3):
+            try:
+                rep = combinatorial_serre_check(lat, max_steps)
+            except MaxStepsExceeded:
+                continue
+            for i, label in enumerate(lat.labels):
+                walk = _oracle_walk(lat, C, i, max_steps, (1,))
+                want = None if walk is None else walk[3]
+                assert rep.trajectories[label].strict_target == want, (lat.labels, label, max_steps)
+    # Tamari(5): all 42 signed targets, 26 of them strict
+    trajs = combinatorial_serre_check(gen_tamari(5)).trajectories.values()
+    assert sum(t.strict_target is not None for t in trajs) == 26
+
+
+def test_the_trajectory_pass_applies_c_once_per_step(monkeypatch, appendix9):
+    # one first-hit walk per element: no step past its +-[P_j]
+    from serrelab.lattice import default_max_steps, product
+
+    apply, calls = coxeter._apply_columns, []
+    monkeypatch.setattr(coxeter, "_apply_columns", lambda cols, v: calls.append(1) or apply(cols, v))
+    for lat, steps in ((gen_tamari(5), 162), (product(appendix9, appendix9), 221)):
+        C = coxeter_matrix(lat).matrix
+        calls.clear()
+        trajs = coxeter._run_trajectories(lat, C, default_max_steps(lat))
+        assert len(calls) == sum(t.steps for t in trajs.values()) == steps

