@@ -15,20 +15,13 @@ from .lattice import Lattice, default_max_steps, support_interval
 from .perm import cycle_decomposition
 
 
-class CartanMatrix:
-    __slots__ = ("matrix", "inverse")
-
-    def __init__(self, matrix, inverse):
-        self.matrix = matrix  # Omega[i][j] = [j <= i], the transposed zeta matrix
-        self.inverse = inverse  # the transposed Moebius-function matrix of the poset
-
-
 class CoxeterMatrix:
-    __slots__ = ("matrix", "cartan")
+    __slots__ = ("matrix", "cartan", "columns")
 
-    def __init__(self, matrix, cartan):
+    def __init__(self, matrix, cartan, columns):
         self.matrix = matrix
-        self.cartan = cartan
+        self.cartan = cartan  # the rows of Omega, cartan_matrix(lat)
+        self.columns = columns  # _columns(matrix): the nonzeros of each column
 
 
 def _inj_vector(lat: Lattice, i: int):
@@ -42,13 +35,13 @@ def _ones(lat: Lattice, mask):
 
 
 def _moebius(lat: Lattice):
-    """mu[a][b] by Rota's recursion mu(a, b) = -sum_{a <= c < b} mu(a, c),
-    filled in along the linear extension and summed over the set bits of the
-    interval mask where mu(a, .) is nonzero."""
+    """The rows {b: mu(a, b)} of the nonzero values of the Moebius function,
+    by Rota's recursion mu(a, b) = -sum_{a <= c < b} mu(a, c), filled in
+    along the linear extension and summed over the set bits of the interval
+    mask where mu(a, .) is nonzero."""
     mu = []
     for a in range(lat.n):
-        up, row, nonzero = lat.up_mask[a], [0] * lat.n, 1 << a
-        row[a] = 1
+        up, row, nonzero = lat.up_mask[a], {a: 1}, 1 << a
         for b in lat.topo:
             if b == a or not up >> b & 1:
                 continue
@@ -64,13 +57,13 @@ def _moebius(lat: Lattice):
     return mu
 
 
-def cartan_matrix(lat: Lattice) -> CartanMatrix:
-    """Omega = zeta^T for zeta[i][j] = [i <= j], so Omega^-1 = mu^T.  Then
-    C = -Omega^T Omega^-1 sends [P_i] = zeta^T e_i to -zeta e_i = -[I_i], the
-    construction-time ground truth; the untransposed zeta fails it on the
-    bottom element's column as soon as n > 1."""
-    return CartanMatrix(matrix=[_inj_vector(lat, i) for i in range(lat.n)],
-                        inverse=[list(col) for col in zip(*_moebius(lat))])
+def cartan_matrix(lat: Lattice):
+    """The rows of Omega = zeta^T for zeta[i][j] = [i <= j]: row i is the 0/1
+    vector of down(i).  Omega^-1 = mu^T, and C = -Omega^T Omega^-1 sends
+    [P_i] = zeta^T e_i to -zeta e_i = -[I_i], the construction-time ground
+    truth; the untransposed zeta fails it on the bottom element's column as
+    soon as n > 1."""
+    return [_inj_vector(lat, i) for i in range(lat.n)]
 
 
 def _columns(C):
@@ -89,23 +82,22 @@ def _apply_columns(cols, v):
 
 
 def coxeter_matrix(lat: Lattice) -> CoxeterMatrix:
-    """C[i][j] = -sum_{k >= i} mu(j, k), scattered from the nonzero entries of
-    mu.  The [P_i] form a basis, so C[P_i] = -[I_i] for every i fixes C; that
-    identity is checked on every build."""
-    cart = cartan_matrix(lat)
+    """C[i][j] = -sum_{k >= i} mu(j, k), scattered from the sparse rows of mu.
+    The [P_i] form a basis, so C[P_i] = -[I_i] for every i fixes C; that
+    identity is checked on every build, on the columns that the trajectories
+    then reuse."""
     n = lat.n
     C = [[0] * n for _ in range(n)]
     down = [lat.mask_members(m) for m in lat.down_mask]
-    for k, row in enumerate(cart.inverse):
-        for j, m in enumerate(row):  # m = mu(j, k)
-            if m:
-                for i in down[k]:
-                    C[i][j] -= m
+    for j, row in enumerate(_moebius(lat)):
+        for k, m in row.items():  # m = mu(j, k)
+            for i in down[k]:
+                C[i][j] -= m
     cols = _columns(C)
     for i in range(n):
         if _apply_columns(cols, _ones(lat, lat.up_mask[i])) != dict.fromkeys(down[i], -1):
             raise SerrelabError("Coxeter matrix failed its defining identity")
-    return CoxeterMatrix(matrix=C, cartan=cart)
+    return CoxeterMatrix(matrix=C, cartan=cartan_matrix(lat), columns=cols)
 
 
 class Trajectory:
@@ -151,7 +143,7 @@ class SerreFormalReport:
         return {
             "serre_formal": self.is_serre_formal,
             "classification": self.classification,
-            "cartan_matrix": self.coxeter.cartan.matrix,
+            "cartan_matrix": self.coxeter.cartan,
             "coxeter_matrix": self.coxeter.matrix,
             "permutation": {str(k): str(v) for k, v in perm.items()},
             "permutation_oneline": [str(perm[e]) for e in self.lattice.labels] if perm else None,
@@ -175,17 +167,17 @@ def _weakly_signed(v):
     return all(x >= 0 for x in v) or all(x <= 0 for x in v)
 
 
-def _run_trajectories(lat: Lattice, C, max_steps):
+def _run_trajectories(lat: Lattice, cols, max_steps):
     """Iterate C on each [I_i] until it first hits +-[P_j] (the signed
     reading).  The strict reading, which accepts +[P_j] only, needs no walk
     of its own: C[P_j] = -[I_j] (checked in coxeter_matrix), so past a
     -[P_j] hit at step k the walk goes on as the trajectory of I_j from step
     k + 1.  It follows those hops to the first +[P] hit within max_steps.
 
-    v is kept as a {index: value} dict of its nonzeros and C is applied column
-    by column over the support of v; the recorded vectors are dense tuples."""
+    v is kept as a {index: value} dict of its nonzeros and C is applied over
+    the support of v through cols, the nonzeros of its columns
+    (CoxeterMatrix.columns); the recorded vectors are dense tuples."""
     n = lat.n
-    cols = _columns(C)
     ptable = {}
     for j in range(n):
         pv = _ones(lat, lat.up_mask[j])
@@ -239,7 +231,7 @@ def combinatorial_serre_check(lat: Lattice, max_steps=None) -> SerreFormalReport
     if max_steps is None:
         max_steps = default_max_steps(lat)
     cox = coxeter_matrix(lat)
-    trajs = _run_trajectories(lat, cox.matrix, max_steps)
+    trajs = _run_trajectories(lat, cox.columns, max_steps)
     perm = _as_permutation(lat, {e: t.target for e, t in trajs.items()})
     strict = _as_permutation(lat, {e: t.strict_target for e, t in trajs.items()})
     cycles = None if perm is None else cycle_decomposition(perm.__getitem__, lat.labels)

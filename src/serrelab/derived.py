@@ -367,7 +367,7 @@ def serre_support(lat: Lattice, gamma):
     antichain module of the coatom joins of C under their full join beta,
     shifted by |C|; the mask is that module's support, down(beta) minus the
     down-sets of the coatom joins.  No linear algebra is involved."""
-    if not _is_boolean(gamma, lat.meet_tab):
+    if not _is_boolean(gamma, lat.down_mask):
         return None
     full = len(gamma) - 1
     image = lat.down_mask[gamma[full]]
@@ -395,7 +395,7 @@ def _serre_on_antichain(lat: Lattice, mask: int, ac, field):
     """serre_on_support with ac = support_antichain(lat, mask) given."""
     if ac is not None and 1 << len(ac[1]) <= lat.n:
         lo, members = ac
-        gamma = _subset_joins(lo, members, lat.join_tab)
+        gamma = _subset_joins(lo, members, lat.up_mask, lat.by_up)
         image = serre_support(lat, gamma)
         if image is not None:
             return StalkResult(lat, len(members), image, field=field)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from serrelab import linalg
 from serrelab.derived import ScalarComplex, _boundary, _subsets, cohomology
-from serrelab.errors import GuardrailExceeded, LatticeMismatch, SerrelabError
+from serrelab.errors import GuardrailExceeded, LatticeMismatch, NotALattice, SerrelabError
 from serrelab.fields import QQ
 from serrelab.geom import _bits, _check_n, _chord_table, _is_tree
 from serrelab.lattice import (
@@ -47,12 +47,34 @@ def leq(lat: Lattice, a, b) -> bool:
     return lat.leq_i(lat.index[a], lat.index[b])
 
 
+@functools.lru_cache(maxsize=2)
+def meet_join_tables(lat: Lattice):
+    """(meet, join): meet[a][b] is the index of the meet of a and b, the
+    element whose down-set is down(a) & down(b); join likewise with up-sets.
+    One scan over every pair; NotALattice on the first pair of indices
+    a <= b that lacks a meet or a join."""
+    n, down, up = lat.n, lat.down_mask, lat.up_mask
+    by_down = {m: c for c, m in enumerate(down)}
+    by_up = {m: c for c, m in enumerate(up)}
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            m = by_down.get(down[a] & down[b])
+            j = by_up.get(up[a] & up[b])
+            if m is None or j is None:
+                raise NotALattice(lat.labels[a], lat.labels[b], "meet" if m is None else "join")
+            meet[a][b] = meet[b][a] = m
+            join[a][b] = join[b][a] = j
+    return meet, join
+
+
 def meet(lat: Lattice, a, b):
-    return lat.labels[lat.meet_tab[lat.index[a]][lat.index[b]]]
+    return lat.labels[meet_join_tables(lat)[0][lat.index[a]][lat.index[b]]]
 
 
 def join(lat: Lattice, a, b):
-    return lat.labels[lat.join_tab[lat.index[a]][lat.index[b]]]
+    return lat.labels[meet_join_tables(lat)[1][lat.index[a]][lat.index[b]]]
 
 
 def interval_labels(lat: Lattice, ref: IntervalRef):
@@ -66,7 +88,7 @@ def is_dual_boolean_antichain(lat: Lattice, ac: Antichain) -> bool:
     """The same test in the order dual, for antichains under a base: subsets
     go to meets, unions to meets and intersections to joins."""
     gamma = _antichain_gamma(lat, ac, "under", "is_dual_boolean_antichain")
-    return _is_boolean(gamma, lat.join_tab)
+    return _is_boolean(gamma, lat.up_mask)
 
 
 def boolean_partner(lat: Lattice, ac: Antichain) -> Antichain:
@@ -103,6 +125,7 @@ def _join_irreducibles(lat: Lattice):
 
 
 def _is_distributive(lat: Lattice) -> bool:
+    join_tab = meet_join_tables(lat)[1]
     ji = _join_irreducibles(lat)
     phi = []
     for x in range(lat.n):
@@ -115,14 +138,15 @@ def _is_distributive(lat: Lattice) -> bool:
         return False
     for a in range(lat.n):
         for b in range(a + 1, lat.n):
-            if phi[lat.join_tab[a][b]] != phi[a] | phi[b]:
+            if phi[join_tab[a][b]] != phi[a] | phi[b]:
                 return False
     return True
 
 
 def _is_semidistributive(lat: Lattice) -> bool:
     n = lat.n
-    for tab, other in ((lat.meet_tab, lat.join_tab), (lat.join_tab, lat.meet_tab)):
+    meet_tab, join_tab = meet_join_tables(lat)
+    for tab, other in ((meet_tab, join_tab), (join_tab, meet_tab)):
         for a in range(n):
             groups = {}
             for b in range(n):

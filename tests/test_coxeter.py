@@ -19,24 +19,30 @@ from oracles import chain
 from record_golden import run_request
 
 
+def _moebius_transposed(lat):
+    """mu^T from the dense oracle: Omega^-1 when Omega = zeta^T."""
+    mu = _dense_moebius(lat)
+    return [[mu[j][i] for j in range(lat.n)] for i in range(lat.n)]
+
+
 def test_cartan_two_chain():
     lat = chain(2)
     cart = cartan_matrix(lat)
-    flat = sorted(x for row in cart.matrix for x in row)
+    flat = sorted(x for row in cart for x in row)
     assert flat == [0, 1, 1, 1]  # zeta pattern of a chain, up to orientation
-    assert linalg.mat_mul(cart.matrix, cart.inverse) == linalg.identity(2)
+    assert linalg.mat_mul(cart, _moebius_transposed(lat)) == linalg.identity(2)
 
 
 def test_cartan_counts_comparable_pairs():
     b2 = boolean_lattice(2)
     cart = cartan_matrix(b2)
-    assert sum(x for row in cart.matrix for x in row) == 9
+    assert sum(x for row in cart for x in row) == 9
 
 
 def test_cartan_unimodular(pentagon, appendix9):
     for lat in (pentagon, appendix9, boolean_lattice(3)):
         cart = cartan_matrix(lat)
-        assert linalg.mat_mul(cart.matrix, cart.inverse) == linalg.identity(lat.n)
+        assert linalg.mat_mul(cart, _moebius_transposed(lat)) == linalg.identity(lat.n)
 
 
 def _dense_moebius(lat):
@@ -71,11 +77,16 @@ def test_moebius_inverse():
     assert _dense_moebius(m3)[m3.bottom][m3.top] == 2
     for lat in _differential_lattices() + [m3]:
         n = lat.n
-        mu = _dense_moebius(lat)
         cart = cartan_matrix(lat)
         # fixed convention: Omega = zeta^T, so its inverse is mu^T
-        assert cart.matrix == [[1 if lat.leq_i(j, i) else 0 for j in range(n)] for i in range(n)]
-        assert cart.inverse == [[mu[j][i] for j in range(n)] for i in range(n)]
+        assert cart == [[1 if lat.leq_i(j, i) else 0 for j in range(n)] for i in range(n)]
+        assert linalg.mat_mul(cart, _moebius_transposed(lat)) == linalg.identity(n)
+
+
+def test_moebius_rows_are_the_nonzeros_of_the_dense_oracle():
+    for lat in _differential_lattices() + [_m3()]:
+        mu = _dense_moebius(lat)
+        assert coxeter._moebius(lat) == [{b: m for b, m in enumerate(row) if m} for row in mu], lat.labels
 
 
 def test_coxeter_identity(pentagon, appendix9, kite):
@@ -413,7 +424,15 @@ def test_the_trajectory_pass_applies_c_once_per_step(monkeypatch, appendix9):
     apply, calls = coxeter._apply_columns, []
     monkeypatch.setattr(coxeter, "_apply_columns", lambda cols, v: calls.append(1) or apply(cols, v))
     for lat, steps in ((gen_tamari(5), 162), (product(appendix9, appendix9), 221)):
-        C = coxeter_matrix(lat).matrix
+        cols = coxeter_matrix(lat).columns
         calls.clear()
-        trajs = coxeter._run_trajectories(lat, C, default_max_steps(lat))
+        trajs = coxeter._run_trajectories(lat, cols, default_max_steps(lat))
         assert len(calls) == sum(t.steps for t in trajs.values()) == steps
+
+
+def test_the_columns_of_c_are_read_once_per_check(monkeypatch):
+    # the identity check of coxeter_matrix and the trajectories share one scan
+    scan, scans = coxeter._columns, []
+    monkeypatch.setattr(coxeter, "_columns", lambda C: scans.append(1) or scan(C))
+    rep = combinatorial_serre_check(gen_tamari(5))
+    assert len(scans) == 1 and rep.coxeter.columns == scan(rep.coxeter.matrix)

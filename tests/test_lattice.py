@@ -44,6 +44,7 @@ from oracles import (
     join,
     leq,
     meet,
+    meet_join_tables,
 )
 
 
@@ -163,36 +164,24 @@ def test_oversized_products_are_rejected_before_they_are_built(monkeypatch):
     assert built == []
 
 
-def _assert_tables_match_brute_force(lat):
+def _assert_lookups_match_brute_force(lat):
+    # the meet of a and b is the element whose down-set is down(a) & down(b),
+    # the join the one whose up-set is up(a) & up(b); the oracle's tables agree
+    meet_tab, join_tab = meet_join_tables(lat)
     for a, b in itertools.product(range(lat.n), repeat=2):
         lower = [c for c in range(lat.n) if lat.leq_i(c, a) and lat.leq_i(c, b)]
         maximal = [c for c in lower if not any(d != c and lat.leq_i(c, d) for d in lower)]
         assert len(maximal) == 1
-        assert lat.meet_tab[a][b] == maximal[0]
+        assert lat.by_down[lat.down_mask[a] & lat.down_mask[b]] == meet_tab[a][b] == maximal[0]
         upper = [c for c in range(lat.n) if lat.leq_i(a, c) and lat.leq_i(b, c)]
         minimal = [c for c in upper if not any(d != c and lat.leq_i(d, c) for d in upper)]
         assert len(minimal) == 1
-        assert lat.join_tab[a][b] == minimal[0]
+        assert lat.by_up[lat.up_mask[a] & lat.up_mask[b]] == join_tab[a][b] == minimal[0]
 
 
 def test_meet_join_oracle_exhaustive(pentagon, appendix9):
-    for lat in (pentagon, appendix9, boolean_lattice(3)):
-        _assert_tables_match_brute_force(lat)
-
-
-def test_no_table_is_built_before_its_first_read(monkeypatch):
-    scans = []
-    scan = Lattice._tables
-    monkeypatch.setattr(Lattice, "_tables", lambda self: scans.append(self.n) or scan(self))
-    for lat in (chain_product([8, 8, 8]), chain(1500)):
-        assert "_meet_join" not in vars(lat)
-    assert scans == []
-    # the first read of either table fills both with one scan
-    lat = load_lattice(os.path.join(FIXTURES, "appendix9.json"))
-    join_tab = lat.join_tab
-    assert scans == [9] and vars(lat)["_meet_join"] == (lat.meet_tab, join_tab)
-    _assert_tables_match_brute_force(lat)
-    assert scans == [9]
+    for lat in (pentagon, appendix9, boolean_lattice(3), gen_tamari(5), chain_product([3, 3, 3])):
+        _assert_lookups_match_brute_force(lat)
 
 
 def _random_poset(rng, n, bounded):
@@ -225,10 +214,10 @@ def _random_poset(rng, n, bounded):
     return labels, covers
 
 
-def _scan_verdict(poset):
-    """The pair scan's verdict: None, or the pair, kind and message it raises."""
+def _scan_verdict(scan, poset):
+    """The verdict of a pair scan: None, or the pair, kind and message it raises."""
     try:
-        Lattice._tables(poset)
+        scan(poset)
     except NotALattice as err:
         return err.pair, err.kind, str(err)
     return None
@@ -236,14 +225,16 @@ def _scan_verdict(poset):
 
 def test_cover_test_matches_the_pair_scan_on_random_posets():
     # Bjoerner-Edelman-Ziegler against every pair: the same verdict, and on
-    # a rejection the same first bad pair, kind and message
+    # a rejection the same first bad pair, kind and message, from the error
+    # path's scan and from the oracle's tables alike
     rng = random.Random(2031)
     seen = Counter()
     for k in range(20_000):
         bounded = k % 2 == 0
         labels, covers = _random_poset(rng, rng.randint(1, 9 if bounded else 11), bounded)
         poset = Poset(labels, covers)
-        want = _scan_verdict(poset)
+        want = _scan_verdict(Lattice._name_bad_pair, poset)
+        assert _scan_verdict(meet_join_tables, poset) == want, (labels, covers)
         assert Lattice._covers_join(poset) == (want is None), (labels, covers)
         try:
             build_lattice(labels, covers)
@@ -272,7 +263,7 @@ def test_cover_test_accepts_every_generator_lattice_and_fixture(pentagon, kite):
     ]
     for lat in lats:
         assert lat._covers_join(), lat
-        assert _scan_verdict(lat) is None, lat
+        assert _scan_verdict(Lattice._name_bad_pair, lat) is None, lat
 
 
 def test_leq_compatible_with_meet(pentagon):
@@ -562,15 +553,16 @@ def test_boolean_antichain_test_matches_brute_force():
     checked = boolean = 0
     for lat in lattices + [order_dual(lat) for lat in lattices[:7]]:
         dual = order_dual(lat)
+        meet_tab, join_tab = meet_join_tables(lat)
         for base in lat.labels:
             for ac in all_antichains_over(lat, base):
-                expect = _brute_force_boolean(lat, ac, lat.meet_tab, lat.join_tab)
+                expect = _brute_force_boolean(lat, ac, meet_tab, join_tab)
                 assert is_boolean_antichain(lat, ac) == expect, (lat.labels, ac)
                 checked += 1
                 boolean += expect
             for ac in all_antichains_over(dual, base):
                 under = Antichain(ac.members, base, "under")
-                expect = _brute_force_boolean(lat, under, lat.join_tab, lat.meet_tab)
+                expect = _brute_force_boolean(lat, under, join_tab, meet_tab)
                 assert is_dual_boolean_antichain(lat, under) == expect, (lat.labels, under)
                 checked += 1
                 boolean += expect

@@ -24,6 +24,8 @@ KEEP = {
     ("fields.py", "PrimeField.dot"): _FIELD,
     ("fields.py", "PrimeField.of"): _FIELD,
     ("fields.py", "_normalized"): _FIELD + ": QQ's quotients in canonical form",
+    ("lattice.py", "Lattice._name_bad_pair"):
+        "error path: a poset that fails the cover test exits 1 naming its first pair with no meet or join",
     ("lattice.py", "Antichain.validate"): _TRACER,
     ("lattice.py", "_antichain_gamma"): _TRACER,
     ("lattice.py", "is_boolean_antichain"): _TRACER,
